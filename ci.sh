@@ -106,11 +106,6 @@ stage "himap-analyze rejects infeasible" \
 stage "bound consistency vs exact oracle" \
   cargo test --release -q --test static_analysis -- --ignored
 
-# Wall-time-sensitive tests excluded from the default run: the 4-thread walk
-# must not be slower than sequential (work-queue scheduler promise).
-stage "cargo test --ignored (wall-time)" \
-  cargo test --release -q --test determinism -- --ignored
-
 # Fault-injection sweep: random fault maps over every suite kernel on 4x4
 # and 8x8 fabrics, asserting mapped-and-verified / typed error / deadline —
 # never a panic. The proptest shim derives each case's RNG from the test
@@ -129,7 +124,7 @@ stage "himap-analyze heterogeneous clean" \
   bash -c 'cargo run -q -p himap-analyze --release --bin himap-analyze -- \
     gemm --size 4 --only-mul-pes "0,0;0,3;3,0;3,3" --mem-edge-only > /dev/null'
 
-# Consolidated benchmark gate: one manifest (BENCH.json, assembled by
+# Consolidated benchmark gate: one manifest (BENCH.json, measured by
 # `bench_summary --gate-baseline`), one verdict table. Covers the scaling
 # rows (25 % + 2 ms), the portfolio races (double tolerance — cancellation
 # latency is noisier), the fault-model overhead row (+2 % + 2 ms on an

@@ -152,7 +152,7 @@ fn survey(spec: &CgraSpec, inside: &dyn Fn(PeId) -> bool) -> FabricSurvey {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use himap_cgra::{Dir, FaultMap};
+    use himap_cgra::{CapabilityMap, Dir};
 
     #[test]
     fn pristine_fabric_is_one_region() {
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn dead_pes_and_disabled_banks_are_subtracted() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         faults.kill_pe(PeId::new(0, 0));
         faults.disable_mem(PeId::new(1, 1));
         faults.disable_reg(PeId::new(2, 2), 0);
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn a_dead_column_splits_the_mesh() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for y in 0..4 {
             faults.kill_pe(PeId::new(1, y));
         }
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn one_surviving_direction_keeps_neighbours_adjacent() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         // Sever only the eastward wire on every column boundary; the
         // westward wires survive, so the mesh stays one region.
         for y in 0..2 {
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn region_survey_sees_only_its_rectangle() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         faults.kill_pe(PeId::new(0, 0));
         faults.disable_mem(PeId::new(5, 5));
         let spec = CgraSpec::square(8).with_faults(faults);
@@ -246,7 +246,7 @@ mod tests {
         // Region connectivity must not credit paths through outside PEs:
         // kill the middle column *of the region* and it splits even though
         // the full fabric stays connected.
-        let mut wall = FaultMap::new();
+        let mut wall = CapabilityMap::new();
         for r in 0..4 {
             wall.kill_pe(PeId::new(r, 1));
         }
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn fully_dead_fabric_has_no_components() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for x in 0..2 {
             for y in 0..2 {
                 faults.kill_pe(PeId::new(x, y));

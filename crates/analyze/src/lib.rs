@@ -523,11 +523,11 @@ fn ops_consuming_reads(expr: &Expr) -> usize {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use himap_cgra::{FaultMap, PeId};
+    use himap_cgra::{CapabilityMap, PeId};
     use himap_kernels::suite;
 
     fn all_mems_faulted(size: usize) -> CgraSpec {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for x in 0..size {
             for y in 0..size {
                 faults.disable_mem(PeId::new(x, y));
@@ -537,7 +537,7 @@ mod tests {
     }
 
     fn all_pes_dead(size: usize) -> CgraSpec {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for x in 0..size {
             for y in 0..size {
                 faults.kill_pe(PeId::new(x, y));
@@ -621,7 +621,7 @@ mod tests {
     fn faults_tighten_the_bound() {
         let kernel = suite::gemm();
         let pristine = analyze_kernel(&kernel, &CgraSpec::square(4), &AnalyzeOptions::default());
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for x in 0..4 {
             for y in 0..4 {
                 if (x, y) != (0, 0) {
@@ -642,7 +642,7 @@ mod tests {
         // Kill the middle column of an 8x8: regions of 8 and 48 live PEs.
         // A connected DFG must fit one region, so the bound is driven by
         // the best region, not the 56-PE global pool.
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for y in 0..8 {
             faults.kill_pe(PeId::new(1, y));
         }

@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn anneals_around_dead_pes() {
         let dfg = Dfg::build(&suite::gemm(), &[2, 2, 2]).unwrap();
-        let mut faults = himap_cgra::FaultMap::default();
+        let mut faults = himap_cgra::CapabilityMap::default();
         faults.kill_pe(PeId::new(2, 2));
         let spec = CgraSpec::square(4).with_faults(faults);
         if let Ok(m) = SaMapper::run(&dfg, &spec, &BaselineOptions::default()) {

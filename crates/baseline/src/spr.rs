@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn avoids_faulted_pes() {
         let dfg = Dfg::build(&suite::gemm(), &[2, 2, 2]).unwrap();
-        let mut faults = himap_cgra::FaultMap::default();
+        let mut faults = himap_cgra::CapabilityMap::default();
         faults.kill_pe(himap_cgra::PeId::new(0, 0)).disable_mem(himap_cgra::PeId::new(1, 1));
         let spec = CgraSpec::square(4).with_faults(faults);
         let m = SprMapper::run(&dfg, &spec, &BaselineOptions::default()).expect("maps");

@@ -79,15 +79,10 @@ fn bench_himap_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_scaling(c: &mut Criterion) {
-    // Wall-clock scaling of the work-queue candidate scheduler with
-    // requested worker threads, under production options (machine clamp and
-    // sequential fallback active). The winning mapping is identical at every
-    // thread count; on a machine with fewer cores than requested threads the
-    // clamp must keep the higher counts at sequential speed instead of
-    // oversubscribing. Mirrors the `parallel_scaling` rows of
-    // `BENCH_pr4.json`.
-    let mut group = c.benchmark_group("parallel_scaling");
+fn bench_scaling(c: &mut Criterion) {
+    // Wall-clock cost of the sequential candidate walk, one row per
+    // (kernel, array side). Mirrors the `scaling` rows of `BENCH.json`.
+    let mut group = c.benchmark_group("scaling");
     group.sample_size(10);
     for (name, cgra) in [
         ("gemm", 4usize),
@@ -99,16 +94,9 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     ] {
         let kernel = suite::by_name(name).expect("kernel exists");
         let spec = CgraSpec::square(cgra);
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}_{cgra}x{cgra}"), threads),
-                &threads,
-                |b, &threads| {
-                    let options = HiMapOptions { threads, ..HiMapOptions::default() };
-                    b.iter(|| HiMap::new(options.clone()).map(&kernel, &spec).expect("maps"));
-                },
-            );
-        }
+        group.bench_function(BenchmarkId::new(name, format!("{cgra}x{cgra}")), |b| {
+            b.iter(|| HiMap::new(HiMapOptions::default()).map(&kernel, &spec).expect("maps"));
+        });
     }
     group.finish();
 }
@@ -164,7 +152,7 @@ fn bench_route_timed(c: &mut Criterion) {
 
 fn bench_index_build(c: &mut Criterion) {
     // Cold CSR compilation cost per (spec, II) — paid once per pair thanks
-    // to the shared cache, amortized across every candidate thread.
+    // to the shared cache, amortized across every candidate of a walk.
     let mut group = c.benchmark_group("mrrg_index_build");
     for size in [4usize, 8, 16] {
         let spec = CgraSpec::square(size);
@@ -195,7 +183,7 @@ criterion_group!(
     bench_dfg_build,
     bench_systolic_search,
     bench_himap_end_to_end,
-    bench_parallel_scaling,
+    bench_scaling,
     bench_route_timed,
     bench_index_build,
     bench_spr_baseline

@@ -1,126 +1,45 @@
-//! Machine-readable benchmark evidence for the work-queue candidate
-//! scheduler: thread-scaling medians of the full mapping pipeline on
-//! gemm/bicg/floyd-warshall at 4x4 and 8x8, plus the dense-router
-//! micro-benchmarks carried over from the resource-index refactor, written
-//! to `BENCH_pr4.json`.
+//! The consolidated benchmark gate: one manifest (`BENCH.json`), one
+//! verdict table.
 //!
-//! Run with `cargo run -p himap-bench --release --bin bench_summary`.
+//! `bench_summary --gate BENCH.json [--tolerance 0.25]` re-measures every
+//! gated row of the manifest — the sequential scaling rows, the portfolio
+//! races, the fault-model overhead check, the heterogeneity rows and the
+//! mega-scale rows — prints one verdict line per row, and writes
+//! `BENCH_verdict.json`. A row fails when its fresh median exceeds
+//! `baseline * (1 + tolerance) + 2 ms`, or when a deterministic companion
+//! value (race winner and II, heterogeneous IIs, index high-water) got
+//! worse. This is the CI entrypoint.
 //!
-//! # Consolidated gate
+//! `bench_summary --gate-baseline` measures every surface with the same
+//! protocol (1 warmup run, median of 5) and writes a fresh `BENCH.json`.
 //!
-//! `bench_summary --gate BENCH.json [--tolerance 0.25]` runs every gated
-//! surface from one manifest — scaling rows, portfolio races, the
-//! fault-model overhead row and the heterogeneity rows — and prints one
-//! verdict table. This is the CI entrypoint; the per-surface flags below
-//! remain for generating/debugging individual baselines.
-//! `bench_summary --gate-baseline` assembles `BENCH.json` by splicing the
-//! committed per-PR artifacts and measuring the heterogeneity rows fresh.
-//!
-//! # Regression mode
-//!
-//! `bench_summary --check BENCH_pr4.json [--tolerance 0.25]` re-measures
-//! every `parallel_scaling` row marked `"check": true` (the fast rows —
-//! baseline median ≤ 250 ms) with the same protocol the baseline was
-//! generated with (1 warmup run, median of 5), and fails with exit code 1
-//! when any fresh median exceeds `baseline * (1 + tolerance) + 2 ms`. The
-//! default 25 % tolerance plus 2 ms absolute slack is sized to the observed
-//! run-to-run spread of sub-100 ms mapping runs on a loaded CI machine;
-//! legitimate regressions from scheduler or router changes are far larger
-//! than that (the pre-scheduler parallel walk was 3.4x slower, not 1.25x).
-//!
-//! # Portfolio-race mode
-//!
-//! `bench_summary --portfolio` measures the backend-portfolio races
-//! (himap vs bhc vs exact, first-feasible) and writes `BENCH_pr6.json`;
-//! `bench_summary --portfolio-check BENCH_pr6.json` re-races the gated rows
-//! with the same tolerance rule and additionally pins the deterministic
-//! winner and its II.
+//! Run with `cargo run -p himap-bench --release --bin bench_summary -- ...`.
 
 use std::time::{Duration, Instant};
 
 use himap_bench::check::{
-    het_rows, limit_ms, parse, race_rows, render, scale_rows, scaling_rows, Json, RowVerdict,
+    het_rows, limit_ms, parse, race_rows, scale_rows, scaling_rows, HetRow, RaceRow, ScaleRow,
     ScalingRow,
 };
-use himap_bench::{run_himap, run_himap_tiled};
-use himap_cgra::{CapabilityMap, CgraSpec, FaultMap, Mrrg, MrrgIndex, PeId, RKind, RNode};
+use himap_bench::run_himap_tiled;
+use himap_cgra::{CapabilityMap, CgraSpec, MrrgIndex};
 use himap_core::backend::{race, Backend, BhcBackend, HiMapBackend, MapRequest, RaceMode};
 use himap_core::{HiMap, HiMapOptions};
 use himap_exact::ExactBackend;
 use himap_kernels::suite;
-use himap_mapper::{ReferenceRouter, Router, RouterConfig, SignalId};
 
-/// Measurement protocol of every scaling row: one warmup run (primes the
-/// shared `MrrgIndex` cache and the allocator), then the median of 5.
+/// Measurement protocol of every row: one warmup run (primes the shared
+/// `MrrgIndex` cache and the allocator), then the median of 5.
 const WARMUP: usize = 1;
-const SCALING_SAMPLES: usize = 5;
+const SAMPLES: usize = 5;
 
 /// Rows at or under this baseline median are cheap enough to re-run in CI
 /// and get `"check": true`.
 const CHECK_BUDGET_MS: f64 = 250.0;
 
-/// The scaling matrix: every kernel × array side × thread count.
+/// The scaling matrix: every kernel × array side, mapped sequentially.
 const SCALING_KERNELS: [&str; 3] = ["gemm", "bicg", "floyd-warshall"];
 const SCALING_SIZES: [usize; 2] = [4, 8];
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// The `route_timed` query sweep (same shape as the criterion bench):
-/// three source corners to every PE, each at its shortest feasible
-/// absolute deadline plus one wait cycle.
-fn router_queries(rows: usize, cols: usize, ii: usize) -> Vec<(RNode, RNode, i64)> {
-    let mut queries = Vec::new();
-    for (sx, sy) in [(0usize, 0usize), (rows / 2, cols / 2), (rows - 1, cols - 1)] {
-        let src = RNode::new(PeId::new(sx, sy), 0, RKind::Fu);
-        for dx in 0..rows {
-            for dy in 0..cols {
-                let dist = sx.abs_diff(dx) + sy.abs_diff(dy);
-                let abs = dist as i64 + 1;
-                let dst = RNode::new(PeId::new(dx, dy), (abs % ii as i64) as u32, RKind::Fu);
-                queries.push((src, dst, abs));
-            }
-        }
-    }
-    queries
-}
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Times `f` over `samples` runs, returning the median duration.
-fn sample(samples: usize, mut f: impl FnMut()) -> Duration {
-    let mut out = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        f();
-        out.push(start.elapsed());
-    }
-    median(out)
-}
-
-/// Peak resident set size in kilobytes from `/proc/self/status` (`VmHWM`).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Warmup-then-median wall time of one full mapping run at a thread count —
-/// the protocol behind every `parallel_scaling` row and every `--check`
-/// re-measurement. Returns `None` for unknown kernels.
-fn measure_scaling(kernel_name: &str, c: usize, threads: usize) -> Option<Duration> {
-    let kernel = suite::by_name(kernel_name)?;
-    let options = HiMapOptions { threads, ..HiMapOptions::default() };
-    let run = || {
-        let (mapping, _) = run_himap(&kernel, c, &options);
-        std::hint::black_box(&mapping);
-    };
-    for _ in 0..WARMUP {
-        run();
-    }
-    Some(sample(SCALING_SAMPLES, run))
-}
 
 /// The portfolio-race workload: kernel × array side, raced with the full
 /// backend lineup (himap, bhc, exact) under `FirstFeasible`. HiMap wins on
@@ -132,281 +51,15 @@ const RACE_CASES: [(&str, usize); 2] = [("mvt", 4), ("gemm", 4)];
 /// A 10 s ceiling so a wedged backend fails the bench instead of hanging it.
 const RACE_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Warmup-then-median wall time of one portfolio race, plus the (winner,
-/// II) pair of the last run — deterministic under the lowest-index
-/// tie-break, so any run is as good as any other.
-fn measure_race(kernel_name: &str, c: usize) -> Option<(Duration, &'static str, usize)> {
-    let kernel = suite::by_name(kernel_name)?;
-    let req = MapRequest::new(kernel, CgraSpec::square(c)).with_deadline(RACE_DEADLINE);
-    let himap = HiMapBackend::default();
-    let bhc = BhcBackend::default().with_block(vec![2; req.kernel.dims()]);
-    let exact = ExactBackend::default();
-    let backends: [&dyn Backend; 3] = [&himap, &bhc, &exact];
-    let mut last: Option<(&'static str, usize)> = None;
-    let mut run = || {
-        let outcome = race(&backends, &req, RaceMode::FirstFeasible)
-            .unwrap_or_else(|e| panic!("race {kernel_name} {c}x{c} found no winner: {e}"));
-        last = Some((outcome.winner, outcome.mapping.stats().iib));
-    };
-    for _ in 0..WARMUP {
-        run();
-    }
-    let t = sample(SCALING_SAMPLES, run);
-    let (winner, ii) = last?;
-    Some((t, winner, ii))
-}
-
-/// `--portfolio` mode: measure the race rows and write `BENCH_pr6.json`.
-fn run_portfolio_generate() -> i32 {
-    let mut rows = Vec::new();
-    for (kernel, c) in RACE_CASES {
-        let Some((t, winner, ii)) = measure_race(kernel, c) else {
-            eprintln!("unknown race kernel `{kernel}`");
-            return 1;
-        };
-        let ms = t.as_secs_f64() * 1e3;
-        eprintln!("  race {kernel} {c}x{c}: {ms:.3} ms, winner {winner} (II {ii})");
-        rows.push(format!(
-            "    {{\"kernel\": \"{kernel}\", \"cgra\": \"{c}x{c}\", \"median_ms\": {ms:.3}, \
-             \"winner\": \"{winner}\", \"ii\": {ii}, \"check\": {}}}",
-            ms <= CHECK_BUDGET_MS
-        ));
-    }
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n\
-         \x20 \"bench\": \"pr6_portfolio_race\",\n\
-         \x20 \"machine\": {{\"available_parallelism\": {cores}}},\n\
-         \x20 \"protocol\": {{\"warmup\": {WARMUP}, \"samples\": {SCALING_SAMPLES}, \
-         \"statistic\": \"median\", \"deadline_s\": {}, \"mode\": \"first_feasible\", \
-         \"backends\": [\"himap\", \"bhc\", \"exact\"]}},\n\
-         \x20 \"portfolio_race\": [\n{}\n  ]\n\
-         }}\n",
-        RACE_DEADLINE.as_secs(),
-        rows.join(",\n"),
-    );
-    print!("{json}");
-    if let Err(e) = std::fs::write("BENCH_pr6.json", &json) {
-        eprintln!("could not write BENCH_pr6.json: {e}");
-        return 1;
-    }
-    eprintln!("wrote BENCH_pr6.json ({} race rows)", RACE_CASES.len());
-    0
-}
-
-/// `--portfolio-check` mode: re-race every gated row of `baseline_path`;
-/// fail on a wall-time regression beyond tolerance, a different winner, or
-/// a worse II — the race's determinism promise, checked end to end.
-fn run_portfolio_check(baseline_path: &str, tolerance: f64) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let rows = match parse(&text).and_then(|doc| race_rows(&doc)) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let gated: Vec<_> = rows.iter().filter(|r| r.check).collect();
-    if gated.is_empty() {
-        eprintln!("baseline {baseline_path} gates no race rows; nothing to verify");
-        return 1;
-    }
-    println!(
-        "portfolio race check: {} gated rows, tolerance {:.0}% + 2 ms",
-        gated.len(),
-        tolerance * 100.0
-    );
-    let mut failures = 0usize;
-    for row in gated {
-        let Some((fresh, winner, ii)) = measure_race(&row.kernel, row.cgra) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let fresh_ms = fresh.as_secs_f64() * 1e3;
-        let limit = limit_ms(row.median_ms, tolerance);
-        let time_ok = fresh_ms <= limit;
-        let winner_ok = winner == row.winner && ii <= row.ii;
-        println!(
-            "{} race {:>6} {c}x{c} {fresh_ms:>9.3} ms vs baseline {:>9.3} ms \
-             (limit {limit:>9.3} ms), winner {winner} II {ii} vs {} II {}",
-            if time_ok && winner_ok { "PASS" } else { "FAIL" },
-            row.kernel,
-            row.median_ms,
-            row.winner,
-            row.ii,
-            c = row.cgra,
-        );
-        if !(time_ok && winner_ok) {
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        eprintln!("portfolio race check FAILED: {failures} row(s)");
-        1
-    } else {
-        println!("portfolio race check passed");
-        0
-    }
-}
-
-/// `--check` mode: re-measure every gated row of `baseline_path` and exit
-/// non-zero on regression.
-fn run_check(baseline_path: &str, tolerance: f64) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let rows = match parse(&text).and_then(|doc| scaling_rows(&doc)) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let gated: Vec<&ScalingRow> = rows.iter().filter(|r| r.check).collect();
-    if gated.is_empty() {
-        eprintln!("baseline {baseline_path} gates no rows (`check: true`); nothing to verify");
-        return 1;
-    }
-    println!(
-        "bench regression check: {} gated rows, tolerance {:.0}% + 2 ms",
-        gated.len(),
-        tolerance * 100.0
-    );
-    let mut failures = 0usize;
-    for row in gated {
-        let Some(fresh) = measure_scaling(&row.kernel, row.cgra, row.threads) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let verdict = RowVerdict {
-            row: row.clone(),
-            fresh_ms: fresh.as_secs_f64() * 1e3,
-            limit_ms: limit_ms(row.median_ms, tolerance),
-        };
-        println!("{verdict}");
-        if !verdict.passed() {
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        eprintln!("bench regression check FAILED: {failures} row(s) over tolerance");
-        1
-    } else {
-        println!("bench regression check passed");
-        0
-    }
-}
-
 /// The heterogeneity workload: a multiply-free kernel mapped on the
 /// capability-restricted 4x4 (corner multipliers + edge-only memory).
 const HET_CASES: [(&str, usize); 1] = [("stencil2d", 4)];
 
-/// Maps `kernel` on the homogeneous and on the heterogeneous `c`x`c`
-/// fabric, returning `(hom_ii, het_ii, het_median)`. Both mappings must
-/// succeed *and verify* — this row doubles as the continuously-enforced
-/// acceptance check that a capability-restricted fabric stays mappable.
-fn measure_heterogeneity(kernel_name: &str, c: usize) -> Option<(usize, usize, Duration)> {
-    let kernel = suite::by_name(kernel_name)?;
-    let options = HiMapOptions::default();
-    let hom_spec = CgraSpec::square(c);
-    let het_spec = CgraSpec::square(c).with_faults(CapabilityMap::heterogeneous(c, c));
-    let map_verified = |spec: &CgraSpec| {
-        let mapping = HiMap::new(options.clone())
-            .map(&kernel, spec)
-            .unwrap_or_else(|e| panic!("{kernel_name} fails to map on {c}x{c}: {e}"));
-        let report = himap_verify::verify_mapping(&mapping);
-        assert!(
-            !report.has_errors(),
-            "{kernel_name} on heterogeneous {c}x{c} fails verification:\n{}",
-            report.render_pretty()
-        );
-        mapping.stats().iib
-    };
-    let hom_ii = map_verified(&hom_spec);
-    let mut het_ii = 0;
-    let mut run = || het_ii = map_verified(&het_spec);
-    for _ in 0..WARMUP {
-        run();
-    }
-    let t = sample(SCALING_SAMPLES, run);
-    assert!(
-        het_ii >= hom_ii,
-        "{kernel_name}: heterogeneous II {het_ii} beats homogeneous II {hom_ii} — \
-         removing capabilities cannot enlarge the feasible set"
-    );
-    Some((hom_ii, het_ii, t))
-}
-
-/// Warmup-then-median wall time of mapping gemm on 8x8, single-threaded,
-/// with an *explicitly installed empty* `FaultMap` — forcing every mask
-/// check through `FaultMap::is_empty` instead of the default construction.
-fn measure_empty_faultmap_gemm8() -> Duration {
-    let kernel = suite::by_name("gemm").unwrap_or_else(|| unreachable!("gemm is in the suite"));
-    let options = HiMapOptions { threads: 1, ..HiMapOptions::default() };
-    let spec = CgraSpec::square(8).with_faults(FaultMap::new());
-    let run = || {
-        let result = HiMap::new(options.clone()).map(&kernel, &spec);
-        std::hint::black_box(&result);
-    };
-    for _ in 0..WARMUP {
-        run();
-    }
-    sample(SCALING_SAMPLES, run)
-}
-
-/// `--fault-overhead` mode: the fault model must be free when unused. The
-/// gemm 8x8 t=1 median with an empty `FaultMap` installed is held to the
-/// committed fault-free baseline row plus 2 % (and the usual 2 ms absolute
-/// slack — the row is ~tens of milliseconds, so a bare 2 % would be inside
-/// timer noise).
-fn run_fault_overhead(baseline_path: &str) -> i32 {
-    const FAULT_TOLERANCE: f64 = 0.02;
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let rows = match parse(&text).and_then(|doc| scaling_rows(&doc)) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let Some(row) = rows.iter().find(|r| r.kernel == "gemm" && r.cgra == 8 && r.threads == 1)
-    else {
-        eprintln!("baseline {baseline_path} has no gemm 8x8 t=1 row");
-        return 1;
-    };
-    let fresh = measure_empty_faultmap_gemm8().as_secs_f64() * 1e3;
-    let limit = limit_ms(row.median_ms, FAULT_TOLERANCE);
-    println!(
-        "fault_overhead: gemm 8x8 t=1 with empty FaultMap {fresh:.3} ms \
-         vs fault-free baseline {:.3} ms (limit {limit:.3} ms = +2% + 2 ms)",
-        row.median_ms
-    );
-    if fresh <= limit {
-        println!("fault overhead check passed");
-        0
-    } else {
-        eprintln!("fault overhead check FAILED: the empty fault map is not free");
-        1
-    }
-}
+/// The fault model must be free when unused: gemm 8x8 with an explicitly
+/// installed empty `CapabilityMap` is held to the fault-free scaling row
+/// plus 2 % (and the usual 2 ms absolute slack — the row is ~tens of
+/// milliseconds, so a bare 2 % would be inside timer noise).
+const FAULT_TOLERANCE: f64 = 0.02;
 
 /// The mega-fabric scale workload: the tiled path must map *and verify*
 /// these kernels on 32x32 and 64x64 without ever materialising the
@@ -420,29 +73,126 @@ const SCALE_SIZES: [usize; 2] = [32, 64];
 /// the scalability argument even if the baseline drifted with it.
 const MEGA_WALL_LIMIT_MS: f64 = 1000.0;
 
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Runs `f` [`WARMUP`] times untimed, then returns the median of
+/// [`SAMPLES`] timed runs.
+fn sample(mut f: impl FnMut()) -> Duration {
+    for _ in 0..WARMUP {
+        f();
+    }
+    let mut out = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let start = Instant::now();
+        f();
+        out.push(start.elapsed());
+    }
+    median(out)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Peak resident set size in kilobytes from `/proc/self/status` (`VmHWM`).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+fn kernel(name: &str) -> Result<himap_kernels::Kernel, String> {
+    suite::by_name(name).ok_or_else(|| format!("unknown kernel `{name}`"))
+}
+
+/// Median wall time of one full mapping run of `kernel` on `spec` — the
+/// scaling-row protocol.
+fn measure_map(name: &str, spec: &CgraSpec) -> Result<Duration, String> {
+    let kernel = kernel(name)?;
+    let himap = HiMap::new(HiMapOptions::default());
+    Ok(sample(|| {
+        std::hint::black_box(himap.map(&kernel, spec).ok());
+    }))
+}
+
+/// Median wall time of one portfolio race, plus the (winner, II) pair of
+/// the last run — deterministic under the lowest-index tie-break, so any
+/// run is as good as any other.
+fn measure_race(name: &str, c: usize) -> Result<(Duration, &'static str, usize), String> {
+    let req = MapRequest::new(kernel(name)?, CgraSpec::square(c)).with_deadline(RACE_DEADLINE);
+    let himap = HiMapBackend::default();
+    let bhc = BhcBackend::default().with_block(vec![2; req.kernel.dims()]);
+    let exact = ExactBackend::default();
+    let backends: [&dyn Backend; 3] = [&himap, &bhc, &exact];
+    let mut last = ("", 0);
+    let t = sample(|| {
+        let outcome = race(&backends, &req, RaceMode::FirstFeasible)
+            .unwrap_or_else(|e| panic!("race {name} {c}x{c} found no winner: {e}"));
+        last = (outcome.winner, outcome.mapping.stats().iib);
+    });
+    Ok((t, last.0, last.1))
+}
+
+/// Maps `kernel` on the homogeneous and on the heterogeneous `c`x`c`
+/// fabric, returning `(hom_ii, het_ii, het_median)`. Both mappings must
+/// succeed *and verify* — this row doubles as the continuously-enforced
+/// acceptance check that a capability-restricted fabric stays mappable.
+fn measure_heterogeneity(name: &str, c: usize) -> Result<(usize, usize, Duration), String> {
+    let kernel = kernel(name)?;
+    let himap = HiMap::new(HiMapOptions::default());
+    let map_verified = |spec: &CgraSpec| {
+        let mapping = himap
+            .map(&kernel, spec)
+            .unwrap_or_else(|e| panic!("{name} fails to map on {c}x{c}: {e}"));
+        let report = himap_verify::verify_mapping(&mapping);
+        assert!(
+            !report.has_errors(),
+            "{name} on heterogeneous {c}x{c} fails verification:\n{}",
+            report.render_pretty()
+        );
+        mapping.stats().iib
+    };
+    let hom_ii = map_verified(&CgraSpec::square(c));
+    let het_spec = CgraSpec::square(c).with_faults(CapabilityMap::heterogeneous(c, c));
+    let mut het_ii = 0;
+    let t = sample(|| het_ii = map_verified(&het_spec));
+    assert!(
+        het_ii >= hom_ii,
+        "{name}: heterogeneous II {het_ii} beats homogeneous II {hom_ii} — \
+         removing capabilities cannot enlarge the feasible set"
+    );
+    Ok((hom_ii, het_ii, t))
+}
+
 /// One measured mega-scale point.
 struct ScaleSample {
     median: Duration,
-    index_ms: f64,
+    /// Cold `MrrgIndex::new` of the base tile's `(spec, II)` — timed
+    /// outside the sampled runs, whose index acquisitions are cache hits.
+    index: Duration,
     nodes: usize,
     edges: usize,
 }
 
-/// Warmup-then-median wall time of tiled map + tiled verify on a `c`x`c`
-/// array. Every sample asserts the verifier is clean and that the largest
-/// index ever built fits one tile at the achieved II — a full-fabric MRRG
-/// leaking into the path fails the bench, not just slows it down.
-fn measure_scale(kernel_name: &str, c: usize) -> Option<ScaleSample> {
-    let kernel = suite::by_name(kernel_name)?;
+/// Median wall time of tiled map + tiled verify on a `c`x`c` array. Every
+/// sample asserts the verifier is clean and that the largest index ever
+/// built fits one tile at the achieved II — a full-fabric MRRG leaking into
+/// the path fails the bench, not just slows it down.
+fn measure_scale(name: &str, c: usize) -> Result<ScaleSample, String> {
+    let kernel = kernel(name)?;
     let options = HiMapOptions::default();
-    let mut sampled: Option<(f64, usize, usize)> = None;
-    let mut run = || {
-        let (tiled, _) = run_himap_tiled(&kernel, c, &options);
-        let tiled = tiled.unwrap_or_else(|| panic!("{kernel_name} fails to tile-map on {c}x{c}"));
+    let mut last = None;
+    let wall = sample(|| {
+        let tiled = run_himap_tiled(&kernel, c, &options)
+            .0
+            .unwrap_or_else(|| panic!("{name} fails to tile-map on {c}x{c}"));
         let report = himap_verify::verify_tiled(&tiled);
         assert!(
             !report.has_errors(),
-            "{kernel_name} {c}x{c} tiled mapping fails verification:\n{}",
+            "{name} {c}x{c} tiled mapping fails verification:\n{}",
             report.render_pretty()
         );
         let (tr, tc) = tiled.tile_shape();
@@ -458,210 +208,135 @@ fn measure_scale(kernel_name: &str, c: usize) -> Option<ScaleSample> {
         let mem = tiled.memory();
         assert!(
             mem.nodes <= cap,
-            "{kernel_name} {c}x{c}: index high-water of {} nodes exceeds the \
-             tile-scale cap {cap} — the full-fabric MRRG leaked into the tiled path",
+            "{name} {c}x{c}: index high-water of {} nodes exceeds the tile-scale cap \
+             {cap} — the full-fabric MRRG leaked into the tiled path",
             mem.nodes
         );
-        let index_ms = tiled.stats().times.index.as_secs_f64() * 1e3;
-        sampled = Some((index_ms, mem.nodes, mem.edges));
-    };
-    for _ in 0..WARMUP {
-        run();
-    }
-    let median = sample(SCALING_SAMPLES, run);
-    let (index_ms, nodes, edges) = sampled?;
-    Some(ScaleSample { median, index_ms, nodes, edges })
+        last = Some((tiled.base().spec().clone(), tiled.base().stats().iib, mem));
+    });
+    let (tile_spec, iib, mem) = last.ok_or("no scale sample ran")?;
+    let index = median(
+        (0..SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(MrrgIndex::new(tile_spec.clone(), iib));
+                start.elapsed()
+            })
+            .collect(),
+    );
+    Ok(ScaleSample { median: wall, index, nodes: mem.nodes, edges: mem.edges })
 }
 
-/// `--gate <BENCH.json>` mode: the consolidated regression gate. One
-/// manifest carries every gated surface — scaling rows, portfolio races,
-/// the fault-model overhead row, and the heterogeneity rows — and one
-/// verdict table decides the run. Subsumes `--check`,
-/// `--portfolio-check` and `--fault-overhead`.
-fn run_gate(baseline_path: &str, tolerance: f64) -> i32 {
-    const FAULT_TOLERANCE: f64 = 0.02;
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 1;
-        }
+/// One gated row's verdict.
+struct Verdict {
+    surface: &'static str,
+    name: String,
+    fresh_ms: f64,
+    limit_ms: f64,
+    pass: bool,
+    /// Surface-specific evidence (baseline, winner, IIs, index size).
+    detail: String,
+}
+
+/// Re-measures every gated row of `doc` against `tolerance`.
+fn gate_rows(doc: &himap_bench::check::Json, tolerance: f64) -> Result<Vec<Verdict>, String> {
+    let (scaling, races) = (scaling_rows(doc)?, race_rows(doc)?);
+    let (hets, scales) = (het_rows(doc)?, scale_rows(doc)?);
+    let mut out = Vec::new();
+    let verdict = |surface, name: String, fresh: Duration, limit: f64, ok: bool, detail| Verdict {
+        surface,
+        name,
+        fresh_ms: ms(fresh),
+        limit_ms: limit,
+        pass: ok && ms(fresh) <= limit,
+        detail,
     };
-    let doc = match parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = (scaling_rows(&doc), race_rows(&doc), het_rows(&doc), scale_rows(&doc));
-    let (scaling, races, hets, scales) = match parsed {
-        (Ok(s), Ok(r), Ok(h), Ok(m)) => (s, r, h, m),
-        (s, r, h, m) => {
-            for e in [s.err(), r.err(), h.err(), m.err()].into_iter().flatten() {
-                eprintln!("baseline {baseline_path}: {e}");
-            }
-            return 1;
-        }
-    };
+    for ScalingRow { kernel, cgra: c, median_ms, .. } in scaling.iter().filter(|r| r.check) {
+        let fresh = measure_map(kernel, &CgraSpec::square(*c))?;
+        let limit = limit_ms(*median_ms, tolerance);
+        let detail = format!("baseline {median_ms:.3} ms");
+        out.push(verdict("scaling", format!("{kernel} {c}x{c}"), fresh, limit, true, detail));
+    }
+    // Race wall time includes the losing backends' cancellation latency,
+    // which is noisier than the solo-mapper rows — double the tolerance.
+    for RaceRow { kernel, cgra: c, median_ms, winner, ii, .. } in races.iter().filter(|r| r.check) {
+        let (fresh, got, got_ii) = measure_race(kernel, *c)?;
+        let limit = limit_ms(*median_ms, tolerance * 2.0);
+        let ok = got == winner && got_ii <= *ii;
+        let detail =
+            format!("baseline {median_ms:.3} ms, winner {got} II {got_ii} vs {winner} II {ii}");
+        out.push(verdict("race", format!("{kernel} {c}x{c}"), fresh, limit, ok, detail));
+    }
+    // The gemm 8x8 scaling row doubles as the fault-free baseline the
+    // empty-CapabilityMap run is held to.
+    let base = scaling
+        .iter()
+        .find(|r| r.kernel == "gemm" && r.cgra == 8)
+        .ok_or("baseline has no gemm 8x8 scaling row for the fault-overhead check")?;
+    let fresh = measure_map("gemm", &CgraSpec::square(8).with_faults(CapabilityMap::new()))?;
+    let limit = limit_ms(base.median_ms, FAULT_TOLERANCE);
+    let detail = format!("baseline {:.3} ms, empty CapabilityMap, +2% + 2 ms", base.median_ms);
+    out.push(verdict("fault-overhead", "gemm 8x8".into(), fresh, limit, true, detail));
+    for HetRow { kernel, cgra: c, hom_ii, het_ii, median_ms, .. } in hets.iter().filter(|r| r.check)
+    {
+        let (got_hom, got_het, fresh) = measure_heterogeneity(kernel, *c)?;
+        let limit = limit_ms(*median_ms, tolerance);
+        let ok = got_hom <= *hom_ii && got_het <= *het_ii;
+        let detail = format!(
+            "baseline {median_ms:.3} ms, II hom {got_hom}/het {got_het} vs hom {hom_ii}/het {het_ii}"
+        );
+        out.push(verdict("heterogeneity", format!("{kernel} {c}x{c}"), fresh, limit, ok, detail));
+    }
+    // Mega-fabric rows: tolerance vs baseline plus two unconditional
+    // promises — the 64x64 wall ceiling, and a non-growing index high-water
+    // mark (the "never materialise the full MRRG" claim).
+    for ScaleRow { kernel, cgra: c, median_ms, index_nodes, .. } in
+        scales.iter().filter(|r| r.check)
+    {
+        let s = measure_scale(kernel, *c)?;
+        let tol = limit_ms(*median_ms, tolerance);
+        let limit = if *c == 64 { tol.min(MEGA_WALL_LIMIT_MS) } else { tol };
+        let detail = format!(
+            "baseline {median_ms:.3} ms, index {} nodes vs {index_nodes}, cold build {:.3} ms",
+            s.nodes,
+            ms(s.index)
+        );
+        let ok = s.nodes <= *index_nodes;
+        out.push(verdict("mega-scale", format!("{kernel} {c}x{c}"), s.median, limit, ok, detail));
+    }
+    Ok(out)
+}
+
+/// `--gate <BENCH.json>` mode: re-measure every gated row, print the
+/// verdict table and write `BENCH_verdict.json`.
+fn run_gate(baseline_path: &str, tolerance: f64) -> Result<bool, String> {
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    let doc = parse(&text).map_err(|e| format!("cannot parse baseline {baseline_path}: {e}"))?;
     println!(
-        "consolidated gate: {} scaling + {} race + {} heterogeneity + {} mega-scale rows, \
-         tolerance {:.0}% + 2 ms (fault overhead +2%, 64x64 wall < {MEGA_WALL_LIMIT_MS:.0} ms)",
-        scaling.iter().filter(|r| r.check).count(),
-        races.iter().filter(|r| r.check).count(),
-        hets.iter().filter(|r| r.check).count(),
-        scales.iter().filter(|r| r.check).count(),
+        "consolidated gate: tolerance {:.0}% + 2 ms (races double, fault overhead +2%, \
+         64x64 wall < {MEGA_WALL_LIMIT_MS:.0} ms)",
         tolerance * 100.0
     );
-    let mut failures = 0usize;
-    // Machine-readable verdict rows, written to BENCH_verdict.json at the
-    // end of the run (CI uploads the file as an artifact).
-    let mut verdicts: Vec<String> = Vec::new();
-    let mut record = |surface: &str, name: String, fresh_ms: f64, limit: f64, pass: bool| {
-        verdicts.push(format!(
-            "    {{\"surface\": \"{surface}\", \"name\": \"{name}\", \
-             \"fresh_ms\": {fresh_ms:.3}, \"limit_ms\": {limit:.3}, \"pass\": {pass}}}"
+    let verdicts = gate_rows(&doc, tolerance).map_err(|e| format!("{baseline_path}: {e}"))?;
+    let mut rows = Vec::new();
+    for v in &verdicts {
+        println!(
+            "{} {:<14} {:>22} {:>9.3} ms (limit {:>9.3} ms), {}",
+            if v.pass { "PASS" } else { "FAIL" },
+            v.surface,
+            v.name,
+            v.fresh_ms,
+            v.limit_ms,
+            v.detail
+        );
+        rows.push(format!(
+            "    {{\"surface\": \"{}\", \"name\": \"{}\", \"fresh_ms\": {:.3}, \
+             \"limit_ms\": {:.3}, \"pass\": {}}}",
+            v.surface, v.name, v.fresh_ms, v.limit_ms, v.pass
         ));
-    };
-
-    for row in scaling.iter().filter(|r| r.check) {
-        let Some(fresh) = measure_scaling(&row.kernel, row.cgra, row.threads) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let verdict = RowVerdict {
-            row: row.clone(),
-            fresh_ms: fresh.as_secs_f64() * 1e3,
-            limit_ms: limit_ms(row.median_ms, tolerance),
-        };
-        println!("{verdict}");
-        record(
-            "scaling",
-            format!("{} {c}x{c} t={}", row.kernel, row.threads, c = row.cgra),
-            verdict.fresh_ms,
-            verdict.limit_ms,
-            verdict.passed(),
-        );
-        if !verdict.passed() {
-            failures += 1;
-        }
     }
-
-    // Race wall time includes the losing backends' cancellation latency,
-    // which is noisier than the solo-mapper rows — double the tolerance,
-    // preserving the historical 0.25-scaling / 0.5-race split.
-    for row in races.iter().filter(|r| r.check) {
-        let Some((fresh, winner, ii)) = measure_race(&row.kernel, row.cgra) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let fresh_ms = fresh.as_secs_f64() * 1e3;
-        let limit = limit_ms(row.median_ms, tolerance * 2.0);
-        let ok = fresh_ms <= limit && winner == row.winner && ii <= row.ii;
-        println!(
-            "{} race {:>10} {c}x{c} {fresh_ms:>9.3} ms vs baseline {:>9.3} ms \
-             (limit {limit:>9.3} ms), winner {winner} II {ii} vs {} II {}",
-            if ok { "PASS" } else { "FAIL" },
-            row.kernel,
-            row.median_ms,
-            row.winner,
-            row.ii,
-            c = row.cgra,
-        );
-        record("race", format!("{} {c}x{c}", row.kernel, c = row.cgra), fresh_ms, limit, ok);
-        if !ok {
-            failures += 1;
-        }
-    }
-
-    // Fault-model overhead: the gemm 8x8 t=1 scaling row doubles as the
-    // fault-free baseline the empty-CapabilityMap run is held to.
-    match scaling.iter().find(|r| r.kernel == "gemm" && r.cgra == 8 && r.threads == 1) {
-        Some(row) => {
-            let fresh = measure_empty_faultmap_gemm8().as_secs_f64() * 1e3;
-            let limit = limit_ms(row.median_ms, FAULT_TOLERANCE);
-            let ok = fresh <= limit;
-            println!(
-                "{} fault-overhead gemm 8x8 t=1 {fresh:>9.3} ms vs baseline {:>9.3} ms \
-                 (limit {limit:>9.3} ms = +2% + 2 ms)",
-                if ok { "PASS" } else { "FAIL" },
-                row.median_ms,
-            );
-            record("fault-overhead", "gemm 8x8 t=1".to_string(), fresh, limit, ok);
-            if !ok {
-                failures += 1;
-            }
-        }
-        None => {
-            eprintln!("baseline {baseline_path} has no gemm 8x8 t=1 row for the fault gate");
-            failures += 1;
-        }
-    }
-
-    for row in hets.iter().filter(|r| r.check) {
-        let Some((hom_ii, het_ii, fresh)) = measure_heterogeneity(&row.kernel, row.cgra) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let fresh_ms = fresh.as_secs_f64() * 1e3;
-        let limit = limit_ms(row.median_ms, tolerance);
-        let ok = fresh_ms <= limit && hom_ii <= row.hom_ii && het_ii <= row.het_ii;
-        println!(
-            "{} het {:>10} {c}x{c} {fresh_ms:>9.3} ms vs baseline {:>9.3} ms \
-             (limit {limit:>9.3} ms), II hom {hom_ii}/het {het_ii} vs hom {}/het {}",
-            if ok { "PASS" } else { "FAIL" },
-            row.kernel,
-            row.median_ms,
-            row.hom_ii,
-            row.het_ii,
-            c = row.cgra,
-        );
-        record(
-            "heterogeneity",
-            format!("{} {c}x{c}", row.kernel, c = row.cgra),
-            fresh_ms,
-            limit,
-            ok,
-        );
-        if !ok {
-            failures += 1;
-        }
-    }
-
-    // Mega-fabric scale rows: tolerance vs baseline like every other
-    // surface, plus two unconditional promises — the 64x64 wall ceiling,
-    // and a non-growing index high-water mark (the "never materialise the
-    // full MRRG" claim, held to the committed node count).
-    for row in scales.iter().filter(|r| r.check) {
-        let Some(s) = measure_scale(&row.kernel, row.cgra) else {
-            eprintln!("unknown kernel `{}` in baseline", row.kernel);
-            failures += 1;
-            continue;
-        };
-        let fresh_ms = s.median.as_secs_f64() * 1e3;
-        let tol_limit = limit_ms(row.median_ms, tolerance);
-        let limit = if row.cgra == 64 { tol_limit.min(MEGA_WALL_LIMIT_MS) } else { tol_limit };
-        let index_ok = s.nodes <= row.index_nodes;
-        let ok = fresh_ms <= limit && index_ok;
-        println!(
-            "{} scale {:>14} {c}x{c} {fresh_ms:>9.3} ms vs baseline {:>9.3} ms \
-             (limit {limit:>9.3} ms), index {} nodes vs baseline {}",
-            if ok { "PASS" } else { "FAIL" },
-            row.kernel,
-            row.median_ms,
-            s.nodes,
-            row.index_nodes,
-            c = row.cgra,
-        );
-        record("mega-scale", format!("{} {c}x{c}", row.kernel, c = row.cgra), fresh_ms, limit, ok);
-        if !ok {
-            failures += 1;
-        }
-    }
-
+    let failures = verdicts.iter().filter(|v| !v.pass).count();
     let verdict_json = format!(
         "{{\n\
          \x20 \"gate\": \"consolidated\",\n\
@@ -673,339 +348,151 @@ fn run_gate(baseline_path: &str, tolerance: f64) -> i32 {
          }}\n",
         verdicts.len(),
         failures == 0,
-        verdicts.join(",\n"),
+        rows.join(",\n"),
     );
-    if let Err(e) = std::fs::write("BENCH_verdict.json", &verdict_json) {
-        eprintln!("could not write BENCH_verdict.json: {e}");
-        return 1;
-    }
+    std::fs::write("BENCH_verdict.json", &verdict_json)
+        .map_err(|e| format!("could not write BENCH_verdict.json: {e}"))?;
     eprintln!("wrote BENCH_verdict.json ({} rows)", verdicts.len());
-
     if failures > 0 {
         eprintln!("consolidated gate FAILED: {failures} row(s)");
-        1
     } else {
         println!("consolidated gate passed");
-        0
     }
+    Ok(failures == 0)
 }
 
-/// `--gate-baseline` mode: assembles the consolidated `BENCH.json`
-/// manifest the gate reads — splices the committed `parallel_scaling`
-/// (BENCH_pr4.json) and `portfolio_race` (BENCH_pr6.json) sections and
-/// measures the heterogeneity rows fresh.
-fn run_gate_generate() -> i32 {
-    let read_doc = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-    };
-    let (pr4, pr6) = match (read_doc("BENCH_pr4.json"), read_doc("BENCH_pr6.json")) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            for e in [a.err(), b.err()].into_iter().flatten() {
-                eprintln!("{e}");
-            }
-            return 1;
-        }
-    };
-    let (Some(scaling), Some(races)) = (pr4.get("parallel_scaling"), pr6.get("portfolio_race"))
-    else {
-        eprintln!("per-PR artifacts are missing their row arrays");
-        return 1;
-    };
-
-    let mut het = Vec::new();
-    for (kernel, c) in HET_CASES {
-        let Some((hom_ii, het_ii, t)) = measure_heterogeneity(kernel, c) else {
-            eprintln!("unknown heterogeneity kernel `{kernel}`");
-            return 1;
-        };
-        let ms = t.as_secs_f64() * 1e3;
-        eprintln!("  het {kernel} {c}x{c}: {ms:.3} ms, II hom {hom_ii} / het {het_ii}");
-        het.push(format!(
-            "    {{\"kernel\": \"{kernel}\", \"cgra\": \"{c}x{c}\", \"hom_ii\": {hom_ii}, \
-             \"het_ii\": {het_ii}, \"median_ms\": {ms:.3}, \"check\": {}}}",
-            ms <= CHECK_BUDGET_MS
-        ));
-    }
-
-    // Mega-fabric scale rows, measured fresh. Generation refuses to commit
-    // a baseline that already breaks the unconditional 64x64 wall ceiling.
-    let mut scale = Vec::new();
-    for kernel in SCALE_KERNELS {
-        for c in SCALE_SIZES {
-            let Some(s) = measure_scale(kernel, c) else {
-                eprintln!("unknown mega-scale kernel `{kernel}`");
-                return 1;
-            };
-            let ms = s.median.as_secs_f64() * 1e3;
-            if c == 64 && ms >= MEGA_WALL_LIMIT_MS {
-                eprintln!(
-                    "MEGA-SCALE PROMISE BROKEN: {kernel} 64x64 {ms:.1} ms >= \
-                     {MEGA_WALL_LIMIT_MS:.0} ms — refusing to write a baseline that \
-                     fails its own gate"
-                );
-                return 1;
-            }
-            let rss = peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string());
-            eprintln!(
-                "  scale {kernel} {c}x{c}: {ms:.3} ms, index {:.3} ms \
-                 ({} nodes / {} edges), peak RSS {rss} kB",
-                s.index_ms, s.nodes, s.edges
-            );
-            scale.push(format!(
-                "    {{\"kernel\": \"{kernel}\", \"cgra\": \"{c}x{c}\", \
-                 \"median_ms\": {ms:.3}, \"index_ms\": {:.3}, \"index_nodes\": {}, \
-                 \"index_edges\": {}, \"peak_rss_kb\": {rss}, \"check\": {}}}",
-                s.index_ms,
-                s.nodes,
-                s.edges,
-                ms <= CHECK_BUDGET_MS
+/// `--gate-baseline` mode: measure every surface and write `BENCH.json`.
+/// Refuses to write a baseline that already breaks the unconditional 64x64
+/// wall ceiling.
+fn run_gate_generate() -> Result<(), String> {
+    let check = |ms: f64| ms <= CHECK_BUDGET_MS;
+    let mut scaling = Vec::new();
+    for name in SCALING_KERNELS {
+        for c in SCALING_SIZES {
+            let t = ms(measure_map(name, &CgraSpec::square(c))?);
+            eprintln!("  scaling {name} {c}x{c}: {t:.3} ms");
+            scaling.push(format!(
+                "    {{\"kernel\": \"{name}\", \"cgra\": \"{c}x{c}\", \"median_ms\": {t:.3}, \
+                 \"check\": {}}}",
+                check(t)
             ));
         }
     }
-
+    let mut races = Vec::new();
+    for (name, c) in RACE_CASES {
+        let (t, winner, ii) = measure_race(name, c)?;
+        let t = ms(t);
+        eprintln!("  race {name} {c}x{c}: {t:.3} ms, winner {winner} (II {ii})");
+        races.push(format!(
+            "    {{\"kernel\": \"{name}\", \"cgra\": \"{c}x{c}\", \"median_ms\": {t:.3}, \
+             \"winner\": \"{winner}\", \"ii\": {ii}, \"check\": {}}}",
+            check(t)
+        ));
+    }
+    let mut het = Vec::new();
+    for (name, c) in HET_CASES {
+        let (hom_ii, het_ii, t) = measure_heterogeneity(name, c)?;
+        let t = ms(t);
+        eprintln!("  het {name} {c}x{c}: {t:.3} ms, II hom {hom_ii} / het {het_ii}");
+        het.push(format!(
+            "    {{\"kernel\": \"{name}\", \"cgra\": \"{c}x{c}\", \"hom_ii\": {hom_ii}, \
+             \"het_ii\": {het_ii}, \"median_ms\": {t:.3}, \"check\": {}}}",
+            check(t)
+        ));
+    }
+    let mut scale = Vec::new();
+    for name in SCALE_KERNELS {
+        for c in SCALE_SIZES {
+            let s = measure_scale(name, c)?;
+            let t = ms(s.median);
+            if c == 64 && t >= MEGA_WALL_LIMIT_MS {
+                return Err(format!(
+                    "MEGA-SCALE PROMISE BROKEN: {name} 64x64 {t:.1} ms >= \
+                     {MEGA_WALL_LIMIT_MS:.0} ms — refusing to write a baseline that fails \
+                     its own gate"
+                ));
+            }
+            let rss = peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string());
+            eprintln!(
+                "  scale {name} {c}x{c}: {t:.3} ms, cold index {:.3} ms ({} nodes / {} edges), \
+                 peak RSS {rss} kB",
+                ms(s.index),
+                s.nodes,
+                s.edges
+            );
+            scale.push(format!(
+                "    {{\"kernel\": \"{name}\", \"cgra\": \"{c}x{c}\", \"median_ms\": {t:.3}, \
+                 \"index_ms\": {:.3}, \"index_nodes\": {}, \"index_edges\": {}, \
+                 \"peak_rss_kb\": {rss}, \"check\": {}}}",
+                ms(s.index),
+                s.nodes,
+                s.edges,
+                check(t)
+            ));
+        }
+    }
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
         "{{\n\
          \x20 \"bench\": \"consolidated_gate\",\n\
          \x20 \"machine\": {{\"available_parallelism\": {cores}}},\n\
-         \x20 \"protocol\": {{\"warmup\": {WARMUP}, \"samples\": {SCALING_SAMPLES}, \
+         \x20 \"protocol\": {{\"warmup\": {WARMUP}, \"samples\": {SAMPLES}, \
          \"statistic\": \"median\", \"check_budget_ms\": {CHECK_BUDGET_MS}, \
          \"mega_wall_limit_ms\": {MEGA_WALL_LIMIT_MS}}},\n\
-         \x20 \"sources\": {{\"parallel_scaling\": \"BENCH_pr4.json\", \
-         \"portfolio_race\": \"BENCH_pr6.json\"}},\n\
          \x20 \"heterogeneous_fabric\": \"corner multipliers + edge-only memory\",\n\
-         \x20 \"parallel_scaling\": {},\n\
-         \x20 \"portfolio_race\": {},\n\
+         \x20 \"scaling\": [\n{}\n  ],\n\
+         \x20 \"portfolio_race\": [\n{}\n  ],\n\
          \x20 \"heterogeneity\": [\n{}\n  ],\n\
          \x20 \"mega_scale\": [\n{}\n  ]\n\
          }}\n",
-        render(scaling),
-        render(races),
+        scaling.join(",\n"),
+        races.join(",\n"),
         het.join(",\n"),
         scale.join(",\n"),
     );
     print!("{json}");
-    if let Err(e) = std::fs::write("BENCH.json", &json) {
-        eprintln!("could not write BENCH.json: {e}");
-        return 1;
-    }
+    std::fs::write("BENCH.json", &json).map_err(|e| format!("could not write BENCH.json: {e}"))?;
     eprintln!("wrote BENCH.json");
-    0
+    Ok(())
 }
 
-/// Default mode: measure everything and write `BENCH_pr4.json`.
-fn run_generate() -> i32 {
-    const MICRO_SAMPLES: usize = 15;
-    let spec = CgraSpec::square(8);
-    let ii = 4usize;
-    let queries = router_queries(8, 8, ii);
-
-    // Route throughput: the full sweep on a clean persistent router.
-    let mut dense = Router::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
-    let sweep_dense = |router: &mut Router| {
-        for (i, &(src, dst, abs)) in queries.iter().enumerate() {
-            let p = router.route_timed(SignalId(i as u32), &[(src, 0)], dst, abs, |_| true);
-            std::hint::black_box(p);
-        }
-    };
-    sweep_dense(&mut dense);
-    let indexed_time = sample(MICRO_SAMPLES, || sweep_dense(&mut dense));
-
-    let legacy = ReferenceRouter::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
-    let sweep_legacy = |router: &ReferenceRouter| {
-        for (i, &(src, dst, abs)) in queries.iter().enumerate() {
-            let p = router.route_timed(SignalId(i as u32), &[(src, 0)], dst, abs, |_| true);
-            std::hint::black_box(p);
-        }
-    };
-    sweep_legacy(&legacy);
-    let hashmap_time = sample(MICRO_SAMPLES, || sweep_legacy(&legacy));
-
-    let per_query = |total: Duration| total.as_secs_f64() / queries.len() as f64;
-    let speedup = hashmap_time.as_secs_f64() / indexed_time.as_secs_f64();
-
-    // Cold CSR compilation per (spec, II).
-    let index_build_8 = sample(10, || {
-        std::hint::black_box(MrrgIndex::new(spec.clone(), ii));
-    });
-    let spec16 = CgraSpec::square(16);
-    let index_build_16 = sample(5, || {
-        std::hint::black_box(MrrgIndex::new(spec16.clone(), ii));
-    });
-
-    // Thread scaling of the full pipeline. Under production options the
-    // scheduler clamps workers to the machine, so on a small box higher
-    // thread counts must degrade to sequential speed — never below it.
-    let mut scaling = Vec::new();
-    let mut summary: Vec<(String, usize, usize, f64)> = Vec::new();
-    for kernel_name in SCALING_KERNELS {
-        for c in SCALING_SIZES {
-            for threads in SCALING_THREADS {
-                let Some(t) = measure_scaling(kernel_name, c, threads) else {
-                    continue;
-                };
-                let ms = t.as_secs_f64() * 1e3;
-                eprintln!("  {kernel_name} {c}x{c} t={threads}: {ms:.3} ms");
-                scaling.push(format!(
-                    "    {{\"kernel\": \"{kernel_name}\", \"cgra\": \"{c}x{c}\", \
-                     \"threads\": {threads}, \"median_ms\": {ms:.3}, \"check\": {}}}",
-                    ms <= CHECK_BUDGET_MS
-                ));
-                summary.push((kernel_name.to_string(), c, threads, ms));
-            }
-        }
-    }
-
-    // The fault-model overhead row: mapping with an explicitly-installed
-    // empty FaultMap must cost the same as the fault-free rows above
-    // (gated by `--fault-overhead` against the committed baseline).
-    let fault_ms = measure_empty_faultmap_gemm8().as_secs_f64() * 1e3;
-    eprintln!("  gemm 8x8 t=1 (empty FaultMap): {fault_ms:.3} ms");
-
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let rss = peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string());
-    let json = format!(
-        "{{\n\
-         \x20 \"bench\": \"pr4_parallel_scaling\",\n\
-         \x20 \"machine\": {{\"available_parallelism\": {cores}}},\n\
-         \x20 \"protocol\": {{\"warmup\": {WARMUP}, \"samples\": {SCALING_SAMPLES}, \
-         \"statistic\": \"median\", \"check_budget_ms\": {CHECK_BUDGET_MS}}},\n\
-         \x20 \"workload\": {{\"array\": \"8x8\", \"ii\": {ii}, \"route_timed_queries\": {}}},\n\
-         \x20 \"route_timed\": {{\n\
-         \x20   \"indexed_sweep_ms\": {:.3},\n\
-         \x20   \"hashmap_sweep_ms\": {:.3},\n\
-         \x20   \"indexed_us_per_route\": {:.3},\n\
-         \x20   \"hashmap_us_per_route\": {:.3},\n\
-         \x20   \"speedup\": {:.2}\n\
-         \x20 }},\n\
-         \x20 \"index_build\": {{\"cold_8x8_ii4_ms\": {:.3}, \"cold_16x16_ii4_ms\": {:.3}}},\n\
-         \x20 \"parallel_scaling\": [\n{}\n  ],\n\
-         \x20 \"fault_overhead\": {{\"kernel\": \"gemm\", \"cgra\": \"8x8\", \"threads\": 1, \
-         \"empty_faultmap_median_ms\": {fault_ms:.3}}},\n\
-         \x20 \"peak_rss_kb\": {rss}\n\
-         }}\n",
-        queries.len(),
-        indexed_time.as_secs_f64() * 1e3,
-        hashmap_time.as_secs_f64() * 1e3,
-        per_query(indexed_time) * 1e6,
-        per_query(hashmap_time) * 1e6,
-        speedup,
-        index_build_8.as_secs_f64() * 1e3,
-        index_build_16.as_secs_f64() * 1e3,
-        scaling.join(",\n"),
-    );
-
-    print!("{json}");
-    if let Err(e) = std::fs::write("BENCH_pr4.json", &json) {
-        eprintln!("could not write BENCH_pr4.json: {e}");
-        return 1;
-    }
-    // The scheduler's core promise, asserted at generation time so a broken
-    // baseline can never be committed: more threads never slower (beyond
-    // noise) than sequential on the acceptance kernels.
-    let mut promise_broken = false;
-    for kernel in ["gemm", "bicg"] {
-        let find = |threads: usize| {
-            summary
-                .iter()
-                .find(|(k, c, t, _)| k == kernel && *c == 8 && *t == threads)
-                .map(|&(_, _, _, ms)| ms)
-        };
-        if let (Some(seq), Some(par)) = (find(1), find(4)) {
-            if par > limit_ms(seq, 0.15) {
-                eprintln!("SCALING PROMISE BROKEN: {kernel} 8x8 t=4 {par:.1} ms > t=1 {seq:.1} ms");
-                promise_broken = true;
-            }
-        }
-    }
-    eprintln!("wrote BENCH_pr4.json ({} scaling rows)", summary.len());
-    i32::from(promise_broken)
-}
+const USAGE: &str = "usage: bench_summary (--gate FILE [--tolerance X] | --gate-baseline)";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline: Option<String> = None;
-    let mut fault_overhead: Option<String> = None;
-    let mut portfolio = false;
-    let mut portfolio_check: Option<String> = None;
+    let usage_error = |why: &str| -> ! {
+        eprintln!("{why}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let mut args = std::env::args().skip(1);
     let mut gate: Option<String> = None;
     let mut gate_baseline = false;
     let mut tolerance = 0.25f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--gate" => {
-                if i + 1 >= args.len() {
-                    eprintln!("--gate requires a baseline path");
-                    std::process::exit(2);
-                }
-                gate = Some(args[i + 1].clone());
-                i += 2;
+                gate = Some(args.next().unwrap_or_else(|| usage_error("--gate requires a path")));
             }
-            "--gate-baseline" => {
-                gate_baseline = true;
-                i += 1;
-            }
-            "--check" => {
-                if i + 1 >= args.len() {
-                    eprintln!("--check requires a baseline path");
-                    std::process::exit(2);
-                }
-                baseline = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--fault-overhead" => {
-                if i + 1 >= args.len() {
-                    eprintln!("--fault-overhead requires a baseline path");
-                    std::process::exit(2);
-                }
-                fault_overhead = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--portfolio" => {
-                portfolio = true;
-                i += 1;
-            }
-            "--portfolio-check" => {
-                if i + 1 >= args.len() {
-                    eprintln!("--portfolio-check requires a baseline path");
-                    std::process::exit(2);
-                }
-                portfolio_check = Some(args[i + 1].clone());
-                i += 2;
-            }
+            "--gate-baseline" => gate_baseline = true,
             "--tolerance" => {
-                let Some(value) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--tolerance requires a number (e.g. 0.25)");
-                    std::process::exit(2);
-                };
-                tolerance = value;
-                i += 2;
+                tolerance = args
+                    .next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .unwrap_or_else(|| usage_error("--tolerance requires a number (e.g. 0.25)"));
             }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: \
-                     bench_summary [--gate FILE] [--gate-baseline] \
-                     [--check FILE] [--fault-overhead FILE] \
-                     [--portfolio] [--portfolio-check FILE] [--tolerance X]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    let code = if let Some(path) = gate {
-        run_gate(&path, tolerance)
-    } else if gate_baseline {
-        run_gate_generate()
-    } else {
-        match (baseline, fault_overhead, portfolio_check, portfolio) {
-            (Some(path), _, _, _) => run_check(&path, tolerance),
-            (None, Some(path), _, _) => run_fault_overhead(&path),
-            (None, None, Some(path), _) => run_portfolio_check(&path, tolerance),
-            (None, None, None, true) => run_portfolio_generate(),
-            (None, None, None, false) => run_generate(),
+    let outcome = match (gate, gate_baseline) {
+        (Some(path), false) => run_gate(&path, tolerance),
+        (None, true) => run_gate_generate().map(|()| true),
+        _ => usage_error("pick exactly one of --gate FILE and --gate-baseline"),
+    };
+    let code = match outcome {
+        Ok(true) => 0,
+        Ok(false) => 1,
+        Err(why) => {
+            eprintln!("{why}");
+            1
         }
     };
     std::process::exit(code);

@@ -8,7 +8,7 @@
 //! class and nothing is faulted. Faults embed into the capability lattice
 //! as the "zero capabilities" special case (a dead PE supports no class at
 //! all), so the fault machinery is a strict subset of the capability
-//! machinery and `FaultMap` survives as a legacy alias.
+//! machinery.
 //!
 //! The map lives on [`CgraSpec`], so every consumer of the architecture
 //! description (MRRG enumeration, the dense [`MrrgIndex`](crate::MrrgIndex),
@@ -128,15 +128,6 @@ pub struct CapabilityMap {
     /// full mask is never stored.
     restricted: BTreeMap<PeId, u8>,
 }
-
-/// Legacy name of [`CapabilityMap`].
-///
-/// **Deprecated alias** kept so fault-era call sites compile unchanged: a
-/// map built exclusively through the fault builders (`kill_pe`,
-/// `sever_link`, `disable_reg`, `disable_mem`) behaves bit-identically to
-/// the original `FaultMap` — same `masks()` predicate, same `Display`, same
-/// equality — because faults are the zero-capability corner of the lattice.
-pub type FaultMap = CapabilityMap;
 
 impl CapabilityMap {
     /// An empty (pristine, homogeneous) map.
@@ -408,7 +399,7 @@ mod tests {
     #[test]
     fn empty_map_masks_nothing() {
         let spec = CgraSpec::square(4);
-        let map = FaultMap::new();
+        let map = CapabilityMap::new();
         assert!(map.is_empty());
         assert_eq!(map.len(), 0);
         for pe in spec.pes() {
@@ -420,7 +411,7 @@ mod tests {
     #[test]
     fn dead_pe_masks_every_kind_and_incoming_wires() {
         let spec = CgraSpec::square(4);
-        let mut map = FaultMap::new();
+        let mut map = CapabilityMap::new();
         map.kill_pe(PeId::new(1, 1));
         assert!(map.has_dead_pes());
         for kind in [RKind::Fu, RKind::Out, RKind::Mem, RKind::RegWr, RKind::RegRd, RKind::Reg(0)] {
@@ -435,7 +426,7 @@ mod tests {
     #[test]
     fn severed_link_is_directional() {
         let spec = CgraSpec::square(4);
-        let mut map = FaultMap::new();
+        let mut map = CapabilityMap::new();
         map.sever_link(PeId::new(0, 0), Dir::East);
         assert!(map.masks(&spec, RNode::new(PeId::new(0, 0), 2, RKind::Wire(Dir::East))));
         // The reverse link (0,1) -> west survives.
@@ -446,7 +437,7 @@ mod tests {
     #[test]
     fn reg_and_mem_faults_are_slot_precise() {
         let spec = CgraSpec::square(2);
-        let mut map = FaultMap::new();
+        let mut map = CapabilityMap::new();
         map.disable_reg(PeId::new(0, 0), 2).disable_mem(PeId::new(1, 1));
         assert!(map.masks(&spec, RNode::new(PeId::new(0, 0), 0, RKind::Reg(2))));
         assert!(!map.masks(&spec, RNode::new(PeId::new(0, 0), 0, RKind::Reg(1))));
@@ -459,11 +450,11 @@ mod tests {
 
     #[test]
     fn fault_only_map_is_bit_identical_to_the_fault_model() {
-        // The pin for the FaultMap → CapabilityMap refactor: a map built
+        // Faults are the zero-capability corner of the lattice: a map built
         // exclusively through the fault builders must carry no capability
-        // state and reproduce the original mask predicate exactly.
+        // state and reproduce the original fault-model mask predicate.
         let spec = CgraSpec::square(3);
-        let mut map = FaultMap::new();
+        let mut map = CapabilityMap::new();
         map.kill_pe(PeId::new(1, 1))
             .sever_link(PeId::new(0, 0), Dir::East)
             .disable_reg(PeId::new(0, 1), 1)

@@ -38,7 +38,7 @@ pub mod power;
 mod vsa;
 
 pub use arch::{CgraSpec, Dir, PeId, SpecError, ALL_DIRS};
-pub use capability::{CapabilityMap, FaultMap, OpClass, ALL_OP_CLASSES};
+pub use capability::{CapabilityMap, OpClass, ALL_OP_CLASSES};
 pub use mrrg::{MemoryStats, Mrrg, MrrgIndex, RIdx, RKind, RNode};
 pub use power::PowerModel;
 pub use vsa::{SpeId, Vsa, VsaError};

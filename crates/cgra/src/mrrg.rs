@@ -213,7 +213,7 @@ impl Mrrg {
     pub fn node_count(&self) -> usize {
         if self.faulty {
             // Rarely called; the masked count has no closed form worth the
-            // maintenance risk of keeping in sync with `FaultMap::masks`.
+            // maintenance risk of keeping in sync with `CapabilityMap::masks`.
             return self.nodes_iter().count();
         }
         // fu + out + regwr + regrd + mem + 4 wires + rf_size regs, per PE per
@@ -705,12 +705,12 @@ impl MrrgIndex {
     }
 
     /// The process-wide shared index for `(spec, ii)`, building it on first
-    /// use. All candidate-walk threads, the replication pass and the
+    /// use. The candidate walk's routers, the replication pass and the
     /// verifier end up borrowing one build through this cache.
     pub fn shared(spec: CgraSpec, ii: usize) -> Arc<MrrgIndex> {
         // `CgraSpec` holds an `f64`, so no `Hash`/`Eq`: the cache is a small
-        // LRU vector scanned linearly. Builds happen under the lock so a
-        // thundering herd of candidate threads triggers exactly one build.
+        // LRU vector scanned linearly. Builds happen under the lock so
+        // concurrent callers (raced backends) trigger exactly one build.
         static CACHE: OnceLock<Mutex<Vec<Arc<MrrgIndex>>>> = OnceLock::new();
         const CACHE_CAP: usize = 32;
         let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
@@ -1168,7 +1168,7 @@ mod tests {
 
     #[test]
     fn faulted_resources_vanish_from_graph_and_index() {
-        let mut faults = crate::FaultMap::new();
+        let mut faults = crate::CapabilityMap::new();
         faults
             .kill_pe(PeId::new(1, 1))
             .sever_link(PeId::new(0, 0), Dir::East)
@@ -1235,7 +1235,7 @@ mod tests {
         // PR-compat pin: a map built only from fault builders produces the
         // exact node set the pre-capability fault model produced — the Fu |
         // Out arm of masks() must stay inert without class restrictions.
-        let mut faults = crate::FaultMap::new();
+        let mut faults = crate::CapabilityMap::new();
         faults.kill_pe(PeId::new(0, 2)).disable_mem(PeId::new(1, 0));
         let spec = CgraSpec::square(3).with_faults(faults);
         let pristine = spec.fault_free();
@@ -1270,7 +1270,7 @@ mod tests {
     #[test]
     fn shared_cache_distinguishes_fault_maps() {
         let pristine = CgraSpec::square(2);
-        let mut faults = crate::FaultMap::new();
+        let mut faults = crate::CapabilityMap::new();
         faults.kill_pe(PeId::new(0, 1));
         let faulted = pristine.clone().with_faults(faults);
         let a = MrrgIndex::shared(pristine, 2);

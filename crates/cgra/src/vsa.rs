@@ -347,7 +347,7 @@ mod tests {
         // Killing (0,0) on an 8x8 with 2x2 sub-CGRAs: the 8-row slab east of
         // column 0 fits 4x3 sub-CGRAs (12), found before the 7x8 slab south
         // of row 0 (also 12) — first-best scan order is the tie-break.
-        let mut faults = crate::FaultMap::new();
+        let mut faults = crate::CapabilityMap::new();
         faults.kill_pe(PeId::new(0, 0));
         let vsa = Vsa::new(CgraSpec::square(8).with_faults(faults), 2, 2).unwrap();
         assert_eq!(vsa.origin(), PeId::new(0, 1));
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn fully_dead_array_has_no_region() {
-        let mut faults = crate::FaultMap::new();
+        let mut faults = crate::CapabilityMap::new();
         for pe in CgraSpec::square(2).pes() {
             faults.kill_pe(pe);
         }

@@ -9,7 +9,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use himap_cgra::{CgraSpec, FaultMap, Mrrg, MrrgIndex, PeId, RIdx, RNode, ALL_DIRS};
+use himap_cgra::{CapabilityMap, CgraSpec, Mrrg, MrrgIndex, PeId, RIdx, RNode, ALL_DIRS};
 use proptest::prelude::*;
 
 fn arb_dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -18,11 +18,11 @@ fn arb_dims() -> impl Strategy<Value = (usize, usize, usize)> {
 
 /// Random dimensions plus a random fault map (up to three faults drawn from
 /// all four classes) fitting those dimensions.
-fn arb_faulted() -> impl Strategy<Value = (usize, usize, usize, FaultMap)> {
+fn arb_faulted() -> impl Strategy<Value = (usize, usize, usize, CapabilityMap)> {
     arb_dims().prop_flat_map(|(rows, cols, ii)| {
         proptest::collection::vec((0usize..4, 0usize..rows, 0usize..cols, 0usize..8), 0..4)
             .prop_map(move |faults| {
-                let mut map = FaultMap::new();
+                let mut map = CapabilityMap::new();
                 for (class, r, c, x) in faults {
                     match class {
                         0 => map.kill_pe(PeId::new(r, c)),
@@ -41,7 +41,7 @@ fn build(rows: usize, cols: usize, ii: usize) -> (Mrrg, MrrgIndex) {
     (Mrrg::new(spec.clone(), ii), MrrgIndex::new(spec, ii))
 }
 
-fn build_faulted(rows: usize, cols: usize, ii: usize, faults: &FaultMap) -> (Mrrg, MrrgIndex) {
+fn build_faulted(rows: usize, cols: usize, ii: usize, faults: &CapabilityMap) -> (Mrrg, MrrgIndex) {
     let spec = CgraSpec::mesh(rows, cols).expect("non-empty mesh").with_faults(faults.clone());
     (Mrrg::new(spec.clone(), ii), MrrgIndex::new(spec, ii))
 }

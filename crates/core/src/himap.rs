@@ -1,29 +1,20 @@
 //! The HiMap orchestrator (Algorithm 1 top level).
 //!
 //! The candidate walk is staged: [`enumerate_candidates`] materializes every
-//! `(sub-candidate, block, space-assignment)` tuple up front in the exact
-//! best-utilization-first order the sequential Algorithm-1 loop visits, then
-//! the tuples are evaluated either in order on this thread or on a
-//! work-queue scheduler of long-lived workers. The candidates are
-//! independent, so the winner is defined purely by enumeration order: the
-//! lowest-index tuple whose verdict is terminal. That definition is
-//! order-free — any execution order that only abandons a candidate once a
-//! strictly lower index is terminal selects the same winner — which is what
-//! lets the scheduler take liberties with *dispatch* order (cheap candidates
-//! first) and with cancellation (mid-route aborts through
-//! [`CancelToken`](himap_mapper::CancelToken)) while staying bit-identical
-//! to the sequential walk. The parallel path is observable only through
-//! [`PipelineStats`] and wall time.
+//! `(sub-candidate, block, space-assignment)` tuple up front in
+//! best-utilization-first order, then [`Walk`] evaluates them in that order
+//! and stops at the first terminal verdict — the literal Algorithm-1 loop.
+//! A deadline or an external [`CancelToken`](himap_mapper::CancelToken)
+//! stops it between candidates, between phases and mid-route.
 //!
-//! Each worker owns an [`EvalScratch`]: one long-lived [`Router`] per
-//! initiation interval, holding a cloned `Arc<MrrgIndex>` and epoch-reset
-//! search scratch, so routing a candidate costs a [`Router::reset`] (two
-//! `memset`s) instead of a full router construction.
+//! The walk keeps one long-lived [`Router`] per initiation interval, holding
+//! a cloned `Arc<MrrgIndex>` and epoch-reset search scratch, so routing a
+//! candidate costs a [`Router::reset`] (two `memset`s) instead of a full
+//! router construction.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use himap_baseline::{baseline_block, bhc, BaselineMapping, BaselineOptions};
@@ -37,7 +28,7 @@ use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
 use crate::options::{Attempt, HiMapError, HiMapOptions, MapReport};
 use crate::route::{replicate_and_verify, route_representatives_pooled};
-use crate::stats::{PipelineStats, Stage, StatsCollector, WorkerStats};
+use crate::stats::{timed, PipelineStats};
 use crate::submap::{map_idfg_counted, SubMapping};
 use crate::unique::classify;
 
@@ -81,20 +72,18 @@ impl Recovered {
 }
 
 /// Builds the attempt-trail report of a failed climb and mirrors the trail
-/// into the stats collector so [`PipelineStats`] surfaces it too.
-fn report(stats: &StatsCollector, attempts: Vec<Attempt>, started: Instant) -> MapReport {
-    record_attempts(stats, &attempts);
+/// into the stats record so [`PipelineStats`] surfaces it too.
+fn report(stats: &mut PipelineStats, attempts: Vec<Attempt>, started: Instant) -> MapReport {
+    stats.attempts = attempts.clone();
     MapReport {
         attempts,
         elapsed: started.elapsed(),
-        static_bounds: lock(&stats.static_bounds).map(Box::new),
+        static_bounds: stats.static_bounds.map(Box::new),
     }
 }
 
-/// Replaces the collector's recorded attempt trail with `attempts`.
-fn record_attempts(stats: &StatsCollector, attempts: &[Attempt]) {
-    *lock(&stats.attempts) = attempts.to_vec();
-}
+/// A sub-CGRA shape `(s1, s2, t)`.
+type Shape = (usize, usize, usize);
 
 /// Distinct dependence distances probed on a small block:
 /// `(mesh, memory-routed, anti)`.
@@ -122,21 +111,8 @@ enum Verdict {
     /// Full-block DFG construction failed; the sequential walk aborts with
     /// this error immediately, so it is terminal like `Mapped`.
     DfgError(String),
-    /// Abandoned by the early-exit flag: some candidate of better-or-equal
-    /// priority already fully verified, so this one cannot win.
+    /// Cut short by cancellation (the deadline or an external token).
     Abandoned,
-    /// A worker panicked while evaluating this candidate. Terminal: the
-    /// panic means a bug, and hiding it behind "no systolic mapping" would
-    /// misdiagnose the walk; the walk aborts with
-    /// [`HiMapError::Internal`] instead.
-    Internal(String),
-}
-
-impl Verdict {
-    /// Terminal verdicts end the walk at their candidate's priority.
-    fn is_terminal(&self) -> bool {
-        matches!(self, Verdict::Mapped(_) | Verdict::DfgError(_) | Verdict::Internal(_))
-    }
 }
 
 impl HiMap {
@@ -156,9 +132,7 @@ impl HiMap {
     /// the VSA, chooses block sizes to fit it, searches systolic mappings,
     /// routes the unique iterations and replicates. The first fully verified
     /// combination wins — exactly the iterate-until-valid structure of
-    /// Algorithm 1. With `options.threads > 1` the candidates are evaluated
-    /// concurrently, but the winner (and therefore every quality statistic)
-    /// is identical to the sequential walk's.
+    /// Algorithm 1.
     ///
     /// # Errors
     ///
@@ -183,10 +157,9 @@ impl HiMap {
     }
 
     /// [`HiMap::map_with_stats`] under an external [`CancelToken`]: the
-    /// token is chained under every internal cancellation scope (the walk's
-    /// deadline token and each parallel candidate's bound token), so firing
-    /// it stops probe routing, candidate evaluation and detailed routing
-    /// within a poll interval. The portfolio racer uses this to cut losing
+    /// token is chained under the walk's deadline token, so firing it stops
+    /// probe routing, candidate evaluation and detailed routing within a
+    /// poll interval. The portfolio racer uses this to cut losing
     /// backends.
     ///
     /// External cancellation surfaces as [`HiMapError::DeadlineExceeded`]
@@ -200,14 +173,14 @@ impl HiMap {
         external: Option<&CancelToken>,
     ) -> (Result<Mapping, HiMapError>, PipelineStats) {
         let wall = Instant::now();
-        let stats = StatsCollector::default();
-        let result = self.climb(kernel, cgra, &stats, wall, external);
-        let pipeline = stats.snapshot(wall.elapsed(), self.options.effective_threads());
+        let mut stats = PipelineStats::default();
+        let result = self.climb(kernel, cgra, &mut stats, wall, external);
+        stats.times.total = wall.elapsed();
         let result = result.map(|mut mapping| {
-            mapping.set_pipeline_stats(pipeline.clone());
+            mapping.set_pipeline_stats(stats.clone());
             mapping
         });
-        (result, pipeline)
+        (result, stats)
     }
 
     /// [`HiMap::map`] with the full recovery ladder, including the baseline
@@ -229,21 +202,21 @@ impl HiMap {
         cgra: &CgraSpec,
     ) -> (Result<Recovered, HiMapError>, PipelineStats) {
         let wall = Instant::now();
-        let stats = StatsCollector::default();
-        let climbed = self.climb(kernel, cgra, &stats, wall, None);
+        let mut stats = PipelineStats::default();
+        let climbed = self.climb(kernel, cgra, &mut stats, wall, None);
         let result = match climbed {
             Ok(mapping) => Ok(Recovered::HiMap(Box::new(mapping))),
-            Err(err) => self.baseline_rung(kernel, cgra, &stats, wall, err),
+            Err(err) => self.baseline_rung(kernel, cgra, &mut stats, wall, err),
         };
-        let pipeline = stats.snapshot(wall.elapsed(), self.options.effective_threads());
+        stats.times.total = wall.elapsed();
         let result = result.map(|recovered| match recovered {
             Recovered::HiMap(mut mapping) => {
-                mapping.set_pipeline_stats(pipeline.clone());
+                mapping.set_pipeline_stats(stats.clone());
                 Recovered::HiMap(mapping)
             }
             baseline => baseline,
         });
-        (result, pipeline)
+        (result, stats)
     }
 
     /// Climbs the HiMap rungs of the recovery ladder: the configured
@@ -258,7 +231,7 @@ impl HiMap {
         &self,
         kernel: &Kernel,
         cgra: &CgraSpec,
-        stats: &StatsCollector,
+        stats: &mut PipelineStats,
         started: Instant,
         external: Option<&CancelToken>,
     ) -> Result<Mapping, HiMapError> {
@@ -274,7 +247,7 @@ impl HiMap {
                 cgra,
                 &himap_analyze::AnalyzeOptions::default(),
             );
-            *lock(&stats.static_bounds) = Some(analysis.bounds);
+            stats.static_bounds = Some(analysis.bounds);
             if !analysis.is_feasible() {
                 return Err(HiMapError::Infeasible(analysis.diagnostics.render_pretty()));
             }
@@ -290,16 +263,17 @@ impl HiMap {
             }
             let attempt_start = Instant::now();
             let mapper = HiMap { options };
-            let outcome = mapper.walk(kernel, cgra, stats, deadline, external);
+            // `shape` is the walk's best sub-candidate: the shape and II of
+            // the closest miss, for the ladder's attempt trail.
+            let (outcome, shape) = mapper.walk(kernel, cgra, stats, deadline, external);
             match outcome {
                 Ok(mapping) => {
                     // A success after failed rungs still surfaces the trail
                     // through `PipelineStats`.
-                    record_attempts(stats, &attempts);
+                    stats.attempts = attempts;
                     return Ok(mapping);
                 }
                 Err(err) => {
-                    let shape = *lock(&stats.best_sub_shape);
                     attempts.push(Attempt {
                         rung,
                         stage,
@@ -365,7 +339,7 @@ impl HiMap {
         &self,
         kernel: &Kernel,
         cgra: &CgraSpec,
-        stats: &StatsCollector,
+        stats: &mut PipelineStats,
         started: Instant,
         err: HiMapError,
     ) -> Result<Recovered, HiMapError> {
@@ -402,7 +376,7 @@ impl HiMap {
                         cause: format!("recovered via {:?}", best.algorithm),
                         elapsed: attempt_start.elapsed(),
                     });
-                    record_attempts(stats, &attempts);
+                    stats.attempts = attempts;
                     return Ok(Recovered::Baseline(Box::new(best.clone())));
                 }
                 None => "baseline mapper found no valid mapping".to_string(),
@@ -435,26 +409,29 @@ impl HiMap {
         Err(HiMapError::Exhausted(report(stats, attempts, started)))
     }
 
-    /// Enumerates the candidate tuples and drives their evaluation.
+    /// Enumerates the candidate tuples and evaluates them in order, stopping
+    /// at the first terminal verdict. Also returns the walk's best
+    /// sub-candidate shape `(s1, s2, t)`, when `MAP()` produced one.
     ///
     /// `deadline` (from [`HiMapOptions::deadline`]) is enforced
-    /// cooperatively: it arms the [`CancelToken`] of every evaluation, so
-    /// MAP()'s probe routing, candidate evaluation and detailed routing all
-    /// stop within a poll interval of the wall-clock bound.
+    /// cooperatively: it arms the walk's [`CancelToken`], so MAP()'s probe
+    /// routing, candidate evaluation and detailed routing all stop within a
+    /// poll interval of the wall-clock bound.
     fn walk(
         &self,
         kernel: &Kernel,
         cgra: &CgraSpec,
-        stats: &StatsCollector,
+        stats: &mut PipelineStats,
         deadline: Option<Instant>,
         external: Option<&CancelToken>,
-    ) -> Result<Mapping, HiMapError> {
+    ) -> (Result<Mapping, HiMapError>, Option<Shape>) {
         if kernel.dims() < 2 {
-            return Err(HiMapError::UnsupportedKernel(format!(
+            let why = format!(
                 "kernel `{}` is {}-dimensional; HiMap targets multi-dimensional kernels",
                 kernel.name(),
                 kernel.dims()
-            )));
+            );
+            return (Err(HiMapError::UnsupportedKernel(why)), None);
         }
         // Merge the walk's own deadline scope with the caller's token: the
         // chained token cancels when either does.
@@ -464,60 +441,40 @@ impl HiMap {
             (None, Some(ext)) => Some(ext.clone()),
             (None, None) => None,
         };
-        let (subs, sub_stats) = stats
-            .timed(Stage::Map, || map_idfg_counted(kernel, cgra, &self.options, token.as_ref()));
-        StatsCollector::add(&stats.sub_shapes_tried, sub_stats.shapes_tried);
-        StatsCollector::add(&stats.sub_candidates, subs.len());
+        let token = token.as_ref();
+        let (subs, sub_stats) =
+            timed(&mut stats.times.map, || map_idfg_counted(kernel, cgra, &self.options, token));
+        stats.sub_shapes_tried += sub_stats.shapes_tried;
+        stats.sub_candidates += subs.len();
         stats.add_router(sub_stats.router);
-        // Remember the best sub-candidate of this walk for the ladder's
-        // attempt trail (shape and II of the closest miss).
-        *lock(&stats.best_sub_shape) = subs.first().map(|s| (s.s1, s.s2, s.t));
+        let shape = subs.first().map(|s| (s.s1, s.s2, s.t));
         if subs.is_empty() {
-            return Err(HiMapError::NoSubMapping);
+            return (Err(HiMapError::NoSubMapping), shape);
         }
-        let candidates = stats.timed(Stage::Enumerate, || {
-            enumerate_candidates(kernel, cgra, &subs, &self.options, stats)
+        let (candidates, deduped) = timed(&mut stats.times.enumerate, || {
+            enumerate_candidates(kernel, cgra, &subs, &self.options)
         });
-        let ctx = EvalCtx {
-            kernel,
-            cgra,
-            options: &self.options,
-            stats,
-            probe_cache: Mutex::new(HashMap::new()),
-        };
-        // The scheduler clamps the requested thread count to the machine and
-        // falls back to the strictly sequential walk for short candidate
-        // lists; both paths produce the same winner.
-        let workers = self.options.scheduled_workers(candidates.len());
-        let verdicts = if workers <= 1 {
-            evaluate_sequential(&ctx, &candidates, token.as_ref())
-        } else {
-            evaluate_parallel(&ctx, &candidates, workers, deadline, external)
-        };
-        // The winner is the lowest-priority terminal verdict; with none, the
-        // walk's error is the furthest stage any candidate reached.
+        stats.candidates_enumerated += candidates.len();
+        stats.candidates_deduped += deduped;
+        let mut walk = Walk::new(kernel, cgra, &self.options, stats);
+        // With no terminal verdict, the walk's error is the furthest stage
+        // any candidate reached.
         let mut route_failed = false;
-        for verdict in verdicts {
-            match verdict {
-                Verdict::Mapped(mapping) => {
-                    self.cross_check(&mapping)?;
-                    return Ok(*mapping);
-                }
-                Verdict::DfgError(why) => return Err(HiMapError::Dfg(why)),
-                Verdict::Internal(why) => {
-                    return Err(HiMapError::Internal(format!(
-                        "candidate walk worker panicked: {why}"
-                    )))
-                }
+        for candidate in &candidates {
+            if token.is_some_and(CancelToken::is_cancelled) {
+                break;
+            }
+            match walk.evaluate(candidate, token) {
+                Verdict::Mapped(mapping) => return (self.cross_check(*mapping), shape),
+                Verdict::DfgError(why) => return (Err(HiMapError::Dfg(why)), shape),
                 Verdict::RouteFailed => route_failed = true,
-                Verdict::Pruned | Verdict::Abandoned => {}
+                Verdict::Pruned => {}
+                Verdict::Abandoned => walk.stats.candidates_abandoned += 1,
             }
         }
-        if route_failed {
-            Err(HiMapError::RoutingFailed)
-        } else {
-            Err(HiMapError::NoSystolicMapping)
-        }
+        let err =
+            if route_failed { HiMapError::RoutingFailed } else { HiMapError::NoSystolicMapping };
+        (Err(err), shape)
     }
 
     /// Runs the installed external verifier (see [`crate::set_verify_hook`])
@@ -525,48 +482,35 @@ impl HiMap {
     /// builds when `options.verify` is set. A rejection aborts the walk with
     /// [`HiMapError::Verification`]: returning a mapping the independent
     /// checker calls illegal would defeat the point of having one.
-    fn cross_check(&self, mapping: &Mapping) -> Result<(), HiMapError> {
+    fn cross_check(&self, mapping: Mapping) -> Result<Mapping, HiMapError> {
         if !(self.options.verify || cfg!(debug_assertions)) {
-            return Ok(());
+            return Ok(mapping);
         }
         match crate::verify_hook() {
             // The hook is external code; a panic in it is its bug, not a
             // reason to tear down the caller — surface it as `Internal`.
-            Some(hook) => match catch_unwind(AssertUnwindSafe(|| hook(mapping))) {
-                Ok(result) => result.map_err(HiMapError::Verification),
+            Some(hook) => match catch_unwind(AssertUnwindSafe(|| hook(&mapping))) {
+                Ok(result) => result.map(|()| mapping).map_err(HiMapError::Verification),
                 Err(payload) => Err(HiMapError::Internal(format!(
                     "verify hook panicked: {}",
                     panic_message(payload.as_ref())
                 ))),
             },
-            None => Ok(()),
+            None => Ok(mapping),
         }
     }
 }
 
-/// Shared read-only context of one walk, plus the shared probe cache.
-struct EvalCtx<'a> {
-    kernel: &'a Kernel,
-    cgra: &'a CgraSpec,
-    options: &'a HiMapOptions,
-    stats: &'a StatsCollector,
-    /// Dependence distances are block-size independent; probe them once per
-    /// probe-block shape to pre-filter space-dimension assignments without
-    /// unrolling full blocks. Shared across workers.
-    probe_cache: Mutex<HashMap<Vec<usize>, Deps>>,
-}
-
 /// Materializes every `(sub-candidate, block, space-assignment)` tuple in
-/// the order the sequential Algorithm-1 walk visits them: sub-candidates
-/// best-utilization-first, free extents and space assignments in option
-/// order, duplicate blocks within one sub-candidate dropped.
+/// the order Algorithm 1 visits them: sub-candidates best-utilization-first,
+/// free extents and space assignments in option order. Returns the tuples
+/// and how many duplicate blocks within one sub-candidate were dropped.
 fn enumerate_candidates(
     kernel: &Kernel,
     cgra: &CgraSpec,
     subs: &[SubMapping],
     options: &HiMapOptions,
-    stats: &StatsCollector,
-) -> Vec<Candidate> {
+) -> (Vec<Candidate>, usize) {
     let mut out = Vec::new();
     let mut deduped = 0usize;
     for sub in subs.iter().take(options.max_sub_candidates) {
@@ -575,8 +519,7 @@ fn enumerate_candidates(
         };
         // Different (free extent, space assignment) pairs often produce the
         // same block; each distinct block is tried once.
-        let mut tried_blocks: std::collections::HashSet<Vec<usize>> =
-            std::collections::HashSet::new();
+        let mut tried_blocks: HashSet<Vec<usize>> = HashSet::new();
         for free_extent in options.free_extents.iter().copied() {
             for (p, q) in space_assignments(kernel.dims(), vsa.rows(), vsa.cols()) {
                 let block = block_for_assignment(kernel.dims(), &vsa, free_extent, p, q);
@@ -588,186 +531,12 @@ fn enumerate_candidates(
             }
         }
     }
-    StatsCollector::add(&stats.candidates_enumerated, out.len());
-    StatsCollector::add(&stats.candidates_deduped, deduped);
-    out
-}
-
-/// Per-worker reusable evaluation state: one long-lived router per
-/// initiation interval. The dense `MrrgIndex` behind each router comes from
-/// the process-wide share cache, so across workers the routers hold cloned
-/// `Arc`s of the same index; the congestion vectors and epoch-stamped search
-/// scratch are private per worker and survive from candidate to candidate.
-struct EvalScratch {
-    routers: HashMap<usize, Router>,
-}
-
-impl EvalScratch {
-    fn new() -> Self {
-        EvalScratch { routers: HashMap::new() }
-    }
-
-    /// The pooled router for `layout`'s II, plus the index-acquisition time
-    /// when this call had to build one (zero on reuse).
-    fn router_for(&mut self, layout: &Layout) -> (&mut Router, Duration) {
-        match self.routers.entry(layout.iib()) {
-            std::collections::hash_map::Entry::Occupied(e) => (e.into_mut(), Duration::ZERO),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let start = Instant::now();
-                let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-                let build = start.elapsed();
-                (v.insert(Router::with_index(index, RouterConfig::default())), build)
-            }
-        }
-    }
-}
-
-/// Evaluates candidates strictly in order on the calling thread, stopping at
-/// the first terminal verdict — the literal Algorithm-1 walk. Routers are
-/// pooled across candidates exactly as on the parallel path, so the walk's
-/// deterministic counters (`tests/pipeline_stats.rs` goldens) are those of
-/// the pooled router: [`Router::reset`] restores the search-visible state a
-/// freshly built router would have.
-fn evaluate_sequential(
-    ctx: &EvalCtx<'_>,
-    candidates: &[Candidate],
-    cancel: Option<&CancelToken>,
-) -> Vec<Verdict> {
-    let mut scratch = EvalScratch::new();
-    let mut verdicts = Vec::new();
-    for candidate in candidates {
-        if cancel.is_some_and(|token| token.is_cancelled()) {
-            // Deadline: abandon the rest of the walk; the remaining
-            // candidates never ran, so they get no verdict at all.
-            break;
-        }
-        let verdict = evaluate(ctx, candidate, &mut scratch, cancel);
-        let terminal = verdict.is_terminal();
-        verdicts.push(verdict);
-        if terminal {
-            break;
-        }
-    }
-    verdicts
-}
-
-/// Dispatch-priority key of the work queue: candidates are handed to workers
-/// cheapest-block-first. Block volume bounds the full-block DFG unroll, the
-/// systolic matrix space and the routing problem size, so draining small
-/// blocks first establishes a terminal bound early and lets the cancel
-/// tokens cut the expensive tail. The sort is stable — equal volumes keep
-/// enumeration order — and because the winner is defined as the lowest
-/// *enumeration* index with a terminal verdict, dispatch order affects wall
-/// time only, never the result.
-fn prefilter_cost(candidate: &Candidate) -> usize {
-    candidate.block.iter().product()
-}
-
-/// Writes the single verdict a candidate ever receives; a second write is a
-/// scheduler bug (a candidate claimed twice).
-fn set_verdict(verdicts: &[OnceLock<Verdict>], idx: usize, verdict: Verdict) {
-    let duplicate = verdicts[idx].set(verdict).is_err();
-    debug_assert!(!duplicate, "candidate {idx} received two verdicts");
-}
-
-/// Evaluates candidates on a work queue drained by `workers` scoped threads.
-///
-/// Workers claim candidates from a shared cursor over the prefilter-sorted
-/// dispatch order ([`prefilter_cost`]); there is no polling or parking —
-/// a worker either claims work with one `fetch_add` or exits, so the pool
-/// cannot busy-wait and no wakeup can be lost. `best` holds the lowest
-/// enumeration index whose verdict is terminal; a worker abandons its
-/// candidate only when a *strictly lower* index is terminal (equal is
-/// impossible — a candidate cannot outrank itself), so every candidate that
-/// could still win the priority race runs to completion. That invariant
-/// makes the winner identical to the sequential walk's under any dispatch
-/// order. The same bound doubles as the routing [`CancelToken`]: once a
-/// better candidate verifies, in-flight Dijkstra searches for doomed
-/// candidates collapse within a few heap pops (counted in
-/// `router_searches_cancelled`).
-fn evaluate_parallel(
-    ctx: &EvalCtx<'_>,
-    candidates: &[Candidate],
-    workers: usize,
-    deadline: Option<Instant>,
-    external: Option<&CancelToken>,
-) -> Vec<Verdict> {
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&idx| prefilter_cost(&candidates[idx]));
-    let cursor = AtomicUsize::new(0);
-    let best = Arc::new(AtomicUsize::new(usize::MAX));
-    let verdicts: Vec<OnceLock<Verdict>> = candidates.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let best = Arc::clone(&best);
-            let (order, cursor, verdicts) = (&order, &cursor, &verdicts);
-            scope.spawn(move || {
-                let busy = Instant::now();
-                let mut scratch = EvalScratch::new();
-                let mut tally = WorkerStats { worker, ..WorkerStats::default() };
-                loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&idx) = order.get(slot) else {
-                        break;
-                    };
-                    if best.load(Ordering::Acquire) < idx {
-                        // A better candidate already verified; this one can
-                        // only lose the priority race.
-                        StatsCollector::add(&ctx.stats.candidates_abandoned, 1);
-                        tally.candidates_cancelled += 1;
-                        set_verdict(verdicts, idx, Verdict::Abandoned);
-                        continue;
-                    }
-                    let mut token =
-                        CancelToken::new(Arc::clone(&best), idx).with_deadline(deadline);
-                    if let Some(ext) = external {
-                        token = token.with_parent(ext.clone());
-                    }
-                    // A panicking evaluation must not take the whole walk
-                    // (and its sibling workers' verdicts) down with it; it
-                    // becomes a terminal `Internal` verdict instead.
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        evaluate(ctx, &candidates[idx], &mut scratch, Some(&token))
-                    }));
-                    let verdict = match caught {
-                        Ok(verdict) => verdict,
-                        Err(payload) => {
-                            // The interrupted routers may hold inconsistent
-                            // congestion state; drop the pool.
-                            scratch = EvalScratch::new();
-                            Verdict::Internal(panic_message(payload.as_ref()))
-                        }
-                    };
-                    tally.candidates_evaluated += 1;
-                    if matches!(verdict, Verdict::Abandoned) {
-                        StatsCollector::add(&ctx.stats.candidates_abandoned, 1);
-                        tally.candidates_cancelled += 1;
-                    }
-                    if verdict.is_terminal() {
-                        best.fetch_min(idx, Ordering::AcqRel);
-                    }
-                    set_verdict(verdicts, idx, verdict);
-                }
-                tally.busy = busy.elapsed();
-                ctx.stats.record_worker(tally);
-            });
-        }
-    });
-    // Exactly-once accounting: the cursor visited every dispatch slot, and
-    // each claimed slot stored one verdict.
-    debug_assert!(verdicts.iter().all(|cell| cell.get().is_some()), "candidate missing a verdict");
-    verdicts.into_iter().map(|cell| cell.into_inner().unwrap_or(Verdict::Abandoned)).collect()
-}
-
-/// Locks a mutex, recovering from poisoning (a panicking sibling worker must
-/// not also hide this worker's verdict).
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    (out, deduped)
 }
 
 /// Best-effort text of a caught panic payload (`panic!` with a string
 /// literal or a formatted message covers practically every real panic).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -777,196 +546,231 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluates one candidate tuple end to end: probe-filtered systolic search,
-/// exact re-validation on the unrolled block, then detailed routing with
-/// replication-aware negotiation for each ranked systolic map.
-///
-/// `cancel` (when present) is polled between the expensive phases *and*
-/// armed on the pooled router during negotiation; once it reports cancelled
-/// a strictly better candidate has fully verified and the result cannot
-/// matter, so the evaluation stops early with [`Verdict::Abandoned`] —
-/// mid-route via the Dijkstra loop's poll, mid-phase via the boundary
-/// checks. Routing goes through `scratch`'s per-II router pool.
-fn evaluate(
-    ctx: &EvalCtx<'_>,
-    candidate: &Candidate,
-    scratch: &mut EvalScratch,
-    cancel: Option<&CancelToken>,
-) -> Verdict {
-    let stats = ctx.stats;
-    let abandon = || cancel.is_some_and(|token| token.is_cancelled());
-    if abandon() {
-        // Already cancelled (deadline passed or a better candidate won)
-        // before any work: don't even count the attempt.
-        return Verdict::Abandoned;
-    }
-    StatsCollector::add(&stats.candidates_tried, 1);
-    let Candidate { sub, vsa, block } = candidate;
-    // Probe the dependence structure on a small same-shape block.
-    let probe_block: Vec<usize> = block.iter().map(|&b| b.min(4)).collect();
-    let cached = lock(&ctx.probe_cache).get(&probe_block).cloned();
-    let (mesh_deps, mem_deps, anti_deps) = match cached {
-        Some(deps) => {
-            StatsCollector::add(&stats.probe_cache_hits, 1);
-            deps
+/// The evaluation state of one walk, reused from candidate to candidate:
+/// the run's stats record, the dependence-probe cache and the router pool.
+struct Walk<'a> {
+    kernel: &'a Kernel,
+    cgra: &'a CgraSpec,
+    options: &'a HiMapOptions,
+    stats: &'a mut PipelineStats,
+    /// Dependence distances are block-size independent; probe them once per
+    /// probe-block shape to pre-filter space-dimension assignments without
+    /// unrolling full blocks.
+    probe_cache: HashMap<Vec<usize>, Deps>,
+    /// One long-lived router per initiation interval. The dense `MrrgIndex`
+    /// behind each comes from the process-wide share cache; the congestion
+    /// vectors and epoch-stamped search scratch survive from candidate to
+    /// candidate. [`Router::reset`] restores the search-visible state a
+    /// freshly built router would have, so the walk's deterministic counters
+    /// (`tests/pipeline_stats.rs` goldens) are those of the pooled router.
+    routers: HashMap<usize, Router>,
+}
+
+/// The pooled router for `layout`'s II, plus the index-acquisition time
+/// when this call had to build one (zero on reuse).
+fn router_for<'r>(
+    routers: &'r mut HashMap<usize, Router>,
+    layout: &Layout,
+) -> (&'r mut Router, Duration) {
+    match routers.entry(layout.iib()) {
+        Entry::Occupied(e) => (e.into_mut(), Duration::ZERO),
+        Entry::Vacant(v) => {
+            let start = Instant::now();
+            let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
+            let build = start.elapsed();
+            (v.insert(Router::with_index(index, RouterConfig::default())), build)
         }
-        None => {
-            StatsCollector::add(&stats.probe_cache_misses, 1);
-            let probe = match stats.timed(Stage::Probe, || Dfg::build(ctx.kernel, &probe_block)) {
-                Ok(p) => p,
-                Err(_) => {
-                    StatsCollector::add(&stats.candidates_pruned, 1);
-                    return Verdict::Pruned;
-                }
-            };
-            let deps = (
-                probe.isdg().distances().to_vec(),
-                probe.mem_dep_distances(),
-                probe.anti_dep_distances(),
-            );
-            lock(&ctx.probe_cache).insert(probe_block, deps.clone());
-            deps
+    }
+}
+
+impl<'a> Walk<'a> {
+    fn new(
+        kernel: &'a Kernel,
+        cgra: &'a CgraSpec,
+        options: &'a HiMapOptions,
+        stats: &'a mut PipelineStats,
+    ) -> Self {
+        Walk { kernel, cgra, options, stats, probe_cache: HashMap::new(), routers: HashMap::new() }
+    }
+
+    /// Evaluates one candidate tuple end to end: probe-filtered systolic
+    /// search, exact re-validation on the unrolled block, then detailed
+    /// routing with replication-aware negotiation for each ranked systolic
+    /// map.
+    ///
+    /// `cancel` (when present) is polled between the expensive phases *and*
+    /// armed on the pooled router during negotiation; once it reports
+    /// cancelled the evaluation stops early with [`Verdict::Abandoned`] —
+    /// mid-route via the Dijkstra loop's poll, mid-phase via the boundary
+    /// checks.
+    fn evaluate(&mut self, candidate: &Candidate, cancel: Option<&CancelToken>) -> Verdict {
+        let (kernel, options) = (self.kernel, self.options);
+        let stats = &mut *self.stats;
+        let abandon = || cancel.is_some_and(CancelToken::is_cancelled);
+        stats.candidates_tried += 1;
+        let Candidate { sub, vsa, block } = candidate;
+        // Probe the dependence structure on a small same-shape block.
+        let probe_block: Vec<usize> = block.iter().map(|&b| b.min(4)).collect();
+        let (mesh_deps, mem_deps, anti_deps) = match self.probe_cache.get(&probe_block) {
+            Some(deps) => {
+                stats.probe_cache_hits += 1;
+                deps.clone()
+            }
+            None => {
+                stats.probe_cache_misses += 1;
+                let probe = match timed(&mut stats.times.probe, || Dfg::build(kernel, &probe_block))
+                {
+                    Ok(p) => p,
+                    Err(_) => {
+                        stats.candidates_pruned += 1;
+                        return Verdict::Pruned;
+                    }
+                };
+                let deps = (
+                    probe.isdg().distances().to_vec(),
+                    probe.mem_dep_distances(),
+                    probe.anti_dep_distances(),
+                );
+                self.probe_cache.insert(probe_block, deps.clone());
+                deps
+            }
+        };
+        let (ranked, search_stats) = timed(&mut stats.times.search, || {
+            search_counted(&SearchConfig {
+                dims: kernel.dims(),
+                block: block.clone(),
+                vsa_rows: vsa.rows(),
+                vsa_cols: vsa.cols(),
+                mesh_deps,
+                mem_deps,
+                anti_deps,
+            })
+        });
+        stats.systolic_searches += 1;
+        stats.systolic_matrices_tried += search_stats.matrices_tried;
+        stats.systolic_maps_found += search_stats.valid;
+        if ranked.is_empty() {
+            stats.candidates_pruned += 1;
+            return Verdict::Pruned;
         }
-    };
-    let (ranked, search_stats) = stats.timed(Stage::Search, || {
-        search_counted(&SearchConfig {
-            dims: ctx.kernel.dims(),
-            block: block.clone(),
-            vsa_rows: vsa.rows(),
-            vsa_cols: vsa.cols(),
-            mesh_deps,
-            mem_deps,
-            anti_deps,
-        })
-    });
-    StatsCollector::add(&stats.systolic_searches, 1);
-    StatsCollector::add(&stats.systolic_matrices_tried, search_stats.matrices_tried);
-    StatsCollector::add(&stats.systolic_maps_found, search_stats.valid);
-    if ranked.is_empty() {
-        StatsCollector::add(&stats.candidates_pruned, 1);
-        return Verdict::Pruned;
-    }
-    if abandon() {
-        return Verdict::Abandoned;
-    }
-    // Unroll the real block and re-validate the search against its exact
-    // dependence distances (probe ranges are subsets).
-    let dfg = match stats.timed(Stage::DfgBuild, || Dfg::build(ctx.kernel, block)) {
-        Ok(d) => d,
-        Err(e) => return Verdict::DfgError(e.to_string()),
-    };
-    let isdg = dfg.isdg();
-    let (ranked, search_stats) = stats.timed(Stage::Search, || {
-        search_counted(&SearchConfig {
-            dims: ctx.kernel.dims(),
-            block: block.clone(),
-            vsa_rows: vsa.rows(),
-            vsa_cols: vsa.cols(),
-            mesh_deps: isdg.distances().to_vec(),
-            mem_deps: dfg.mem_dep_distances(),
-            anti_deps: dfg.anti_dep_distances(),
-        })
-    });
-    StatsCollector::add(&stats.systolic_searches, 1);
-    StatsCollector::add(&stats.systolic_matrices_tried, search_stats.matrices_tried);
-    StatsCollector::add(&stats.systolic_maps_found, search_stats.valid);
-    if ranked.is_empty() {
-        StatsCollector::add(&stats.candidates_pruned, 1);
-        return Verdict::Pruned;
-    }
-    let mut route_failed = false;
-    for st in ranked.iter().take(ctx.options.max_systolic_candidates) {
         if abandon() {
             return Verdict::Abandoned;
         }
-        StatsCollector::add(&stats.layouts_tried, 1);
-        let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
-        let classes = classify(&dfg, &layout);
-        // Replication-aware negotiation: replica conflicts feed back into
-        // representative routing as pre-seeded history costs.
-        let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
-        let mut routed = None;
-        for _attempt in 0..ctx.options.replication_feedback_rounds {
+        // Unroll the real block and re-validate the search against its exact
+        // dependence distances (probe ranges are subsets).
+        let dfg = match timed(&mut stats.times.dfg, || Dfg::build(kernel, block)) {
+            Ok(d) => d,
+            Err(e) => return Verdict::DfgError(e.to_string()),
+        };
+        let isdg = dfg.isdg();
+        let (ranked, search_stats) = timed(&mut stats.times.search, || {
+            search_counted(&SearchConfig {
+                dims: kernel.dims(),
+                block: block.clone(),
+                vsa_rows: vsa.rows(),
+                vsa_cols: vsa.cols(),
+                mesh_deps: isdg.distances().to_vec(),
+                mem_deps: dfg.mem_dep_distances(),
+                anti_deps: dfg.anti_dep_distances(),
+            })
+        });
+        stats.systolic_searches += 1;
+        stats.systolic_matrices_tried += search_stats.matrices_tried;
+        stats.systolic_maps_found += search_stats.valid;
+        if ranked.is_empty() {
+            stats.candidates_pruned += 1;
+            return Verdict::Pruned;
+        }
+        for st in ranked.iter().take(options.max_systolic_candidates) {
             if abandon() {
                 return Verdict::Abandoned;
             }
-            StatsCollector::add(&stats.route_attempts, 1);
-            let (router, index_build) = scratch.router_for(&layout);
-            router.set_cancel_token(cancel.cloned());
-            let (design, counters) = stats.timed(Stage::Route, || {
-                route_representatives_pooled(
-                    &dfg,
-                    &layout,
-                    &classes,
-                    ctx.options,
-                    &seed_history,
-                    &mut *router,
-                    index_build,
-                )
-            });
-            router.set_cancel_token(None);
-            stats.add_router(counters.router);
-            stats.add_index_time(counters.index_build);
-            stats.record_memory(router.index().memory_stats());
-            if abandon() {
-                // A cancelled negotiation surfaces as a route failure; don't
-                // let it masquerade as one in the walk's error reporting.
-                return Verdict::Abandoned;
+            stats.layouts_tried += 1;
+            let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
+            let classes = classify(&dfg, &layout);
+            // Replication-aware negotiation: replica conflicts feed back into
+            // representative routing as pre-seeded history costs.
+            let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
+            let mut routed = None;
+            for _attempt in 0..options.replication_feedback_rounds {
+                if abandon() {
+                    return Verdict::Abandoned;
+                }
+                stats.route_attempts += 1;
+                let (router, index_build) = router_for(&mut self.routers, &layout);
+                router.set_cancel_token(cancel.cloned());
+                let (design, counters) = timed(&mut stats.times.route, || {
+                    route_representatives_pooled(
+                        &dfg,
+                        &layout,
+                        &classes,
+                        options,
+                        &seed_history,
+                        &mut *router,
+                        index_build,
+                    )
+                });
+                router.set_cancel_token(None);
+                stats.add_router(counters.router);
+                stats.times.index += counters.index_build;
+                stats.memory = stats.memory.max(router.index().memory_stats());
+                if abandon() {
+                    // A cancelled negotiation surfaces as a route failure;
+                    // don't let it masquerade as one in the walk's error.
+                    return Verdict::Abandoned;
+                }
+                let design = match design {
+                    Ok(design) => {
+                        stats.pathfinder_rounds += design.rounds;
+                        design
+                    }
+                    Err(_) => {
+                        // A failed negotiation exhausts its full round budget.
+                        stats.pathfinder_rounds += options.pathfinder_rounds;
+                        break;
+                    }
+                };
+                stats.replication_rounds += 1;
+                match timed(&mut stats.times.replicate, || {
+                    replicate_and_verify(&dfg, &layout, &classes, &design)
+                }) {
+                    Ok(routes) => {
+                        routed = Some(routes);
+                        break;
+                    }
+                    Err(crate::route::RouteError::ReplicaConflicts { rep_frame, .. }) => {
+                        seed_history.extend(rep_frame);
+                        continue;
+                    }
+                    Err(_) => break,
+                }
             }
-            let design = match design {
-                Ok(design) => {
-                    StatsCollector::add(&stats.pathfinder_rounds, design.rounds);
-                    design
-                }
-                Err(_) => {
-                    // A failed negotiation exhausts its full round budget.
-                    StatsCollector::add(&stats.pathfinder_rounds, ctx.options.pathfinder_rounds);
-                    break;
-                }
+            let Some(routes) = routed else {
+                continue;
             };
-            StatsCollector::add(&stats.replication_rounds, 1);
-            match stats
-                .timed(Stage::Replicate, || replicate_and_verify(&dfg, &layout, &classes, &design))
-            {
-                Ok(routes) => {
-                    routed = Some(routes);
-                    break;
+            // Success: materialize the mapping artifact.
+            let mut op_slots = HashMap::new();
+            for (node, w) in dfg.graph().nodes() {
+                if let NodeKind::Op { stmt, op, .. } = w.kind {
+                    op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
                 }
-                Err(crate::route::RouteError::ReplicaConflicts { rep_frame, .. }) => {
-                    seed_history.extend(rep_frame);
-                    continue;
-                }
-                Err(_) => break,
             }
+            let mapping_stats = MappingStats {
+                sub_shape: (sub.s1, sub.s2, sub.t),
+                unique_iterations: classes.count(),
+                iterations_per_spe: layout.iterations_per_spe(),
+                iib: layout.iib(),
+                max_config_slots: 0, // filled from the config image below
+                block: block.clone(),
+                pipeline: PipelineStats::default(), // record attached by the caller
+            };
+            let mut mapping = Mapping::new(self.cgra.clone(), dfg, op_slots, routes, mapping_stats);
+            let image = crate::config::ConfigImage::from_mapping(&mapping);
+            mapping.set_max_config_slots(image.max_unique_instrs());
+            return Verdict::Mapped(Box::new(mapping));
         }
-        let Some(routes) = routed else {
-            route_failed = true;
-            continue;
-        };
-        // Success: materialize the mapping artifact.
-        let mut op_slots = HashMap::new();
-        for (node, w) in dfg.graph().nodes() {
-            if let NodeKind::Op { stmt, op, .. } = w.kind {
-                op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
-            }
-        }
-        let iib = layout.iib();
-        let mapping_stats = MappingStats {
-            sub_shape: (sub.s1, sub.s2, sub.t),
-            unique_iterations: classes.count(),
-            iterations_per_spe: layout.iterations_per_spe(),
-            iib,
-            max_config_slots: 0, // filled from the config image below
-            block: block.clone(),
-            pipeline: PipelineStats::default(), // snapshot attached by the caller
-        };
-        let mut mapping = Mapping::new(ctx.cgra.clone(), dfg, op_slots, routes, mapping_stats);
-        let image = crate::config::ConfigImage::from_mapping(&mapping);
-        mapping.set_max_config_slots(image.max_unique_instrs());
-        return Verdict::Mapped(Box::new(mapping));
+        Verdict::RouteFailed
     }
-    debug_assert!(route_failed, "ranked searches are non-empty here");
-    Verdict::RouteFailed
 }
 
 /// Candidate assignments of loop dims to the VSA's space axes: `p` feeds the
@@ -1122,14 +926,13 @@ mod tests {
     fn pipeline_stats_populated_on_success() {
         let m = map(&suite::gemm(), 4).expect("gemm maps");
         let p = m.pipeline_stats();
-        assert_eq!(p.threads, 1);
         assert!(p.candidates_enumerated > 0, "no candidates counted: {p:?}");
         assert!(p.candidates_tried > 0);
         assert!(p.systolic_searches > 0);
         assert!(p.route_attempts > 0);
         assert!(p.replication_rounds > 0);
         assert!(p.times.total > std::time::Duration::ZERO);
-        assert_eq!(p.candidates_abandoned, 0, "sequential walk never abandons");
+        assert_eq!(p.candidates_abandoned, 0, "no deadline, nothing abandoned");
         // The embedded snapshot is the same one map_with_stats returns.
         let (again, stats) = HiMap::new(HiMapOptions::default())
             .map_with_stats(&suite::gemm(), &CgraSpec::square(4));
@@ -1149,88 +952,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_walk_matches_sequential_on_gemm() {
-        // `oversubscribe` forces real workers even on a single-core CI box,
-        // so this exercises the work-queue scheduler, not the fallback.
-        let cgra = CgraSpec::square(4);
-        let seq = HiMap::new(HiMapOptions::default()).map(&suite::gemm(), &cgra).unwrap();
-        let options = HiMapOptions { threads: 3, oversubscribe: true, ..HiMapOptions::default() };
-        let par = HiMap::new(options).map(&suite::gemm(), &cgra).unwrap();
-        assert_eq!(seq.stats().sub_shape, par.stats().sub_shape);
-        assert_eq!(seq.stats().block, par.stats().block);
-        assert_eq!(seq.stats().iib, par.stats().iib);
-        assert_eq!(seq.utilization(), par.utilization());
-        assert_eq!(par.pipeline_stats().threads, 3);
-        assert_eq!(par.pipeline_stats().workers.len(), 3, "scheduler must spawn 3 workers");
-        let evaluated: usize =
-            par.pipeline_stats().workers.iter().map(|w| w.candidates_evaluated).sum();
-        assert!(evaluated > 0, "workers recorded no evaluations");
-    }
-
-    #[test]
-    fn short_walks_fall_back_to_sequential() {
-        // gemm on 4x4 enumerates 64 candidates; a threshold above that must
-        // force the sequential path even with threads > 1 — observable as an
-        // empty per-worker stats vector and zero abandoned candidates.
-        let options = HiMapOptions {
-            threads: 4,
-            oversubscribe: true,
-            parallel_threshold: 1000,
-            ..HiMapOptions::default()
-        };
-        let (result, stats) =
-            HiMap::new(options).map_with_stats(&suite::gemm(), &CgraSpec::square(4));
-        result.expect("gemm maps");
-        assert!(stats.workers.is_empty(), "fallback must not spawn workers: {stats:?}");
-        assert_eq!(stats.candidates_abandoned, 0);
-        assert_eq!(stats.router_searches_cancelled, 0);
-    }
-
-    #[test]
-    fn scheduled_workers_clamp_and_threshold() {
-        let base = HiMapOptions { threads: 8, oversubscribe: true, ..HiMapOptions::default() };
-        // Above threshold: candidate count and requested threads bound.
-        assert_eq!(base.scheduled_workers(64), 8);
-        assert_eq!(base.scheduled_workers(10), 8);
-        // Below threshold (default 8): sequential fallback.
-        assert_eq!(base.scheduled_workers(7), 1);
-        assert_eq!(base.scheduled_workers(0), 1);
-        // Threshold 0 disables the fallback; workers still never exceed
-        // candidates.
-        let eager = HiMapOptions { parallel_threshold: 0, ..base.clone() };
-        assert_eq!(eager.scheduled_workers(3), 3);
-        // Without oversubscription the host core count is a hard cap.
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let clamped = HiMapOptions { oversubscribe: false, ..base };
-        assert!(clamped.scheduled_workers(64) <= cores);
-    }
-
-    #[test]
     fn cancelled_candidate_reports_abandoned_before_routing() {
-        // Evaluate one real candidate with a pre-cancelled token (as if a
-        // better candidate had already verified): the phase-boundary poll
-        // must stop the evaluation with `Abandoned` before detailed routing
-        // spends any effort.
+        // Evaluate one real candidate with a pre-cancelled token (as if the
+        // deadline had passed): the phase-boundary poll must stop the
+        // evaluation with `Abandoned` before detailed routing spends any
+        // effort.
         let kernel = suite::gemm();
         let cgra = CgraSpec::square(4);
         let options = HiMapOptions::default();
-        let stats = StatsCollector::default();
         let (subs, _) = map_idfg_counted(&kernel, &cgra, &options, None);
-        let candidates = enumerate_candidates(&kernel, &cgra, &subs, &options, &stats);
+        let (candidates, _) = enumerate_candidates(&kernel, &cgra, &subs, &options);
         assert!(!candidates.is_empty());
-        let ctx = EvalCtx {
-            kernel: &kernel,
-            cgra: &cgra,
-            options: &options,
-            stats: &stats,
-            probe_cache: Mutex::new(HashMap::new()),
-        };
-        let token = CancelToken::new(Arc::new(AtomicUsize::new(0)), 1);
-        let mut scratch = EvalScratch::new();
-        let verdict = evaluate(&ctx, &candidates[0], &mut scratch, Some(&token));
+        let mut stats = PipelineStats::default();
+        let mut walk = Walk::new(&kernel, &cgra, &options, &mut stats);
+        let token = CancelToken::until(Instant::now());
+        let verdict = walk.evaluate(&candidates[0], Some(&token));
         assert!(matches!(verdict, Verdict::Abandoned), "cancelled evaluation must abandon");
-        let snap = stats.snapshot(std::time::Duration::from_millis(1), 1);
-        assert_eq!(snap.route_attempts, 0, "abandoned before routing: {snap:?}");
+        assert_eq!(stats.route_attempts, 0, "abandoned before routing: {stats:?}");
     }
 
     #[test]
@@ -1242,9 +980,8 @@ mod tests {
         let kernel = suite::gemm();
         let cgra = CgraSpec::square(4);
         let options = HiMapOptions::default();
-        let stats = StatsCollector::default();
         let (subs, _) = map_idfg_counted(&kernel, &cgra, &options, None);
-        let candidates = enumerate_candidates(&kernel, &cgra, &subs, &options, &stats);
+        let (candidates, _) = enumerate_candidates(&kernel, &cgra, &subs, &options);
         for candidate in &candidates {
             let Candidate { sub, vsa, block } = candidate;
             let Ok(dfg) = Dfg::build(&kernel, block) else { continue };
@@ -1276,7 +1013,7 @@ mod tests {
             assert!(live.router.searches > 0);
             assert_eq!(live.router.cancelled, 0);
             // Cancelled: the same negotiation collapses.
-            router.set_cancel_token(Some(CancelToken::new(Arc::new(AtomicUsize::new(0)), 1)));
+            router.set_cancel_token(Some(CancelToken::until(Instant::now())));
             let (result, cut) = route_representatives_pooled(
                 &dfg,
                 &layout,

@@ -63,7 +63,7 @@ pub use layout::{Layout, Slot};
 pub use lower::{route_placement, LowerError};
 pub use mapping::{Mapping, MappingParts, MappingStats, RouteInstance};
 pub use options::{Attempt, HiMapError, HiMapOptions, MapReport, RecoveryPolicy};
-pub use stats::{PipelineStats, StageTimes, WorkerStats};
+pub use stats::{PipelineStats, StageTimes};
 pub use submap::{map_idfg, map_idfg_counted, SubMapStats, SubMapping};
 pub use tiled::{SeamStats, TileDisposition, TiledMapping};
 pub use unique::{ClassId, Classes, Descriptor};

@@ -32,9 +32,8 @@ pub struct MappingStats {
     pub block: Vec<usize>,
     /// Instrumentation of the pipeline run that produced this mapping:
     /// per-stage times and candidate/cache counters. Unlike every other
-    /// field, this is **not** deterministic across runs or thread counts
-    /// (it contains wall times, and parallel walks may try extra
-    /// candidates) — compare the quality fields, not this one.
+    /// field, this is **not** deterministic across runs (it contains wall
+    /// times) — compare the quality fields, not this one.
     pub pipeline: PipelineStats,
 }
 

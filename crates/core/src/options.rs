@@ -36,27 +36,6 @@ pub struct HiMapOptions {
     /// Setting it to `false` reproduces the paper's exact utilization
     /// profile — see the `ablation` benchmark binary.
     pub depth_priority_scheduling: bool,
-    /// Worker threads for the candidate walk. `1` (the default) runs the
-    /// strictly sequential Algorithm-1 walk; `n > 1` evaluates candidates on
-    /// `n` scoped workers with first-verified-wins early exit; `0` uses
-    /// [`std::thread::available_parallelism`]. Every thread count produces
-    /// the same winning mapping — the walk is parallel but its result is
-    /// bit-identical to the sequential order (see `HiMap::map`).
-    pub threads: usize,
-    /// Minimum candidate count before the walk goes parallel. Below this,
-    /// thread spawn/join overhead dominates any overlap, so the scheduler
-    /// silently falls back to the sequential walk even when `threads > 1`
-    /// (the result is bit-identical either way). Measured on the bench
-    /// kernels: walks under ~8 candidates finish in well under a worker's
-    /// spawn cost. `0` disables the fallback.
-    pub parallel_threshold: usize,
-    /// Allow spawning more workers than the machine has cores. Off by
-    /// default: oversubscribed workers preempt each other evaluating
-    /// candidates past the eventual winner, which is exactly the regression
-    /// the work-queue scheduler exists to prevent. Tests and scaling
-    /// experiments set this to exercise the parallel scheduler regardless of
-    /// the host's core count.
-    pub oversubscribe: bool,
     /// Run the `himap-analyze` admission check before any mapping work: a
     /// statically infeasible request (dead fabric, no live memory bank for a
     /// loading kernel, config-memory overflow, …) is rejected with
@@ -198,39 +177,6 @@ impl fmt::Display for MapReport {
     }
 }
 
-impl HiMapOptions {
-    /// The concrete worker count: `threads`, with `0` resolved to the
-    /// machine's available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            n => n,
-        }
-    }
-
-    /// Worker count the scheduler actually spawns for a walk over
-    /// `candidates` tuples: [`effective_threads`](Self::effective_threads)
-    /// clamped to the machine's available parallelism and to the candidate
-    /// count, with a sequential fallback (returning 1) when the walk is
-    /// shorter than [`parallel_threshold`](Self::parallel_threshold).
-    ///
-    /// The parallelism clamp is what makes "multi-thread never slower than
-    /// sequential" hold on small machines: asking for 8 workers on a 2-core
-    /// box oversubscribes the cores with candidates past the winner, so
-    /// requested threads beyond the hardware are ignored.
-    pub fn scheduled_workers(&self, candidates: usize) -> usize {
-        if self.parallel_threshold > 0 && candidates < self.parallel_threshold {
-            return 1;
-        }
-        let cores = if self.oversubscribe {
-            usize::MAX
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        };
-        self.effective_threads().min(cores).min(candidates.max(1)).max(1)
-    }
-}
-
 impl Default for HiMapOptions {
     fn default() -> Self {
         HiMapOptions {
@@ -241,9 +187,6 @@ impl Default for HiMapOptions {
             max_systolic_candidates: 4,
             replication_feedback_rounds: 6,
             depth_priority_scheduling: true,
-            threads: 1,
-            parallel_threshold: 8,
-            oversubscribe: false,
             admission: true,
             verify: false,
             deadline: None,
@@ -275,9 +218,9 @@ pub enum HiMapError {
     /// [`set_verify_hook`](crate::set_verify_hook)). Carries the rendered
     /// diagnostics.
     Verification(String),
-    /// A worker thread of the candidate walk panicked; the panic was caught
-    /// and surfaced instead of aborting the process. Carries the panic
-    /// message.
+    /// An internal fault, surfaced instead of unwinding into the caller: the
+    /// installed verify hook panicked (caught), or [`race`](crate::race)
+    /// lost track of its winning backend. Carries the message.
     Internal(String),
     /// Every rung of the recovery ladder failed. Carries the structured
     /// attempt trail. Only produced when the ladder actually climbed (more

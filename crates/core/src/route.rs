@@ -149,7 +149,7 @@ pub fn route_representatives_counted(
 ) -> (Result<RoutedDesign, RouteError>, RouteCounters) {
     let spec = layout.vsa().spec().clone();
     // One dense index per (spec, II) serves every negotiation attempt, every
-    // candidate thread and the replication pass below.
+    // candidate and the replication pass.
     let index_start = Instant::now();
     let index = MrrgIndex::shared(spec, layout.iib());
     let index_build = index_start.elapsed();
@@ -166,9 +166,9 @@ pub fn route_representatives_counted(
 }
 
 /// [`route_representatives_counted`] on a caller-owned, long-lived router —
-/// the entry point of the work-queue candidate scheduler, whose workers keep
-/// one router per `(spec, II)` alive across candidates instead of
-/// reconstructing congestion vectors per attempt.
+/// the entry point of the candidate walk, which keeps one router per
+/// `(spec, II)` alive across candidates instead of reconstructing
+/// congestion vectors per attempt.
 ///
 /// The router must be indexed for the layout's `(spec, iib)`. It is
 /// [`Router::reset`] here, so every negotiation starts from clean
@@ -177,7 +177,7 @@ pub fn route_representatives_counted(
 /// allocation-free. `index_build` is the caller's index-acquisition time,
 /// passed through into the counters. Any armed
 /// [`CancelToken`](himap_mapper::CancelToken) stays armed: a negotiation for
-/// an abandoned candidate collapses within a few heap pops.
+/// a cancelled walk collapses within a few heap pops.
 pub fn route_representatives_pooled(
     dfg: &Dfg,
     layout: &Layout,

@@ -8,8 +8,9 @@
 //! list best-first until detailed routing succeeds.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use himap_cgra::{CgraSpec, Mrrg, PeId, RKind, RNode};
+use himap_cgra::{CgraSpec, MrrgIndex, PeId, RKind, RNode};
 use himap_dfg::{Dfg, NodeKind};
 use himap_graph::NodeId;
 use himap_kernels::Kernel;
@@ -127,10 +128,12 @@ fn try_shape(
     // Probing is position-agnostic: the relative mapping is replicated only
     // onto healthy tiles, so the sub-CGRA spec drops the physical fault map.
     let sub_spec = CgraSpec { rows: s1, cols: s2, ..cgra.fault_free() };
-    // `Router::new` resolves the (sub-spec, t) pair through the shared dense
-    // index cache, so repeated probes of the same shape reuse one build.
-    let mrrg = Mrrg::new(sub_spec.clone(), t);
-    let mut router = Router::new(mrrg, RouterConfig::default());
+    // Probe indexes are sub-CGRA sized and cheap to build, so they bypass the
+    // process-wide `MrrgIndex::shared` cache: a walk probes up to 36 shapes,
+    // which would otherwise evict the full-fabric indexes that the walk, the
+    // replication pass and the verifier reuse from run to run.
+    let index = Arc::new(MrrgIndex::new(sub_spec.clone(), t));
+    let mut router = Router::with_index(index, RouterConfig::default());
     router.set_cancel_token(cancel.cloned());
     // Topological order over the internal edges of the IDFG.
     let order = internal_topo_order(probe, idfg, options.depth_priority_scheduling);

@@ -437,7 +437,7 @@ fn stamp_is_legal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use himap_cgra::FaultMap;
+    use himap_cgra::CapabilityMap;
     use himap_kernels::suite;
 
     use crate::options::HiMapOptions;
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn dead_pe_triggers_renegotiation_only_where_it_lands() {
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         faults.kill_pe(PeId::new(2, 3));
         let spec = CgraSpec::square(16).with_faults(faults);
         let tiled = HiMap::new(HiMapOptions::default())

@@ -218,7 +218,7 @@ fn error_display_is_informative() {
         HiMapError::Dfg("boom".into()),
         HiMapError::UnsupportedKernel("why".into()),
         HiMapError::Verification("V001 mismatch".into()),
-        HiMapError::Internal("worker panicked".into()),
+        HiMapError::Internal("verify hook panicked".into()),
         HiMapError::Exhausted(trail.clone()),
         HiMapError::DeadlineExceeded(trail),
     ];

@@ -9,9 +9,9 @@
 //! * **Differential testing** — proptests route random queries through both
 //!   routers and require bit-identical paths, costs and elapsed counts
 //!   (see `crates/mapper/tests/router_diff.rs`).
-//! * **Benchmarking** — the criterion `route_timed` group and the
-//!   `bench_summary` bin measure the indexed router against this one, which
-//!   is the evidence behind the CSR refactor's speedup claim.
+//! * **Benchmarking** — the criterion `route_timed` group measures the
+//!   indexed router against this one, which is the evidence behind the CSR
+//!   refactor's speedup claim.
 //!
 //! Nothing in the pipeline calls this router; do not "optimize" it — its
 //! value is being the unchanged executable specification.

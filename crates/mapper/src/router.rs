@@ -110,15 +110,14 @@ impl RouterStats {
 
 /// Cooperative cancellation handle polled inside the Dijkstra pop loops.
 ///
-/// The token compares a shared atomic bound against a fixed threshold:
-/// [`CancelToken::is_cancelled`] turns true once the bound drops *strictly
-/// below* the threshold, and never turns false again for a monotonically
-/// decreasing bound. HiMap's candidate walk shares one bound — the lowest
-/// candidate index known to have fully verified — across every worker; a
-/// worker arms its router with `threshold = its candidate's index`, so
-/// routing work for a candidate stops within a few heap pops of a strictly
-/// better candidate winning, instead of running to completion and being
-/// discarded at the next between-stage poll.
+/// A token fires on any of three conditions: a wall-clock deadline passes
+/// ([`CancelToken::until`]), a shared atomic bound drops *strictly below* a
+/// fixed threshold ([`CancelToken::new`]; it never un-fires for a
+/// monotonically decreasing bound), or a parent token fires. HiMap's walk
+/// arms its router with the `map` call's deadline; the portfolio racer
+/// shares one bound — the lowest backend index known to have succeeded —
+/// across its backends, so a loser's routing stops within a few heap pops
+/// of a strictly better backend winning.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     bound: Arc<AtomicUsize>,
@@ -538,7 +537,8 @@ pub struct Router {
     config: RouterConfig,
     scratch: SearchScratch,
     stats: RouterStats,
-    /// Armed by the parallel candidate walk; `None` disables polling.
+    /// Armed by the caller (HiMap's deadline or a race's bound); `None`
+    /// disables polling.
     cancel: Option<CancelToken>,
 }
 
@@ -1564,7 +1564,7 @@ mod timed_tests {
 #[cfg(test)]
 mod bounded_tests {
     use super::*;
-    use himap_cgra::{CgraSpec, Dir, FaultMap, PeId};
+    use himap_cgra::{CapabilityMap, CgraSpec, Dir, PeId};
 
     fn fu(x: usize, y: usize, t: u32) -> RNode {
         RNode::new(PeId::new(x, y), t, RKind::Fu)
@@ -1659,7 +1659,7 @@ mod bounded_tests {
     fn hop_bound_respects_dead_pes_and_severed_links() {
         // A dead wall across the middle leaves one gap: hop distances must
         // detour through it, and walling the gap off disconnects the halves.
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for y in 0..7 {
             faults.kill_pe(PeId::new(3, y));
         }

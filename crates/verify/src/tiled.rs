@@ -152,7 +152,7 @@ pub fn verify_tiled(tiled: &TiledMapping) -> DiagnosticSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use himap_cgra::{CgraSpec, FaultMap};
+    use himap_cgra::{CapabilityMap, CgraSpec};
     use himap_core::{HiMap, HiMapOptions, TileDisposition};
     use himap_kernels::suite;
 
@@ -171,7 +171,7 @@ mod tests {
         // the corner tile is skipped (admission rejects a dead fabric), the
         // stray's tile renegotiates, the rest stamp — and the whole result
         // must still verify clean.
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         for r in 0..8 {
             for c in 0..8 {
                 faults.kill_pe(PeId::new(r, c));
@@ -200,7 +200,7 @@ mod tests {
             .expect("gemm tiles a pristine 16x16");
         // Every PE carries an op in a 100%-utilization gemm tile, so any
         // dead PE under any tile breaks some stamp.
-        let mut faults = FaultMap::new();
+        let mut faults = CapabilityMap::new();
         faults.kill_pe(PeId::new(9, 9));
         let broken = TiledMappingRebuild::with_faults(&tiled, faults);
         let report = verify_tiled(&broken);
@@ -212,7 +212,7 @@ mod tests {
     struct TiledMappingRebuild;
 
     impl TiledMappingRebuild {
-        fn with_faults(tiled: &TiledMapping, faults: FaultMap) -> TiledMapping {
+        fn with_faults(tiled: &TiledMapping, faults: CapabilityMap) -> TiledMapping {
             let mut clone = tiled.clone();
             clone.set_spec_faults(faults);
             clone

@@ -52,15 +52,15 @@ fn oversubscribed(mapping: &Mapping) -> Vec<(RNode, usize, usize)> {
         .collect()
 }
 
-fn assert_no_oversubscription(kernel: &Kernel, cgra_size: usize, threads: usize) {
-    let options = HiMapOptions { threads, ..HiMapOptions::default() };
-    let Ok(mapping) = HiMap::new(options).map(kernel, &CgraSpec::square(cgra_size)) else {
+fn assert_no_oversubscription(kernel: &Kernel, cgra_size: usize) {
+    let himap = HiMap::new(HiMapOptions::default());
+    let Ok(mapping) = himap.map(kernel, &CgraSpec::square(cgra_size)) else {
         return; // unmappable combinations are vacuously safe
     };
     let conflicts = oversubscribed(&mapping);
     assert!(
         conflicts.is_empty(),
-        "{} on {cgra_size}x{cgra_size}, {threads} threads: verified mapping \
+        "{} on {cgra_size}x{cgra_size}: verified mapping \
          oversubscribes {} resources, e.g. {:?}",
         kernel.name(),
         conflicts.len(),
@@ -103,15 +103,14 @@ proptest! {
     fn random_kernels_never_oversubscribe(
         kernel in arb_kernel(),
         cgra_size in 2usize..=5,
-        threads in 1usize..=2,
     ) {
-        assert_no_oversubscription(&kernel, cgra_size, threads);
+        assert_no_oversubscription(&kernel, cgra_size);
     }
 }
 
 #[test]
 fn suite_kernels_never_oversubscribe_on_4x4() {
     for kernel in suite::all() {
-        assert_no_oversubscription(&kernel, 4, 1);
+        assert_no_oversubscription(&kernel, 4);
     }
 }

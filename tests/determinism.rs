@@ -1,16 +1,18 @@
-//! Parallel-walk determinism: for every kernel in the suite, on 4x4 and
-//! 8x8 CGRAs, the candidate walk must pick the *same* winning mapping at
-//! every thread count. The parallel walk may differ in wall time and in the
-//! non-deterministic `pipeline` instrumentation, but never in mapping
-//! quality — `HiMapOptions::threads` is a pure performance knob.
+//! Run-to-run determinism of the candidate walk: for every kernel in the
+//! suite, on 4x4 and 8x8 CGRAs, two fresh `HiMap::map` runs must pick the
+//! *same* winning mapping. The second run finds the first run's dense
+//! routing index in the process-wide `MrrgIndex::shared` cache, so this also
+//! proves a warm cache never changes a result. Failures must repeat too.
 
-use himap_repro::cgra::CgraSpec;
+use std::sync::Arc;
+
+use himap_repro::cgra::{CgraSpec, MrrgIndex};
 use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping};
 use himap_repro::kernels::{suite, Kernel};
 
 /// The deterministic fingerprint of a mapping outcome: every quality field
-/// of `MappingStats` plus the derived utilization. Excludes `pipeline`
-/// (wall times; parallel walks may try extra candidates past the winner).
+/// of `MappingStats` plus the derived utilization. Excludes `pipeline`,
+/// which carries wall times.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     sub_shape: (usize, usize, usize),
@@ -37,111 +39,52 @@ fn fingerprint(result: &Result<Mapping, HiMapError>) -> Result<Fingerprint, HiMa
     })
 }
 
-/// Maps with a forced parallel scheduler: `oversubscribe` lifts the
-/// machine-core clamp and `parallel_threshold: 1` disables the sequential
-/// fallback, so `threads > 1` genuinely exercises the work-queue workers
-/// even on a single-core CI box (where the production clamp would otherwise
-/// — correctly — run everything sequentially).
-fn map_with(kernel: &Kernel, cgra: &CgraSpec, threads: usize) -> Result<Mapping, HiMapError> {
-    let options = HiMapOptions {
-        threads,
-        oversubscribe: true,
-        parallel_threshold: 1,
-        ..HiMapOptions::default()
-    };
-    HiMap::new(options).map(kernel, cgra)
+fn map(kernel: &Kernel, cgra: &CgraSpec) -> Result<Mapping, HiMapError> {
+    HiMap::new(HiMapOptions::default()).map(kernel, cgra)
 }
 
-fn assert_thread_invariant(cgra_size: usize) {
+fn assert_repeatable(cgra_size: usize) {
     let cgra = CgraSpec::square(cgra_size);
     for kernel in suite::all() {
-        let sequential = fingerprint(&map_with(&kernel, &cgra, 1));
-        for threads in [2, 8] {
-            let parallel = fingerprint(&map_with(&kernel, &cgra, threads));
-            assert_eq!(
-                sequential,
-                parallel,
-                "{} on {c}x{c} with {threads} threads diverged from sequential",
-                kernel.name(),
-                c = cgra_size,
-            );
-        }
+        let first = map(&kernel, &cgra);
+        let mapping = first.as_ref().unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
+        // The index the first run routed the winner on.
+        let warm = MrrgIndex::shared(cgra.clone(), mapping.stats().iib);
+        let second = map(&kernel, &cgra);
+        assert_eq!(
+            fingerprint(&first),
+            fingerprint(&second),
+            "{} on {cgra_size}x{cgra_size} diverged between two runs",
+            kernel.name(),
+        );
+        // A cache entry is only ever replaced by a fresh build, so the same
+        // `Arc` after the second run means that run reused the warm index.
+        let after = MrrgIndex::shared(cgra.clone(), mapping.stats().iib);
+        assert!(
+            Arc::ptr_eq(&warm, &after),
+            "{} on {cgra_size}x{cgra_size}: the second run rebuilt its index",
+            kernel.name(),
+        );
     }
 }
 
 #[test]
-fn all_kernels_thread_invariant_on_4x4() {
-    assert_thread_invariant(4);
+fn all_kernels_repeat_identically_on_4x4() {
+    assert_repeatable(4);
 }
 
 #[test]
-fn all_kernels_thread_invariant_on_8x8() {
-    assert_thread_invariant(8);
+fn all_kernels_repeat_identically_on_8x8() {
+    assert_repeatable(8);
 }
 
 #[test]
-fn threads_zero_resolves_to_available_parallelism() {
-    let options = HiMapOptions { threads: 0, ..HiMapOptions::default() };
-    assert!(options.effective_threads() >= 1);
-    // And the resolved count still maps identically.
-    let cgra = CgraSpec::square(4);
-    let auto = fingerprint(&HiMap::new(options).map(&suite::gemm(), &cgra));
-    let seq = fingerprint(&map_with(&suite::gemm(), &cgra, 1));
-    assert_eq!(seq, auto);
-}
-
-/// Median-of-3 wall time of mapping `kernel` with production options at the
-/// given thread count.
-fn median_wall(kernel: &Kernel, cgra: &CgraSpec, threads: usize) -> std::time::Duration {
-    let options = HiMapOptions { threads, ..HiMapOptions::default() };
-    let himap = HiMap::new(options);
-    let mut samples: Vec<std::time::Duration> = (0..3)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            himap.map(kernel, cgra).expect("kernel maps");
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[1]
-}
-
-#[test]
-#[ignore = "wall-time sensitive; run in the CI bench stage (cargo test -- --ignored)"]
-fn four_threads_not_slower_than_sequential_on_gemm_8x8() {
-    // The scheduler's core promise under *production* options (machine
-    // clamp and sequential fallback active): asking for 4 threads is never
-    // slower than sequential, and the winner is bit-identical. Medians of 3
-    // with a warmup pass, 15 % relative + 2 ms absolute noise allowance.
-    let cgra = CgraSpec::square(8);
-    let kernel = suite::gemm();
-    let seq_fp = fingerprint(&HiMap::new(HiMapOptions::default()).map(&kernel, &cgra));
-    let par_fp = fingerprint(
-        &HiMap::new(HiMapOptions { threads: 4, ..HiMapOptions::default() }).map(&kernel, &cgra),
-    );
-    assert_eq!(seq_fp, par_fp, "4-thread winner diverged from sequential");
-    let _warm = median_wall(&kernel, &cgra, 1); // prime the MrrgIndex cache
-    let seq = median_wall(&kernel, &cgra, 1);
-    let par = median_wall(&kernel, &cgra, 4);
-    let limit = seq.mul_f64(1.15) + std::time::Duration::from_millis(2);
-    assert!(
-        par <= limit,
-        "4-thread walk regressed: {:.1} ms vs sequential {:.1} ms (limit {:.1} ms)",
-        par.as_secs_f64() * 1e3,
-        seq.as_secs_f64() * 1e3,
-        limit.as_secs_f64() * 1e3,
-    );
-}
-
-#[test]
-fn parallel_failures_match_sequential_errors() {
-    // A kernel that cannot map must fail with the same error regardless of
-    // thread count (the "furthest stage" semantics survive the parallel
-    // walk). GEMM on 1x1 has no room for its three ops per iteration.
+fn failures_repeat_the_same_error() {
+    // A kernel that cannot map must fail with the same "furthest stage"
+    // error on every run. GEMM on 1x1 has no room for its three ops per
+    // iteration.
     let cgra = CgraSpec::square(1);
-    let seq = map_with(&suite::gemm(), &cgra, 1).map(|_| ()).unwrap_err();
-    for threads in [2, 8] {
-        let par = map_with(&suite::gemm(), &cgra, threads).map(|_| ()).unwrap_err();
-        assert_eq!(seq, par, "error diverged at {threads} threads");
-    }
+    let first = map(&suite::gemm(), &cgra).map(|_| ()).unwrap_err();
+    let second = map(&suite::gemm(), &cgra).map(|_| ()).unwrap_err();
+    assert_eq!(first, second);
 }

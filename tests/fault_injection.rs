@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use himap_repro::cgra::{CapabilityMap, CgraSpec, FaultMap, OpClass, PeId, ALL_DIRS};
+use himap_repro::cgra::{CapabilityMap, CgraSpec, OpClass, PeId, ALL_DIRS};
 use himap_repro::core::{HiMap, HiMapError, HiMapOptions, RecoveryPolicy};
 use himap_repro::kernels::suite;
 use himap_repro::sim::simulate;
@@ -66,9 +66,9 @@ fn arb_fault(n: usize) -> impl Strategy<Value = Fault> {
 }
 
 /// Up to `max` random faults on an `n x n` fabric.
-fn arb_fault_map(n: usize, max: usize) -> impl Strategy<Value = FaultMap> {
+fn arb_fault_map(n: usize, max: usize) -> impl Strategy<Value = CapabilityMap> {
     proptest::collection::vec(arb_fault(n), 0..max + 1).prop_map(|faults| {
-        let mut map = FaultMap::new();
+        let mut map = CapabilityMap::new();
         for fault in faults {
             match fault {
                 Fault::DeadPe(r, c) => map.kill_pe(PeId::new(r, c)),
@@ -245,7 +245,7 @@ fn stencil2d_maps_and_verifies_on_the_heterogeneous_4x4() {
 /// it. The mapping must be V006-clean and simulate correctly.
 #[test]
 fn gemm_8x8_routes_around_a_single_dead_pe() {
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     faults.kill_pe(PeId::new(3, 4));
     let spec = CgraSpec::square(8).with_faults(faults);
     let mapping = HiMap::new(HiMapOptions::default())
@@ -268,7 +268,7 @@ fn gemm_8x8_routes_around_a_single_dead_pe() {
 /// dead) must fail with a typed error, never panic.
 #[test]
 fn fully_dead_fabric_fails_with_typed_error() {
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     for r in 0..4 {
         for c in 0..4 {
             faults.kill_pe(PeId::new(r, c));
@@ -304,7 +304,7 @@ fn tiled_32x32_survives_a_dead_corner_tile() {
         .expect("gemm tiles onto a pristine 32x32");
     let (tr, tc) = pristine.tile_shape();
 
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     for r in 0..tr {
         for c in 0..tc {
             faults.kill_pe(PeId::new(r, c));

@@ -1,6 +1,6 @@
 //! Golden snapshots of the sequential walk's pipeline counters.
 //!
-//! With `threads == 1` the candidate walk is strictly deterministic, so the
+//! The candidate walk is sequential and strictly deterministic, so the
 //! *counts* in `PipelineStats` (never the timings) are exact invariants of
 //! the pipeline: how many candidates were enumerated, tried and pruned, how
 //! many systolic matrices were validated, how the probe cache behaved. Any
@@ -69,6 +69,11 @@ fn sequential_counts(kernel: &Kernel, cgra_size: usize) -> Counts {
     let himap = HiMap::new(HiMapOptions::default());
     let (result, stats) = himap.map_with_stats(kernel, &CgraSpec::square(cgra_size));
     result.expect("kernel maps");
+    // Stage times are disjoint wall-clock spans inside the run, so together
+    // they never exceed its total.
+    let t = &stats.times;
+    let stages = t.map + t.enumerate + t.probe + t.search + t.dfg + t.route + t.replicate + t.index;
+    assert!(stages <= t.total, "stage times {stages:?} exceed the run's total {:?}", t.total);
     Counts::from(&stats)
 }
 

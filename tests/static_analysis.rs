@@ -11,14 +11,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use himap_repro::analyze::{analyze_dfg, analyze_kernel, AnalyzeOptions};
-use himap_repro::cgra::{CgraSpec, FaultMap, PeId};
+use himap_repro::cgra::{CapabilityMap, CgraSpec, PeId};
 use himap_repro::core::{
     race, BhcBackend, HiMap, HiMapBackend, HiMapError, HiMapOptions, MapRequest, RaceMode,
 };
 use himap_repro::kernels::suite;
 
 fn fully_faulted_mems(n: usize) -> CgraSpec {
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     for x in 0..n {
         for y in 0..n {
             faults.disable_mem(PeId::new(x, y));
@@ -28,7 +28,7 @@ fn fully_faulted_mems(n: usize) -> CgraSpec {
 }
 
 fn dead_fabric(n: usize) -> CgraSpec {
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     for x in 0..n {
         for y in 0..n {
             faults.kill_pe(PeId::new(x, y));
@@ -69,7 +69,7 @@ fn static_bounds_never_exceed_achieved_ii() {
 /// dead PE still respects the (fault-aware) bound.
 #[test]
 fn static_bound_holds_on_faulted_8x8() {
-    let mut faults = FaultMap::new();
+    let mut faults = CapabilityMap::new();
     faults.kill_pe(PeId::new(3, 3));
     let spec = CgraSpec::square(8).with_faults(faults);
     let kernel = suite::gemm();
