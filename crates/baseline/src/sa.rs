@@ -7,7 +7,7 @@ use himap_cgra::{CgraSpec, Mrrg, OpClass, PeId, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, NodeKind};
 use himap_graph::{topological_sort, NodeId};
 use himap_kernels::OpKind;
-use himap_mapper::{CancelToken, Router, RouterConfig, SignalId};
+use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, SignalId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -278,13 +278,25 @@ fn route_all(dfg: &Dfg, spec: &CgraSpec, ii: usize, slots: &OpSlots, router: &mu
                 (EdgeKind::Flow, NodeKind::Op { .. }) => {
                     let Some(&(ppe, pabs)) = slots.get(&e.src) else { return false };
                     let src = RNode::new(ppe, pabs.rem_euclid(ii as i64) as u32, RKind::Fu);
-                    router.route_one(signal, src, target, Some((abs - pabs) as u32))
+                    router.route(
+                        signal,
+                        &[src],
+                        target,
+                        Elapsed::Exact((abs - pabs) as u32),
+                        |_| true,
+                    )
                 }
                 (EdgeKind::Forward { .. }, _) => {
                     let Some(&(node, pabs)) = deliveries.get(&(e.src, root)) else {
                         return false;
                     };
-                    router.route_one(signal, node, target, Some((abs - pabs) as u32))
+                    router.route(
+                        signal,
+                        &[node],
+                        target,
+                        Elapsed::Exact((abs - pabs) as u32),
+                        |_| true,
+                    )
                 }
                 (EdgeKind::Flow, NodeKind::Input { .. }) => {
                     // Loads may not issue before their producing stores are
@@ -297,11 +309,11 @@ fn route_all(dfg: &Dfg, spec: &CgraSpec, ii: usize, slots: &OpSlots, router: &mu
                             .max()
                             .unwrap_or(0)
                     });
-                    router.route_constrained(
+                    router.route(
                         signal,
                         &all_mem,
                         target,
-                        himap_mapper::Elapsed::AtMost(
+                        Elapsed::AtMost(
                             ((abs - mem_lo).max(0) as u32).min(router.config().default_elapsed_cap),
                         ),
                         |_| true,

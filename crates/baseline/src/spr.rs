@@ -291,10 +291,14 @@ fn place_round(
         // Route parents for real.
         for p in &parents {
             let path = match p.abs {
-                Some(pabs) => {
-                    router.route(signal_of(p.root), &p.source, target, Some((abs - pabs) as u32))?
-                }
-                None => router.route_constrained(
+                Some(pabs) => router.route(
+                    signal_of(p.root),
+                    &p.source,
+                    target,
+                    Elapsed::Exact((abs - pabs) as u32),
+                    |_| true,
+                )?,
+                None => router.route(
                     signal_of(p.root),
                     &p.source,
                     target,

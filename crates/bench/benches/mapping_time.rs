@@ -13,7 +13,7 @@ use himap_cgra::{CgraSpec, Mrrg, MrrgIndex, PeId, RKind, RNode};
 use himap_core::{HiMap, HiMapOptions};
 use himap_dfg::Dfg;
 use himap_kernels::suite;
-use himap_mapper::{ReferenceRouter, Router, RouterConfig, SignalId};
+use himap_mapper::{Router, RouterConfig, SignalId};
 use himap_systolic::{search, SearchConfig};
 
 fn bench_dfg_build(c: &mut Criterion) {
@@ -101,7 +101,7 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `route_timed` query sweep both router benchmarks replay: three
+/// The `route_timed` query sweep the router benchmark replays: three
 /// source corners to every PE of an 8x8 array, each at its shortest
 /// feasible absolute deadline plus one wait cycle.
 fn router_queries(rows: usize, cols: usize, ii: usize) -> Vec<(RNode, RNode, i64)> {
@@ -121,25 +121,15 @@ fn router_queries(rows: usize, cols: usize, ii: usize) -> Vec<(RNode, RNode, i64
 }
 
 fn bench_route_timed(c: &mut Criterion) {
-    // The dense flat-array router against the HashMap reference on an 8x8
-    // array — the headline number of the resource-index refactor. Both
-    // replay the identical query sweep on a clean (uncongested) router, the
-    // dominant routing regime of the candidate walk.
+    // The dense flat-array router on an 8x8 array, replaying the query
+    // sweep on a clean (uncongested) router — the dominant routing regime
+    // of the candidate walk.
     let mut group = c.benchmark_group("route_timed");
     let spec = CgraSpec::square(8);
     let ii = 4usize;
     let queries = router_queries(8, 8, ii);
     group.bench_function("indexed_8x8", |b| {
         let mut router = Router::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
-        b.iter(|| {
-            for (i, &(src, dst, abs)) in queries.iter().enumerate() {
-                let path = router.route_timed(SignalId(i as u32), &[(src, 0)], dst, abs, |_| true);
-                black_box(path);
-            }
-        });
-    });
-    group.bench_function("hashmap_8x8", |b| {
-        let router = ReferenceRouter::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
         b.iter(|| {
             for (i, &(src, dst, abs)) in queries.iter().enumerate() {
                 let path = router.route_timed(SignalId(i as u32), &[(src, 0)], dst, abs, |_| true);

@@ -211,7 +211,13 @@ fn route_round(
                         return Err(LowerError::NonCausal(e.id));
                     }
                     let src = RNode::new(ppe, (pabs.rem_euclid(ii as i64)) as u32, RKind::Fu);
-                    router.route(signal_of(root), &[src], target, Some(elapsed as u32))
+                    router.route(
+                        signal_of(root),
+                        &[src],
+                        target,
+                        Elapsed::Exact(elapsed as u32),
+                        |_| true,
+                    )
                 }
                 (EdgeKind::Forward { .. }, _) => {
                     // Topological order guarantees the forwarding op routed
@@ -222,7 +228,13 @@ fn route_round(
                     if elapsed < 1 {
                         return Err(LowerError::NonCausal(e.id));
                     }
-                    router.route(signal_of(root), &[node], target, Some(elapsed as u32))
+                    router.route(
+                        signal_of(root),
+                        &[node],
+                        target,
+                        Elapsed::Exact(elapsed as u32),
+                        |_| true,
+                    )
                 }
                 (EdgeKind::Flow, NodeKind::Input { .. }) => {
                     let mut mem_lo = 0i64;
@@ -240,9 +252,15 @@ fn route_round(
                             if elapsed < 0 {
                                 return Err(LowerError::MemCausality(e.id));
                             }
-                            router.route(signal_of(root), &[port], target, Some(elapsed as u32))
+                            router.route(
+                                signal_of(root),
+                                &[port],
+                                target,
+                                Elapsed::Exact(elapsed as u32),
+                                |_| true,
+                            )
                         }
-                        None => router.route_constrained(
+                        None => router.route(
                             signal_of(root),
                             &all_mem,
                             target,

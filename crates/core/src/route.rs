@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use himap_cgra::{Mrrg, MrrgIndex, PeId, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
@@ -113,7 +113,7 @@ impl fmt::Display for RouteError {
 
 impl Error for RouteError {}
 
-/// Instrumentation of one [`route_representatives_counted`] call: the
+/// Instrumentation of one [`route_representatives_pooled`] call: the
 /// router's search-effort counters plus the time spent acquiring the shared
 /// dense MRRG index (a cache hit after the first build, so ~zero in steady
 /// state).
@@ -126,49 +126,10 @@ pub struct RouteCounters {
 }
 
 /// Routes the representatives' in-edges with PathFinder negotiation and
-/// extracts the per-class patterns.
-pub fn route_representatives(
-    dfg: &Dfg,
-    layout: &Layout,
-    classes: &Classes,
-    options: &HiMapOptions,
-    seed_history: &[RNode],
-) -> Result<RoutedDesign, RouteError> {
-    route_representatives_counted(dfg, layout, classes, options, seed_history).0
-}
-
-/// [`route_representatives`], additionally reporting the router's search
-/// effort and the index-acquisition time — the instrumentation feed for
-/// pipeline statistics (mirrors `map_idfg`/`map_idfg_counted`).
-pub fn route_representatives_counted(
-    dfg: &Dfg,
-    layout: &Layout,
-    classes: &Classes,
-    options: &HiMapOptions,
-    seed_history: &[RNode],
-) -> (Result<RoutedDesign, RouteError>, RouteCounters) {
-    let spec = layout.vsa().spec().clone();
-    // One dense index per (spec, II) serves every negotiation attempt, every
-    // candidate and the replication pass.
-    let index_start = Instant::now();
-    let index = MrrgIndex::shared(spec, layout.iib());
-    let index_build = index_start.elapsed();
-    let mut router = Router::with_index(index, RouterConfig::default());
-    route_representatives_pooled(
-        dfg,
-        layout,
-        classes,
-        options,
-        seed_history,
-        &mut router,
-        index_build,
-    )
-}
-
-/// [`route_representatives_counted`] on a caller-owned, long-lived router —
-/// the entry point of the candidate walk, which keeps one router per
-/// `(spec, II)` alive across candidates instead of reconstructing
-/// congestion vectors per attempt.
+/// extracts the per-class patterns, on a caller-owned, long-lived router,
+/// and reports the router's search effort alongside. The candidate walk
+/// keeps one router per `(spec, II)` alive across candidates instead of
+/// reconstructing congestion vectors per attempt.
 ///
 /// The router must be indexed for the layout's `(spec, iib)`. It is
 /// [`Router::reset`] here, so every negotiation starts from clean
@@ -290,7 +251,6 @@ fn route_round(
     router: &mut Router,
 ) -> Result<RoutedDesign, RouteError> {
     let t = layout.sub().t as i64;
-    let iib = layout.iib() as i64;
     // The routed net of (consumer node, root signal): every resource the
     // signal exists on, with absolute times — later chain links may tap any
     // of them.
@@ -337,11 +297,11 @@ fn route_round(
                     // table steers the expansion toward the consumer instead
                     // of flooding the fabric. Short hauls keep the plain
                     // flat-array hot path.
+                    let cap = Elapsed::AtMost(router.config().default_elapsed_cap);
                     let path = if haul > LONG_HAUL_HOPS {
-                        let cap = Elapsed::AtMost(router.config().default_elapsed_cap);
                         router.route_bounded(signal, &nodes, target, cap, |n| bbox.contains(n.pe))
                     } else {
-                        router.route_filtered(signal, &nodes, target, None, |n| bbox.contains(n.pe))
+                        router.route(signal, &nodes, target, cap, |n| bbox.contains(n.pe))
                     };
                     path.ok_or(RouteError::Unroutable(e))?
                 }
@@ -367,7 +327,6 @@ fn route_round(
             return Err(RouteError::ForwardOrdering);
         }
     }
-    let _ = iib;
     Ok(RoutedDesign { patterns, rounds: 0 })
 }
 
@@ -782,14 +741,36 @@ mod tests {
         (dfg, layout, classes)
     }
 
+    /// Negotiates the representatives on a fresh router for the layout's
+    /// `(spec, II)`.
+    fn route_fresh(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        seed: &[RNode],
+    ) -> Result<RoutedDesign, RouteError> {
+        let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
+        let mut router = Router::with_index(index, RouterConfig::default());
+        let options = HiMapOptions::default();
+        route_representatives_pooled(
+            dfg,
+            layout,
+            classes,
+            &options,
+            seed,
+            &mut router,
+            Duration::ZERO,
+        )
+        .0
+    }
+
     /// The orchestrator's replication-aware negotiation loop, reproduced
     /// for direct testing of this module.
     fn route_with_feedback(dfg: &Dfg, layout: &Layout, classes: &Classes) -> Vec<FullRoute> {
         let options = HiMapOptions::default();
         let mut seed: Vec<RNode> = Vec::new();
         for _ in 0..options.replication_feedback_rounds {
-            let design = route_representatives(dfg, layout, classes, &options, &seed)
-                .expect("representatives route");
+            let design = route_fresh(dfg, layout, classes, &seed).expect("representatives route");
             match replicate_and_verify(dfg, layout, classes, &design) {
                 Ok(routes) => return routes,
                 Err(RouteError::ReplicaConflicts { rep_frame, .. }) => seed.extend(rep_frame),
@@ -839,8 +820,7 @@ mod tests {
         let (dfg, layout, classes) = pipeline(&kernel, 4);
         let seed = vec![RNode::new(himap_cgra::PeId::new(0, 0), 0, RKind::Out)];
         let design =
-            route_representatives(&dfg, &layout, &classes, &HiMapOptions::default(), &seed)
-                .expect("routes despite seeded history");
+            route_fresh(&dfg, &layout, &classes, &seed).expect("routes despite seeded history");
         assert!(!design.patterns.is_empty());
     }
 

@@ -77,7 +77,7 @@ pub struct PipelineStats {
     pub systolic_maps_found: usize,
     /// `(tuple, ranked map)` layouts that entered detailed routing.
     pub layouts_tried: usize,
-    /// `route_representatives` invocations (≥ 1 per layout: replication
+    /// `route_representatives_pooled` invocations (≥ 1 per layout: replication
     /// conflicts feed back into repeated negotiation).
     pub route_attempts: usize,
     /// PathFinder negotiation rounds consumed inside those invocations.

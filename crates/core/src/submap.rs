@@ -14,7 +14,7 @@ use himap_cgra::{CgraSpec, MrrgIndex, PeId, RKind, RNode};
 use himap_dfg::{Dfg, NodeKind};
 use himap_graph::NodeId;
 use himap_kernels::Kernel;
-use himap_mapper::{CancelToken, Router, RouterConfig, RouterStats, SignalId};
+use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, RouterStats, SignalId};
 
 use crate::options::HiMapOptions;
 
@@ -219,7 +219,7 @@ fn place_round(
                         break;
                     };
                     let sig = SignalId(sig as u32);
-                    match router.route_one(sig, src, target, Some(tau - ptau)) {
+                    match router.route(sig, &[src], target, Elapsed::Exact(tau - ptau), |_| true) {
                         Some(path) => {
                             cost += path.cost;
                             paths.push(path);
@@ -242,7 +242,13 @@ fn place_round(
                                 })
                                 .collect(),
                         };
-                        match router.route(sig, &sources, target, None) {
+                        match router.route(
+                            sig,
+                            &sources,
+                            target,
+                            Elapsed::AtMost(router.config().default_elapsed_cap),
+                            |_| true,
+                        ) {
                             Some(path) if path.elapsed <= tau => {
                                 cost += path.cost;
                                 paths.push(path);

@@ -1,5 +1,5 @@
 //! Graph algorithms used throughout the mapper: topological sort, cycle
-//! detection, reachability and a generic Dijkstra shortest-path search.
+//! detection and reachability.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -88,117 +88,6 @@ pub fn reachable_from<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Vec<bool> {
     seen
 }
 
-/// Result of a successful [`dijkstra`] search.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PathResult {
-    /// Total accumulated cost of the path.
-    pub cost: f64,
-    /// Nodes on the path, from source to target inclusive.
-    pub path: Vec<NodeId>,
-}
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on cost; ties broken by node id for determinism. NaN
-        // costs order as greatest (total order), sinking to the heap's end.
-        other.cost.total_cmp(&self.cost).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-/// Dijkstra shortest path from `source` to the first node where `is_target`
-/// returns `true`, with per-node entry costs given by `node_cost`.
-///
-/// Costs are charged on *entering* a node (the source itself is charged too),
-/// matching how routing-resource costs work in PathFinder-style routers: the
-/// cost of a route is the sum of the costs of the resources it occupies.
-/// Nodes with infinite cost are treated as unusable.
-///
-/// Returns `None` when no target is reachable.
-///
-/// # Panics
-///
-/// Panics if a visited node has NaN cost.
-///
-/// # Example
-///
-/// ```
-/// use himap_graph::{dijkstra, DiGraph};
-///
-/// let mut g: DiGraph<(), ()> = DiGraph::new();
-/// let a = g.add_node(());
-/// let b = g.add_node(());
-/// let c = g.add_node(());
-/// g.add_edge(a, b, ());
-/// g.add_edge(b, c, ());
-/// let r = dijkstra(&g, a, |n| n == c, |_| 1.0).unwrap();
-/// assert_eq!(r.path, vec![a, b, c]);
-/// assert_eq!(r.cost, 3.0);
-/// ```
-pub fn dijkstra<N, E>(
-    graph: &DiGraph<N, E>,
-    source: NodeId,
-    mut is_target: impl FnMut(NodeId) -> bool,
-    mut node_cost: impl FnMut(NodeId) -> f64,
-) -> Option<PathResult> {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let source_cost = node_cost(source);
-    if !source_cost.is_finite() {
-        return None;
-    }
-    dist[source.index()] = source_cost;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { cost: source_cost, node: source });
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if done[node.index()] {
-            continue;
-        }
-        done[node.index()] = true;
-        if is_target(node) {
-            let mut path = vec![node];
-            let mut cur = node;
-            while let Some(p) = prev[cur.index()] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(PathResult { cost, path });
-        }
-        for succ in graph.out_neighbors(node) {
-            if done[succ.index()] {
-                continue;
-            }
-            let step = node_cost(succ);
-            if !step.is_finite() {
-                continue;
-            }
-            let next_cost = cost + step;
-            if next_cost < dist[succ.index()] {
-                dist[succ.index()] = next_cost;
-                prev[succ.index()] = Some(node);
-                heap.push(HeapEntry { cost: next_cost, node: succ });
-            }
-        }
-    }
-    None
-}
-
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 #[cfg(test)]
 mod tests {
@@ -252,51 +141,5 @@ mod tests {
         g.add_edge(d, a, ());
         let r = reachable_from(&g, a);
         assert_eq!(r, vec![true, true, true, false]);
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheap_path() {
-        // a -> b -> d (cost 1+1+1=3) vs a -> c -> d where c costs 10.
-        let mut g: DiGraph<f64, ()> = DiGraph::new();
-        let a = g.add_node(1.0);
-        let b = g.add_node(1.0);
-        let c = g.add_node(10.0);
-        let d = g.add_node(1.0);
-        g.add_edge(a, b, ());
-        g.add_edge(a, c, ());
-        g.add_edge(b, d, ());
-        g.add_edge(c, d, ());
-        let r = dijkstra(&g, a, |n| n == d, |n| g[n]).unwrap();
-        assert_eq!(r.path, vec![a, b, d]);
-        assert_eq!(r.cost, 3.0);
-    }
-
-    #[test]
-    fn dijkstra_unreachable() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(b, a, ());
-        assert!(dijkstra(&g, a, |n| n == b, |_| 1.0).is_none());
-    }
-
-    #[test]
-    fn dijkstra_infinite_cost_blocks() {
-        let mut g: DiGraph<f64, ()> = DiGraph::new();
-        let a = g.add_node(1.0);
-        let b = g.add_node(f64::INFINITY);
-        let c = g.add_node(1.0);
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
-        assert!(dijkstra(&g, a, |n| n == c, |n| g[n]).is_none());
-    }
-
-    #[test]
-    fn dijkstra_source_is_target() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let r = dijkstra(&g, a, |n| n == a, |_| 2.5).unwrap();
-        assert_eq!(r.path, vec![a]);
-        assert_eq!(r.cost, 2.5);
     }
 }

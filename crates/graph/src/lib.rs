@@ -24,6 +24,6 @@ mod algo;
 mod digraph;
 mod dot;
 
-pub use algo::{dijkstra, has_cycle, reachable_from, topological_sort, CycleError, PathResult};
+pub use algo::{has_cycle, reachable_from, topological_sort, CycleError};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
 pub use dot::Dot;

@@ -2,7 +2,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use himap_graph::{dijkstra, has_cycle, reachable_from, topological_sort, DiGraph, NodeId};
+use himap_graph::{has_cycle, topological_sort, DiGraph, NodeId};
 use proptest::prelude::*;
 
 /// A random DAG described by its node count and a set of forward edges
@@ -69,48 +69,5 @@ proptest! {
         let in_sum: usize = g.node_ids().map(|v| g.in_degree(v)).sum();
         prop_assert_eq!(out_sum, g.edge_count());
         prop_assert_eq!(in_sum, g.edge_count());
-    }
-
-    #[test]
-    fn dijkstra_path_is_connected_and_costed((n, edges) in arb_dag()) {
-        let g = build(n, &edges);
-        let src = NodeId::from_index(0);
-        let reach = reachable_from(&g, src);
-        for target in g.node_ids() {
-            let found = dijkstra(&g, src, |v| v == target, |_| 1.0);
-            prop_assert_eq!(found.is_some(), reach[target.index()]);
-            if let Some(r) = found {
-                // Unit node costs: cost equals path length.
-                prop_assert_eq!(r.cost as usize, r.path.len());
-                prop_assert_eq!(*r.path.first().unwrap(), src);
-                prop_assert_eq!(*r.path.last().unwrap(), target);
-                for w in r.path.windows(2) {
-                    prop_assert!(g.contains_edge(w[0], w[1]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dijkstra_is_minimal_vs_bfs((n, edges) in arb_dag()) {
-        let g = build(n, &edges);
-        let src = NodeId::from_index(0);
-        // BFS hop counts (+1 to include the charged source node).
-        let mut hops = vec![usize::MAX; g.node_count()];
-        hops[src.index()] = 1;
-        let mut queue = std::collections::VecDeque::from([src]);
-        while let Some(u) = queue.pop_front() {
-            for v in g.out_neighbors(u) {
-                if hops[v.index()] == usize::MAX {
-                    hops[v.index()] = hops[u.index()] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        for target in g.node_ids() {
-            if let Some(r) = dijkstra(&g, src, |v| v == target, |_| 1.0) {
-                prop_assert_eq!(r.cost as usize, hops[target.index()]);
-            }
-        }
     }
 }

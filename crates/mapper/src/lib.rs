@@ -18,14 +18,14 @@
 //!
 //! ```
 //! use himap_cgra::{CgraSpec, Mrrg, PeId, RKind, RNode};
-//! use himap_mapper::{Router, RouterConfig, SignalId};
+//! use himap_mapper::{Elapsed, Router, RouterConfig, SignalId};
 //!
 //! let mrrg = Mrrg::new(CgraSpec::square(2), 4);
 //! let mut router = Router::new(mrrg, RouterConfig::default());
 //! let src = RNode::new(PeId::new(0, 0), 0, RKind::Fu);
 //! let dst = RNode::new(PeId::new(1, 1), 3, RKind::Fu);
 //! let path = router
-//!     .route_one(SignalId(0), src, dst, Some(3))
+//!     .route(SignalId(0), &[src], dst, Elapsed::Exact(3), |_| true)
 //!     .expect("two hops and a wait fit in 3 cycles");
 //! assert_eq!(path.elapsed, 3);
 //! router.commit(&path);
@@ -33,11 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-mod reference;
 mod router;
 
-pub use reference::ReferenceRouter;
-pub use router::{
-    CancelToken, CostContext, CostModel, Elapsed, HopBoundCost, NegotiatedCost, RoutedPath, Router,
-    RouterConfig, RouterStats, SignalId,
-};
+pub use router::{CancelToken, Elapsed, RoutedPath, Router, RouterConfig, RouterStats, SignalId};

@@ -108,7 +108,7 @@ impl RouterStats {
     }
 }
 
-/// Cooperative cancellation handle polled inside the Dijkstra pop loops.
+/// Cooperative cancellation handle polled inside the Dijkstra pop loop.
 ///
 /// A token fires on any of three conditions: a wall-clock deadline passes
 /// ([`CancelToken::until`]), a shared atomic bound drops *strictly below* a
@@ -191,7 +191,7 @@ impl CancelToken {
 /// while bounding the post-cancel overshoot to a few microseconds.
 const CANCEL_POLL_MASK: u64 = 63;
 
-/// Whether a search loop should abort: polled on pop counts matching
+/// Whether the search loop should abort: polled on pop counts matching
 /// [`CANCEL_POLL_MASK`].
 #[inline]
 fn cancel_poll(cancel: &Option<CancelToken>, stats: &mut RouterStats) -> bool {
@@ -204,9 +204,14 @@ fn cancel_poll(cancel: &Option<CancelToken>, stats: &mut RouterStats) -> bool {
     false
 }
 
+/// Entry of the search heap, ordered by its priority `f`: the cost so far
+/// plus the hop bound's estimate of the cost still to pay (zero without a
+/// bound, which makes `f` the plain Dijkstra cost). The cost so far itself
+/// is read back from the scratch `dist` array, which keeps entries at 16
+/// bytes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct HeapEntry {
-    cost: f64,
+    f: f64,
     idx: u32,
     elapsed: u32,
 }
@@ -224,42 +229,7 @@ impl Ord for HeapEntry {
         // `total_cmp` orders NaN after every real cost, so a poisoned cost
         // sinks to the bottom of the max-heap instead of aborting the route.
         // Ties break on the dense id, which is the node's `RNode` order —
-        // identical tie-breaking to the reference router.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| (other.idx, other.elapsed).cmp(&(self.idx, self.elapsed)))
-    }
-}
-
-/// Heap entry of the A*-bounded search: ordered by the bounded total `f =
-/// g + remaining`, with the true cost-so-far `g` carried alongside for
-/// stale-entry detection and result reporting. Ties break exactly like
-/// [`HeapEntry`], on `(idx, elapsed)`.
-#[derive(Clone, Copy, Debug)]
-struct BoundedEntry {
-    f: f64,
-    g: f64,
-    idx: u32,
-    elapsed: u32,
-}
-
-impl PartialEq for BoundedEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for BoundedEntry {}
-
-impl PartialOrd for BoundedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BoundedEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
+        // identical tie-breaking to the hash-map reference router.
         other
             .f
             .total_cmp(&self.f)
@@ -270,7 +240,7 @@ impl Ord for BoundedEntry {
 /// Sentinel for "no predecessor" in the packed `prev` array.
 const NO_PREV: u32 = u32::MAX;
 
-/// Epoch-stamped Dijkstra state reused across `route*` calls.
+/// Epoch-stamped Dijkstra state reused across searches.
 ///
 /// A search over states `(node, elapsed ≤ cap)` addresses flat arrays at
 /// `node_id * (cap + 1) + elapsed`. Entries are valid only when their stamp
@@ -338,13 +308,6 @@ impl SearchScratch {
         self.prev[key] = prev;
     }
 
-    /// Predecessor key of a state visited this epoch (`NO_PREV` for seeds).
-    #[inline]
-    fn prev_of(&self, key: usize) -> u32 {
-        debug_assert_eq!(self.stamp[key], self.epoch);
-        self.prev[key]
-    }
-
     /// Walks `prev` links from `key` back to a seed, appending nodes, and
     /// returns the seed's packed key. `nodes` arrives holding the endpoint.
     fn reconstruct(&self, index: &MrrgIndex, key: usize, nodes: &mut Vec<RNode>) -> usize {
@@ -359,7 +322,7 @@ impl SearchScratch {
 }
 
 /// Cost of `signal` entering the resource `idx` under the present/history
-/// congestion state. Free function so search loops can price successors
+/// congestion state. Free function so the search loop can price successors
 /// while the scratch arrays are mutably borrowed.
 #[inline]
 fn cost_dense(
@@ -378,63 +341,6 @@ fn cost_dense(
     config.base_cost + history[idx as usize] + over as f64 * config.present_factor
 }
 
-/// Read-only congestion state handed to a [`CostModel`].
-///
-/// This is the *distance* half of the pathfinding/distance split: the
-/// search loops own pathfinding (heap, stamps, reconstruction) and consult
-/// a model for pricing, so alternative cost schemes plug in without
-/// touching the search machinery.
-pub struct CostContext<'a> {
-    /// Dense resource index being searched.
-    pub index: &'a MrrgIndex,
-    /// Distinct signals currently claiming each resource, by dense id.
-    pub present: &'a [Vec<SignalId>],
-    /// Accumulated history cost per resource, by dense id.
-    pub history: &'a [f64],
-    /// Negotiation constants.
-    pub config: &'a RouterConfig,
-}
-
-/// Pluggable route pricing: entry cost plus an optional admissible bound on
-/// the cost still to pay, which upgrades the search from Dijkstra to A*.
-///
-/// Implementations must keep `remaining` a *lower* bound on the true
-/// residual cost (and `remaining_hops` a lower bound on residual mesh
-/// hops); an overestimate can return suboptimal or spuriously failed
-/// routes.
-pub trait CostModel {
-    /// Cost of `signal` entering the resource with dense id `idx`.
-    fn enter_cost(&self, ctx: &CostContext<'_>, idx: u32, signal: SignalId) -> f64;
-
-    /// Admissible lower bound on the cost still to pay from `node` to the
-    /// search target. `0.0` degrades A* back to plain Dijkstra;
-    /// `f64::INFINITY` marks the node as unable to reach the target at all.
-    fn remaining(&self, node: RNode) -> f64;
-
-    /// Lower bound on the mesh hops still needed from `node`, used to prune
-    /// states whose elapsed budget cannot cover the distance. `None`
-    /// disables the prune.
-    fn remaining_hops(&self, node: RNode) -> Option<u32> {
-        let _ = node;
-        None
-    }
-}
-
-/// The default PathFinder pricing with no remaining-distance information —
-/// the model [`Router::route_constrained`]'s plain Dijkstra corresponds to.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NegotiatedCost;
-
-impl CostModel for NegotiatedCost {
-    fn enter_cost(&self, ctx: &CostContext<'_>, idx: u32, signal: SignalId) -> f64 {
-        cost_dense(ctx.index, ctx.present, ctx.history, ctx.config, idx, signal)
-    }
-
-    fn remaining(&self, _node: RNode) -> f64 {
-        0.0
-    }
-}
-
 /// A*-bound for long-haul routes: exact mesh hop distances to the target
 /// PE, from one backward breadth-first sweep over the *live* mesh (dead
 /// PEs and severed links lengthen or disconnect), scaled by the cheapest
@@ -445,7 +351,7 @@ impl CostModel for NegotiatedCost {
 /// penalties are non-negative), so `hops × min_step` never overestimates —
 /// the bound is admissible and the A* result cost-optimal.
 #[derive(Clone, Debug)]
-pub struct HopBoundCost {
+struct HopBoundCost {
     cols: usize,
     /// Hops from each PE to the target over the live mesh, row-major;
     /// `u32::MAX` marks PEs that cannot reach it at all.
@@ -455,7 +361,7 @@ pub struct HopBoundCost {
 
 impl HopBoundCost {
     /// Builds the backward hop-distance table toward `target`.
-    pub fn toward(spec: &CgraSpec, target: PeId, config: &RouterConfig) -> Self {
+    fn toward(spec: &CgraSpec, target: PeId, config: &RouterConfig) -> Self {
         let faults = &spec.faults;
         let mut hops = vec![u32::MAX; spec.rows * spec.cols];
         let at = |pe: PeId| pe.x as usize * spec.cols + pe.y as usize;
@@ -484,35 +390,43 @@ impl HopBoundCost {
         HopBoundCost { cols: spec.cols, hops, min_step }
     }
 
+    /// Lower bounds on the mesh hops and on the cost still needed from
+    /// `node` to the target; `None` if `node` cannot reach it at all.
+    ///
+    /// A wire node's own crossing is already priced and counted in its
+    /// elapsed by the time the search holds it, so only `hops - 1` further
+    /// hops are certain; using that uniformly keeps both bounds admissible
+    /// for every resource kind (the final hop into the target is free).
     #[inline]
-    fn hops_from(&self, pe: PeId) -> u32 {
-        self.hops[pe.x as usize * self.cols + pe.y as usize]
+    fn remaining(&self, node: RNode) -> Option<(u32, f64)> {
+        match self.hops[node.pe.x as usize * self.cols + node.pe.y as usize] {
+            u32::MAX => None,
+            h => {
+                let left = h.saturating_sub(1);
+                Some((left, left as f64 * self.min_step))
+            }
+        }
     }
 }
 
-impl CostModel for HopBoundCost {
-    fn enter_cost(&self, ctx: &CostContext<'_>, idx: u32, signal: SignalId) -> f64 {
-        cost_dense(ctx.index, ctx.present, ctx.history, ctx.config, idx, signal)
-    }
+/// Where a search ends.
+enum Sink<'a> {
+    /// One target resource, reached at exactly the given elapsed count
+    /// (counted from the search's time origin) or, with `None`, at any
+    /// count within the cap.
+    Target { node: RNode, exact: Option<u32> },
+    /// Every FU slot: the search records the cheapest delivery cost per
+    /// `(fu, elapsed)` and runs until the heap is empty.
+    EveryFu(&'a mut HashMap<(RNode, u32), f64>),
+}
 
-    fn remaining(&self, node: RNode) -> f64 {
-        match self.hops_from(node.pe) {
-            u32::MAX => f64::INFINITY,
-            // A wire node's own crossing is already priced by the time the
-            // search holds it, so only `hops - 1` further entries are
-            // certain; using that uniformly keeps the bound admissible for
-            // every resource kind (the final hop into the target is free).
-            h => h.saturating_sub(1) as f64 * self.min_step,
+impl Elapsed {
+    /// The search cap and the exact elapsed count the target must meet.
+    fn cap_and_exact(self) -> (u32, Option<u32>) {
+        match self {
+            Elapsed::Exact(e) => (e, Some(e)),
+            Elapsed::AtMost(m) => (m, None),
         }
-    }
-
-    fn remaining_hops(&self, node: RNode) -> Option<u32> {
-        // Same off-by-one as `remaining`: the crossing performed by a wire
-        // node the search currently holds is already counted in its elapsed.
-        Some(match self.hops_from(node.pe) {
-            u32::MAX => u32::MAX,
-            h => h.saturating_sub(1),
-        })
     }
 }
 
@@ -520,11 +434,11 @@ impl CostModel for HopBoundCost {
 ///
 /// All search and congestion state lives in flat arrays keyed by
 /// [`RIdx`] — `present`/`history` are dense vectors and the Dijkstra
-/// `dist`/`prev` arrays are epoch-stamped scratch reused across `route*`
-/// calls, so the hot path neither hashes nor allocates. The search order,
-/// tie-breaking and results are bit-identical to
-/// [`ReferenceRouter`](crate::ReferenceRouter), the retained hash-map
-/// implementation it is differentially tested against.
+/// `dist`/`prev` arrays are epoch-stamped scratch reused across searches,
+/// so the hot path neither hashes nor allocates. Every entry point runs the
+/// same search loop. Its search order, tie-breaking and results are
+/// bit-identical to the original hash-map router, which the crate's
+/// differential tests keep as an oracle.
 ///
 /// See the crate docs for the congestion model and an example.
 #[derive(Clone, Debug)]
@@ -564,7 +478,7 @@ impl Router {
         }
     }
 
-    /// Arms (or disarms, with `None`) cooperative cancellation: every search
+    /// Arms (or disarms, with `None`) cooperative cancellation: the search
     /// loop polls the token between heap pops and aborts with no result once
     /// it reports cancelled. The abort is counted in
     /// [`RouterStats::cancelled`].
@@ -609,12 +523,17 @@ impl Router {
     }
 
     /// Searches a least-cost route for `signal` from any of `sources` to
-    /// `target`, optionally with an exact elapsed-cycle budget.
+    /// `target` within the elapsed-cycle `constraint`, through resources for
+    /// which `allowed` returns `true` (sources and the target are always
+    /// allowed).
     ///
     /// The search never routes *through* FU or memory resources: an
     /// [`RKind::Fu`] node may only start (the producer) or end (the
     /// consumer) a path, an [`RKind::Mem`] node may only start one. The
     /// target FU itself costs nothing — its legality is the placer's job.
+    /// HiMap uses the filter to confine routes to the bounding box of the
+    /// producing and consuming sub-CGRAs, so that replicating a route
+    /// pattern across the array can never push it out of bounds.
     ///
     /// Returns `None` if no route exists within the budget.
     pub fn route(
@@ -622,144 +541,16 @@ impl Router {
         signal: SignalId,
         sources: &[RNode],
         target: RNode,
-        intended_elapsed: Option<u32>,
-    ) -> Option<RoutedPath> {
-        self.route_filtered(signal, sources, target, intended_elapsed, |_| true)
-    }
-
-    /// Like [`Router::route`], but restricted to resources for which
-    /// `allowed` returns `true` (sources and the target are always allowed).
-    ///
-    /// HiMap uses this to confine routes to the bounding box of the
-    /// producing and consuming sub-CGRAs, so that replicating a route
-    /// pattern across the array can never push it out of bounds.
-    pub fn route_filtered(
-        &mut self,
-        signal: SignalId,
-        sources: &[RNode],
-        target: RNode,
-        intended_elapsed: Option<u32>,
-        allowed: impl Fn(RNode) -> bool,
-    ) -> Option<RoutedPath> {
-        let constraint = match intended_elapsed {
-            Some(e) => Elapsed::Exact(e),
-            None => Elapsed::AtMost(self.config.default_elapsed_cap),
-        };
-        self.route_constrained(signal, sources, target, constraint, allowed)
-    }
-
-    /// The most general routing entry point: explicit elapsed constraint
-    /// plus a resource filter.
-    pub fn route_constrained(
-        &mut self,
-        signal: SignalId,
-        sources: &[RNode],
-        target: RNode,
         constraint: Elapsed,
         allowed: impl Fn(RNode) -> bool,
     ) -> Option<RoutedPath> {
-        let (cap, intended_elapsed) = match constraint {
-            Elapsed::Exact(e) => (e, Some(e)),
-            Elapsed::AtMost(m) => (m, None),
-        };
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
-        scratch.begin(index.len(), cap as usize + 1, stats);
-        stats.searches += 1;
-        // A search that starts already cancelled is refused outright — the
-        // in-loop poll only fires every CANCEL_POLL_MASK + 1 pops.
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            stats.cancelled += 1;
-            return None;
-        }
-        let tgt = index.index_of(target).map_or(NO_PREV, |i| i.0);
-        for &src in sources {
-            debug_assert!(index.contains(src), "source {src:?} outside MRRG");
-            let at_target = src == target && intended_elapsed.is_none_or(|e| e == 0);
-            if at_target {
-                return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
-            }
-            let Some(si) = index.index_of(src) else { continue };
-            let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
-            scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
-            stats.heap_pushes += 1;
-        }
-        // At II = 1 every clocked hop wraps back to t = 0, so the reference
-        // elapsed arithmetic (t deltas mod II) advances by 0, not by the
-        // architectural latency.
-        let lat_to_dt = |lat: u32| if index.ii() == 1 { 0 } else { lat };
-        while let Some(HeapEntry { cost, idx, elapsed }) = scratch.heap.pop() {
-            stats.nodes_popped += 1;
-            // A cancelled search falls out of the loop: the caller's
-            // candidate has already lost the priority race, so "no route"
-            // is as good an answer as any and arrives immediately.
-            if cancel_poll(cancel, stats) {
-                break;
-            }
-            let key = scratch.key(idx, elapsed);
-            if scratch.get(key).is_some_and(|d| cost > d) {
-                continue;
-            }
-            let node = index.node(RIdx(idx));
-            if idx == tgt && (elapsed > 0 || !sources.contains(&node)) {
-                // Popped the target: minimal cost confirmed (exact-elapsed
-                // filtering happened at insertion).
-                let mut nodes = vec![node];
-                scratch.reconstruct(index, key, &mut nodes);
-                return Some(RoutedPath { signal, nodes, elapsed, cost });
-            }
-            // Never expand out of a consumer FU; producer FUs (sources) were
-            // seeded with elapsed 0 and get their one expansion.
-            if node.kind == RKind::Fu && elapsed > 0 {
-                continue;
-            }
-            for (succ, lat) in index.successors(RIdx(idx)) {
-                let next_elapsed = elapsed + lat_to_dt(lat);
-                if next_elapsed > cap {
-                    continue;
-                }
-                let succ_node = index.node(succ);
-                // FU nodes only terminate a path; Mem nodes only start one.
-                if succ_node.kind == RKind::Mem {
-                    continue;
-                }
-                let is_target = succ.0 == tgt;
-                if succ_node.kind == RKind::Fu && !is_target {
-                    continue;
-                }
-                if !is_target && !allowed(succ_node) {
-                    continue;
-                }
-                if is_target {
-                    if let Some(exact) = intended_elapsed {
-                        if next_elapsed != exact {
-                            continue;
-                        }
-                    }
-                }
-                let step = if is_target {
-                    0.0
-                } else {
-                    cost_dense(index, present, history, config, succ.0, signal)
-                };
-                let next_cost = cost + step;
-                let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
-                    scratch.heap.push(HeapEntry {
-                        cost: next_cost,
-                        idx: succ.0,
-                        elapsed: next_elapsed,
-                    });
-                    stats.heap_pushes += 1;
-                }
-            }
-        }
-        None
+        let (cap, exact) = constraint.cap_and_exact();
+        let sink = Sink::Target { node: target, exact };
+        self.search(signal, sources.iter().map(|&s| (s, 0)), sink, cap, None, allowed)
     }
 
-    /// Long-haul routing: [`Router::route_constrained`] upgraded to an
-    /// A*-bounded search under a [`HopBoundCost`] built for `target`.
+    /// Long-haul routing: [`Router::route`] upgraded to an A*-bounded
+    /// search.
     ///
     /// One backward breadth-first sweep over the live mesh yields exact hop
     /// distances to the target PE; the forward search uses them both as an
@@ -776,131 +567,10 @@ impl Router {
         constraint: Elapsed,
         allowed: impl Fn(RNode) -> bool,
     ) -> Option<RoutedPath> {
-        let model = HopBoundCost::toward(self.index.mrrg().spec(), target.pe, &self.config);
-        self.route_with_model(signal, sources, target, constraint, allowed, &model)
-    }
-
-    /// [`Router::route_constrained`] under a caller-supplied [`CostModel`]:
-    /// the most general search entry point. With [`NegotiatedCost`] this is
-    /// exactly the plain search; models with a non-zero remaining bound turn
-    /// it into A*.
-    ///
-    /// Kept separate from `route_constrained` so the negotiated hot path
-    /// stays untouched (flat arrays, shared scratch heap, bit-identical to
-    /// the reference router); this loop carries `(f, g)` per heap entry and
-    /// allocates its own heap, which only pays off on long-haul searches.
-    pub fn route_with_model<M: CostModel>(
-        &mut self,
-        signal: SignalId,
-        sources: &[RNode],
-        target: RNode,
-        constraint: Elapsed,
-        allowed: impl Fn(RNode) -> bool,
-        model: &M,
-    ) -> Option<RoutedPath> {
-        let (cap, intended_elapsed) = match constraint {
-            Elapsed::Exact(e) => (e, Some(e)),
-            Elapsed::AtMost(m) => (m, None),
-        };
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
-        let ctx = CostContext { index, present, history, config };
-        scratch.begin(index.len(), cap as usize + 1, stats);
-        stats.searches += 1;
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            stats.cancelled += 1;
-            return None;
-        }
-        let tgt = index.index_of(target).map_or(NO_PREV, |i| i.0);
-        let mut heap: BinaryHeap<BoundedEntry> = BinaryHeap::new();
-        for &src in sources {
-            debug_assert!(index.contains(src), "source {src:?} outside MRRG");
-            let at_target = src == target && intended_elapsed.is_none_or(|e| e == 0);
-            if at_target {
-                return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
-            }
-            let Some(si) = index.index_of(src) else { continue };
-            let bound = model.remaining(src);
-            if !bound.is_finite() {
-                continue; // the sweep proved this source cannot reach the target
-            }
-            let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
-            heap.push(BoundedEntry { f: bound, g: 0.0, idx: si.0, elapsed: 0 });
-            stats.heap_pushes += 1;
-        }
-        let lat_to_dt = |lat: u32| if index.ii() == 1 { 0 } else { lat };
-        // Whether a mesh hop consumes an elapsed cycle: every wire is
-        // clocked, but at II = 1 the reference elapsed arithmetic advances
-        // by 0 — the hop prune is only sound when cycles accrue.
-        let hops_take_cycles = index.ii() > 1;
-        while let Some(BoundedEntry { g, idx, elapsed, .. }) = heap.pop() {
-            stats.nodes_popped += 1;
-            if cancel_poll(cancel, stats) {
-                break;
-            }
-            let key = scratch.key(idx, elapsed);
-            if scratch.get(key).is_some_and(|d| g > d) {
-                continue;
-            }
-            let node = index.node(RIdx(idx));
-            if idx == tgt && (elapsed > 0 || !sources.contains(&node)) {
-                let mut nodes = vec![node];
-                scratch.reconstruct(index, key, &mut nodes);
-                return Some(RoutedPath { signal, nodes, elapsed, cost: g });
-            }
-            if node.kind == RKind::Fu && elapsed > 0 {
-                continue;
-            }
-            for (succ, lat) in index.successors(RIdx(idx)) {
-                let next_elapsed = elapsed + lat_to_dt(lat);
-                if next_elapsed > cap {
-                    continue;
-                }
-                let succ_node = index.node(succ);
-                if succ_node.kind == RKind::Mem {
-                    continue;
-                }
-                let is_target = succ.0 == tgt;
-                if succ_node.kind == RKind::Fu && !is_target {
-                    continue;
-                }
-                if !is_target && !allowed(succ_node) {
-                    continue;
-                }
-                if is_target {
-                    if let Some(exact) = intended_elapsed {
-                        if next_elapsed != exact {
-                            continue;
-                        }
-                    }
-                }
-                let bound = if is_target { 0.0 } else { model.remaining(succ_node) };
-                if !bound.is_finite() {
-                    continue;
-                }
-                if !is_target && hops_take_cycles {
-                    if let Some(hops) = model.remaining_hops(succ_node) {
-                        if hops as u64 + next_elapsed as u64 > cap as u64 {
-                            continue;
-                        }
-                    }
-                }
-                let step = if is_target { 0.0 } else { model.enter_cost(&ctx, succ.0, signal) };
-                let next_cost = g + step;
-                let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
-                    heap.push(BoundedEntry {
-                        f: next_cost + bound,
-                        g: next_cost,
-                        idx: succ.0,
-                        elapsed: next_elapsed,
-                    });
-                    stats.heap_pushes += 1;
-                }
-            }
-        }
-        None
+        let bound = HopBoundCost::toward(self.index.mrrg().spec(), target.pe, &self.config);
+        let (cap, exact) = constraint.cap_and_exact();
+        let sink = Sink::Target { node: target, exact };
+        self.search(signal, sources.iter().map(|&s| (s, 0)), sink, cap, Some(&bound), allowed)
     }
 
     /// Net-extension routing: sources carry individual absolute times and
@@ -920,37 +590,91 @@ impl Router {
     ) -> Option<RoutedPath> {
         let base = sources.iter().map(|&(_, abs)| abs).min()?;
         let need = u32::try_from(target_abs - base).ok()?;
+        let seeds = sources
+            .iter()
+            .filter(|&&(_, abs)| abs <= target_abs)
+            .map(|&(src, abs)| (src, (abs - base) as u32));
+        let sink = Sink::Target { node: target, exact: Some(need) };
+        self.search(signal, seeds, sink, need, None, allowed)
+    }
+
+    /// Single-source-set Dijkstra over the whole MRRG: the negotiated cost
+    /// of delivering `signal` from `sources` to every FU slot, keyed by
+    /// `(fu_node, elapsed)` for every elapsed cycle count up to `cap`.
+    ///
+    /// Whole-DFG placers use this to evaluate all candidate slots of an
+    /// operation with one search per parent instead of one per candidate.
+    /// A cancelled search returns the partial (possibly empty) map; callers
+    /// that arm a token treat any result of a cancelled candidate as
+    /// discardable.
+    pub fn fu_distances(
+        &mut self,
+        signal: SignalId,
+        sources: &[RNode],
+        cap: u32,
+    ) -> HashMap<(RNode, u32), f64> {
+        let mut fu_costs = HashMap::new();
+        let sink = Sink::EveryFu(&mut fu_costs);
+        self.search(signal, sources.iter().map(|&s| (s, 0)), sink, cap, None, |_| true);
+        fu_costs
+    }
+
+    /// The one search loop behind every entry point: Dijkstra over states
+    /// `(resource, elapsed ≤ cap)` from `seeds` — `(source, elapsed
+    /// offset)` pairs — into `sink`, turned into A* by a hop `bound`.
+    ///
+    /// Only seeds expand out of an FU, so a consumer FU ends its path, and
+    /// a popped target is accepted only if it is not itself a seed. The
+    /// returned elapsed count is measured from the seed the path starts at.
+    fn search(
+        &mut self,
+        signal: SignalId,
+        seeds: impl IntoIterator<Item = (RNode, u32)>,
+        mut sink: Sink<'_>,
+        cap: u32,
+        bound: Option<&HopBoundCost>,
+        allowed: impl Fn(RNode) -> bool,
+    ) -> Option<RoutedPath> {
         let Router { index, present, history, config, scratch, stats, cancel } = self;
-        scratch.begin(index.len(), need as usize + 1, stats);
+        scratch.begin(index.len(), cap as usize + 1, stats);
         stats.searches += 1;
-        // See `route_constrained`: an already-cancelled search is refused
-        // before seeding, deterministically.
+        // A search that starts already cancelled is refused outright — the
+        // in-loop poll only fires every CANCEL_POLL_MASK + 1 pops.
         if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             stats.cancelled += 1;
             return None;
         }
-        let tgt = index.index_of(target).map_or(NO_PREV, |i| i.0);
-        for &(src, abs) in sources {
-            if abs > target_abs {
-                continue;
-            }
-            let offset = (abs - base) as u32;
-            if src == target && offset == need {
+        let (target, exact) = match sink {
+            Sink::Target { node, exact } => (Some(node), exact),
+            Sink::EveryFu(_) => (None, None),
+        };
+        let tgt = target.and_then(|t| index.index_of(t)).map_or(NO_PREV, |i| i.0);
+        // Remaining-cost estimate of a node the bound has not ruled out.
+        let estimate = |node: RNode| bound.and_then(|b| b.remaining(node)).map_or(0.0, |r| r.1);
+        for (src, offset) in seeds {
+            if Some(src) == target && exact.is_none_or(|e| e == offset) {
                 return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
             }
             let Some(si) = index.index_of(src) else {
                 debug_assert!(false, "source {src:?} outside MRRG");
                 continue;
             };
+            if bound.is_some_and(|b| b.remaining(src).is_none()) {
+                continue; // the sweep proved this source cannot reach the target
+            }
             let key = scratch.key(si.0, offset);
             if scratch.get(key).is_none_or(|d| d > 0.0) {
                 scratch.set(key, 0.0, NO_PREV);
-                scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: offset });
+                scratch.heap.push(HeapEntry { f: estimate(src), idx: si.0, elapsed: offset });
                 stats.heap_pushes += 1;
             }
         }
-        let lat_to_dt = |lat: u32| if index.ii() == 1 { 0 } else { lat };
-        while let Some(HeapEntry { cost, idx, elapsed }) = scratch.heap.pop() {
+        // At II = 1 every clocked hop wraps back to t = 0, so the reference
+        // elapsed arithmetic (t deltas mod II) advances by 0, not by the
+        // architectural latency — and the hop prune, which assumes every
+        // mesh hop takes a cycle, is unsound.
+        let ii_one = index.ii() == 1;
+        while let Some(HeapEntry { f, idx, elapsed }) = scratch.heap.pop() {
             stats.nodes_popped += 1;
             // A cancelled search falls out of the loop: the caller's
             // candidate has already lost the priority race, so "no route"
@@ -959,49 +683,74 @@ impl Router {
                 break;
             }
             let key = scratch.key(idx, elapsed);
-            if scratch.get(key).is_some_and(|d| cost > d) {
+            let node = index.node(RIdx(idx));
+            // Stale if the state was reached more cheaply after this push.
+            // The estimate is recomputed from the same table, so a live
+            // entry compares equal to its own `f`; without a bound this is
+            // the plain Dijkstra check.
+            let g = scratch.dist[key];
+            if f > g + estimate(node) {
                 continue;
             }
-            let node = index.node(RIdx(idx));
-            if idx == tgt && elapsed == need && scratch.prev_of(key) != NO_PREV {
+            let is_seed = scratch.prev[key] == NO_PREV;
+            if idx == tgt && !is_seed {
+                // Popped the target: minimal cost confirmed (exact-elapsed
+                // filtering happened at insertion).
                 let mut nodes = vec![node];
                 let seed = scratch.reconstruct(index, key, &mut nodes);
-                let first_offset = (seed % scratch.stride) as u32;
-                return Some(RoutedPath { signal, nodes, elapsed: need - first_offset, cost });
+                let offset = (seed % scratch.stride) as u32;
+                return Some(RoutedPath { signal, nodes, elapsed: elapsed - offset, cost: g });
             }
-            if node.kind == RKind::Fu && scratch.prev_of(key) != NO_PREV {
-                continue; // only source FUs may expand
+            if node.kind == RKind::Fu && !is_seed {
+                continue;
             }
             for (succ, lat) in index.successors(RIdx(idx)) {
-                let next_elapsed = elapsed + lat_to_dt(lat);
-                if next_elapsed > need {
+                let next_elapsed = elapsed + if ii_one { 0 } else { lat };
+                if next_elapsed > cap {
                     continue;
                 }
                 let succ_node = index.node(succ);
+                // FU nodes only terminate a path; Mem nodes only start one.
                 if succ_node.kind == RKind::Mem {
                     continue;
                 }
-                let is_target = succ.0 == tgt;
-                if succ_node.kind == RKind::Fu && !is_target {
+                let (step, h) = if succ.0 == tgt {
+                    if exact.is_some_and(|e| next_elapsed != e) {
+                        continue;
+                    }
+                    (0.0, 0.0)
+                } else if succ_node.kind == RKind::Fu {
+                    if let Sink::EveryFu(fu_costs) = &mut sink {
+                        // Terminal: record, do not expand.
+                        let fu_key = (succ_node, next_elapsed);
+                        if fu_costs.get(&fu_key).is_none_or(|&d| g < d) {
+                            fu_costs.insert(fu_key, g);
+                        }
+                    }
                     continue;
-                }
-                if is_target && next_elapsed != need {
-                    continue;
-                }
-                if !is_target && !allowed(succ_node) {
-                    continue;
-                }
-                let step = if is_target {
-                    0.0
                 } else {
-                    cost_dense(index, present, history, config, succ.0, signal)
+                    if !allowed(succ_node) {
+                        continue;
+                    }
+                    let h = match bound {
+                        None => 0.0,
+                        Some(b) => {
+                            let Some((hops, h)) = b.remaining(succ_node) else { continue };
+                            // Too few cycles left to cover the remaining hops.
+                            if !ii_one && hops as u64 + next_elapsed as u64 > cap as u64 {
+                                continue;
+                            }
+                            h
+                        }
+                    };
+                    (cost_dense(index, present, history, config, succ.0, signal), h)
                 };
-                let next_cost = cost + step;
+                let next_cost = g + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
                 if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
                     scratch.set(succ_key, next_cost, key as u32);
                     scratch.heap.push(HeapEntry {
-                        cost: next_cost,
+                        f: next_cost + h,
                         idx: succ.0,
                         elapsed: next_elapsed,
                     });
@@ -1019,101 +768,6 @@ impl Router {
             self.history[i.index()] += amount;
         }
     }
-
-    /// Single-source-set Dijkstra over the whole MRRG: the negotiated cost
-    /// of delivering `signal` from `sources` to every FU slot, keyed by
-    /// `(fu_node, elapsed)` for every elapsed cycle count up to `cap`.
-    ///
-    /// Whole-DFG placers use this to evaluate all candidate slots of an
-    /// operation with one search per parent instead of one per candidate.
-    pub fn fu_distances(
-        &mut self,
-        signal: SignalId,
-        sources: &[RNode],
-        cap: u32,
-    ) -> HashMap<(RNode, u32), f64> {
-        let mut fu_costs: HashMap<(RNode, u32), f64> = HashMap::new();
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
-        scratch.begin(index.len(), cap as usize + 1, stats);
-        stats.searches += 1;
-        // A cancelled distance sweep returns the (empty) partial map; the
-        // mid-loop poll below may likewise truncate it. Callers that arm a
-        // token treat any result of a cancelled candidate as discardable.
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            stats.cancelled += 1;
-            return fu_costs;
-        }
-        for &src in sources {
-            let Some(si) = index.index_of(src) else {
-                debug_assert!(false, "source {src:?} outside MRRG");
-                continue;
-            };
-            let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
-            scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
-            stats.heap_pushes += 1;
-        }
-        let lat_to_dt = |lat: u32| if index.ii() == 1 { 0 } else { lat };
-        while let Some(HeapEntry { cost, idx, elapsed }) = scratch.heap.pop() {
-            stats.nodes_popped += 1;
-            // A cancelled search falls out of the loop: the caller's
-            // candidate has already lost the priority race, so "no route"
-            // is as good an answer as any and arrives immediately.
-            if cancel_poll(cancel, stats) {
-                break;
-            }
-            let key = scratch.key(idx, elapsed);
-            if scratch.get(key).is_some_and(|d| cost > d) {
-                continue;
-            }
-            let node = index.node(RIdx(idx));
-            if node.kind == RKind::Fu && elapsed > 0 {
-                continue;
-            }
-            for (succ, lat) in index.successors(RIdx(idx)) {
-                let next_elapsed = elapsed + lat_to_dt(lat);
-                if next_elapsed > cap {
-                    continue;
-                }
-                let succ_node = index.node(succ);
-                if succ_node.kind == RKind::Mem {
-                    continue;
-                }
-                if succ_node.kind == RKind::Fu {
-                    // Terminal: record, do not expand.
-                    let fu_key = (succ_node, next_elapsed);
-                    if fu_costs.get(&fu_key).is_none_or(|&d| cost < d) {
-                        fu_costs.insert(fu_key, cost);
-                    }
-                    continue;
-                }
-                let next_cost = cost + cost_dense(index, present, history, config, succ.0, signal);
-                let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
-                    scratch.heap.push(HeapEntry {
-                        cost: next_cost,
-                        idx: succ.0,
-                        elapsed: next_elapsed,
-                    });
-                    stats.heap_pushes += 1;
-                }
-            }
-        }
-        fu_costs
-    }
-
-    /// Routes from a single source. See [`Router::route`].
-    pub fn route_one(
-        &mut self,
-        signal: SignalId,
-        source: RNode,
-        target: RNode,
-        intended_elapsed: Option<u32>,
-    ) -> Option<RoutedPath> {
-        self.route(signal, &[source], target, intended_elapsed)
-    }
-
     /// Records a path's resource occupancy. FU endpoints are skipped: the
     /// producer's and consumer's FU slots are accounted by [`Router::place`].
     pub fn commit(&mut self, path: &RoutedPath) {
@@ -1227,7 +881,8 @@ mod tests {
     #[test]
     fn neighbor_route_is_one_cycle() {
         let mut r = router(2, 4);
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(0, 1, 1), Some(1)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::Exact(1), |_| true).unwrap();
         assert_eq!(p.elapsed, 1);
         // Fu -> Wire(E) -> Fu.
         assert_eq!(p.nodes.len(), 3);
@@ -1238,7 +893,8 @@ mod tests {
     #[test]
     fn same_pe_next_cycle_uses_out_reg() {
         let mut r = router(1, 4);
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(0, 0, 1), Some(1)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 0, 1), Elapsed::Exact(1), |_| true).unwrap();
         assert_eq!(p.elapsed, 1);
         assert_eq!(p.nodes[1].kind, RKind::Out);
     }
@@ -1247,21 +903,27 @@ mod tests {
     fn elapsed_budget_is_exact() {
         let mut r = router(2, 4);
         // Two hops in exactly 3 cycles: one cycle of waiting somewhere.
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 1, 3), Some(3)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 3), Elapsed::Exact(3), |_| true).unwrap();
         assert_eq!(p.elapsed, 3);
         // Impossible: two hops cannot fit one cycle.
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 1, 1), Some(1)).is_none());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 1), Elapsed::Exact(1), |_| true)
+            .is_none());
     }
 
     #[test]
     fn modulo_wraparound_with_exact_elapsed() {
         // Target at t=0 via wrap: elapsed 2 from t=3 in a 4-cycle window.
         let mut r = router(2, 4);
-        let p = r.route_one(SignalId(1), fu(0, 0, 3), fu(0, 1, 1), Some(2)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 3)], fu(0, 1, 1), Elapsed::Exact(2), |_| true).unwrap();
         assert_eq!(p.elapsed, 2);
         // The same endpoints with elapsed 2 + 4 (one extra window) would
         // deliver a different iteration's value: the exact budget forbids it.
-        assert!(r.route_one(SignalId(1), fu(0, 0, 3), fu(0, 1, 1), Some(6)).is_some());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 3)], fu(0, 1, 1), Elapsed::Exact(6), |_| true)
+            .is_some());
     }
 
     #[test]
@@ -1271,7 +933,9 @@ mod tests {
         let sig_a = SignalId(7);
         let wire = RNode::new(PeId::new(0, 0), 1, RKind::Wire(himap_cgra::Dir::East));
         r.place(wire, sig_a);
-        let p = r.route_one(SignalId(8), fu(0, 0, 0), fu(0, 1, 1), Some(1)).expect("route exists");
+        let p = r
+            .route(SignalId(8), &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::Exact(1), |_| true)
+            .expect("route exists");
         // The only 1-cycle path uses that wire, so the router pays the
         // congestion penalty rather than failing.
         assert!(p.cost > r.config().base_cost * 2.0);
@@ -1282,18 +946,19 @@ mod tests {
     fn same_signal_shares_resources_cheaply() {
         let mut r = router(2, 3);
         let sig = SignalId(3);
-        let p1 = r.route_one(sig, fu(0, 0, 0), fu(0, 1, 1), Some(1)).unwrap();
+        let p1 = r.route(sig, &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::Exact(1), |_| true).unwrap();
         r.commit(&p1);
         // Fan-out of the same signal to another consumer reuses the wire at
         // near-zero cost.
-        let p2 = r.route_one(sig, fu(0, 0, 0), fu(0, 1, 1), Some(1)).unwrap();
+        let p2 = r.route(sig, &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::Exact(1), |_| true).unwrap();
         assert!(p2.cost <= r.config().same_signal_cost * 4.0);
     }
 
     #[test]
     fn commit_rip_up_roundtrip() {
         let mut r = router(2, 3);
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 0, 1), Some(1)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(1, 0, 1), Elapsed::Exact(1), |_| true).unwrap();
         r.commit(&p);
         assert!(!r.occupants(p.nodes[1]).is_empty());
         r.rip_up(&p);
@@ -1324,11 +989,12 @@ mod tests {
         let mut r = router(2, 3);
         let mem = RNode::new(PeId::new(0, 0), 0, RKind::Mem);
         // Load feeding the local FU in the same cycle.
-        let p = r.route_one(SignalId(1), mem, fu(0, 0, 0), Some(0)).unwrap();
+        let p = r.route(SignalId(1), &[mem], fu(0, 0, 0), Elapsed::Exact(0), |_| true).unwrap();
         assert_eq!(p.nodes, vec![mem, fu(0, 0, 0)]);
         // A route may not pass through an intermediate FU: the only way to
         // gain time without moving is Out/Reg, never another FU.
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 1, 2), Some(2)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 2), Elapsed::Exact(2), |_| true).unwrap();
         for node in &p.nodes[1..p.nodes.len() - 1] {
             assert_ne!(node.kind, RKind::Fu, "transit through FU in {:?}", p.nodes);
         }
@@ -1338,14 +1004,15 @@ mod tests {
     fn multi_source_picks_cheapest() {
         let mut r = router(3, 3);
         let sources = [fu(0, 0, 0), fu(2, 2, 0)];
-        let p = r.route(SignalId(1), &sources, fu(2, 1, 1), Some(1)).unwrap();
+        let p = r.route(SignalId(1), &sources, fu(2, 1, 1), Elapsed::Exact(1), |_| true).unwrap();
         assert_eq!(p.nodes[0], fu(2, 2, 0), "nearer source wins");
     }
 
     #[test]
     fn source_equals_target() {
         let mut r = router(2, 2);
-        let p = r.route_one(SignalId(1), fu(0, 0, 0), fu(0, 0, 0), Some(0)).unwrap();
+        let p =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 0, 0), Elapsed::Exact(0), |_| true).unwrap();
         assert_eq!(p.nodes.len(), 1);
         assert_eq!(p.elapsed, 0);
         assert_eq!(p.delivery(), fu(0, 0, 0));
@@ -1362,12 +1029,14 @@ mod tests {
         let wire = RNode::new(PeId::new(0, 0), 1, RKind::Wire(himap_cgra::Dir::East));
         r.add_history(wire, f64::NAN);
         // Exactly one cycle: the poisoned wire is the only option.
-        let forced = r.route_one(SignalId(1), fu(0, 0, 0), fu(0, 1, 1), Some(1)).unwrap();
+        let forced =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::Exact(1), |_| true).unwrap();
         assert!(forced.nodes.contains(&wire));
         assert!(forced.cost.is_nan());
         // Three cycles admit a detour around the poisoned wire; it must win
         // with a finite cost.
-        let detour = r.route_one(SignalId(1), fu(0, 0, 0), fu(0, 1, 3), Some(3)).unwrap();
+        let detour =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 1, 3), Elapsed::Exact(3), |_| true).unwrap();
         assert!(!detour.nodes.contains(&wire), "detour must avoid NaN wire");
         assert!(detour.cost.is_finite());
     }
@@ -1378,22 +1047,30 @@ mod tests {
         use std::sync::Arc;
         let mut r = router(3, 4);
         // The route exists without cancellation…
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(2, 2, 3), Some(7)).is_some());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
+            .is_some());
         // …but an already-cancelled token (bound 0 < threshold 5) aborts the
         // identical search before it reaches the target, counting the abort.
         let bound = Arc::new(AtomicUsize::new(0));
         r.set_cancel_token(Some(CancelToken::new(Arc::clone(&bound), 5)));
         let before = r.search_stats().cancelled;
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(2, 2, 3), Some(7)).is_none());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
+            .is_none());
         assert_eq!(r.search_stats().cancelled, before + 1);
         // Raising the bound back above the threshold re-enables routing.
         bound.store(usize::MAX, std::sync::atomic::Ordering::Release);
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(2, 2, 3), Some(7)).is_some());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
+            .is_some());
         assert_eq!(r.search_stats().cancelled, before + 1, "live search not counted");
         // Disarming removes the poll entirely.
         bound.store(0, std::sync::atomic::Ordering::Release);
         r.set_cancel_token(None);
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(2, 2, 3), Some(7)).is_some());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
+            .is_some());
     }
 
     #[test]
@@ -1402,7 +1079,9 @@ mod tests {
         assert!(!token.is_cancelled());
         let mut r = router(2, 4);
         r.set_cancel_token(Some(token));
-        assert!(r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 1, 2), Some(2)).is_some());
+        assert!(r
+            .route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 2), Elapsed::Exact(2), |_| true)
+            .is_some());
         assert_eq!(r.search_stats().cancelled, 0);
     }
 
@@ -1446,19 +1125,66 @@ mod tests {
     fn search_stats_accumulate_and_scratch_is_reused() {
         let mut r = router(2, 4);
         assert_eq!(r.search_stats(), RouterStats::default());
-        let _ = r.route_one(SignalId(1), fu(0, 0, 0), fu(1, 1, 2), Some(2));
+        let _ = r.route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 2), Elapsed::Exact(2), |_| true);
         let first = r.search_stats();
         assert_eq!(first.searches, 1);
         assert!(first.nodes_popped > 0 && first.heap_pushes > 0);
         assert_eq!(first.epoch_resets, 1, "first search allocates the scratch");
         // Same-sized second search must reuse the arrays: no new reset.
-        let _ = r.route_one(SignalId(2), fu(0, 0, 0), fu(1, 1, 2), Some(2));
+        let _ = r.route(SignalId(2), &[fu(0, 0, 0)], fu(1, 1, 2), Elapsed::Exact(2), |_| true);
         let second = r.search_stats();
         assert_eq!(second.searches, 2);
         assert_eq!(second.epoch_resets, 1, "epoch bump must not clear");
         let taken = r.take_search_stats();
         assert_eq!(taken, second);
         assert_eq!(r.search_stats(), RouterStats::default());
+    }
+
+    #[test]
+    fn search_counters_are_pinned_per_mode() {
+        // One fixed query per search mode on a lightly congested 4x4. The
+        // counters pin the visit order: a change to seeding, staleness or
+        // acceptance that leaves results intact still moves them.
+        let mut r = router(4, 4);
+        r.place(RNode::new(PeId::new(1, 1), 1, RKind::Wire(himap_cgra::Dir::East)), SignalId(50));
+        r.add_history(RNode::new(PeId::new(2, 1), 2, RKind::Out), 1.5);
+        let src = fu(0, 0, 0);
+        let reg = RNode::new(PeId::new(1, 0), 2, RKind::Reg(0));
+        let found = |p: Option<RoutedPath>| p.map(|p| (p.elapsed, p.cost));
+        let exact = found(r.route(SignalId(1), &[src], fu(3, 3, 2), Elapsed::Exact(6), |_| true));
+        let exact_stats = r.take_search_stats();
+        let at_most =
+            found(r.route(SignalId(1), &[src], fu(2, 1, 1), Elapsed::AtMost(9), |_| true));
+        let at_most_stats = r.take_search_stats();
+        let timed =
+            found(r.route_timed(SignalId(2), &[(src, 0), (reg, 2)], fu(3, 2, 3), 7, |_| true));
+        let timed_stats = r.take_search_stats();
+        let bounded =
+            found(r.route_bounded(SignalId(3), &[src], fu(3, 3, 2), Elapsed::Exact(6), |_| true));
+        let bounded_stats = r.take_search_stats();
+        let d = r.fu_distances(SignalId(4), &[fu(1, 1, 0)], 3);
+        let fu_stats = r.take_search_stats();
+        let runs = [
+            ("exact", exact, exact_stats, (6, 6.0, 351, 425)),
+            ("at-most", at_most, at_most_stats, (5, 5.0, 206, 331)),
+            ("timed", timed, timed_stats, (5, 6.0, 463, 559)),
+            ("bounded", bounded, bounded_stats, (6, 6.0, 110, 134)),
+            (
+                "fu_distances",
+                Some((d.len() as u32, d.values().sum())),
+                fu_stats,
+                (31, 88.0, 164, 164),
+            ),
+        ];
+        for (mode, result, s, (elapsed, cost, popped, pushed)) in runs {
+            assert_eq!(result, Some((elapsed, cost)), "{mode}: result");
+            assert_eq!((s.searches, s.nodes_popped, s.heap_pushes), (1, popped, pushed), "{mode}");
+        }
+    }
+
+    #[test]
+    fn heap_entries_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 16);
     }
 }
 
@@ -1541,21 +1267,10 @@ mod timed_tests {
     #[test]
     fn elapsed_constraints() {
         let mut r = router(2, 4);
-        let exact = r.route_constrained(
-            SignalId(1),
-            &[fu(0, 0, 0)],
-            fu(0, 1, 3),
-            Elapsed::Exact(3),
-            |_| true,
-        );
+        let exact = r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 1, 3), Elapsed::Exact(3), |_| true);
         assert_eq!(exact.expect("routable").elapsed, 3);
-        let at_most = r.route_constrained(
-            SignalId(1),
-            &[fu(0, 0, 0)],
-            fu(0, 1, 1),
-            Elapsed::AtMost(3),
-            |_| true,
-        );
+        let at_most =
+            r.route(SignalId(1), &[fu(0, 0, 0)], fu(0, 1, 1), Elapsed::AtMost(3), |_| true);
         assert_eq!(at_most.expect("routable").elapsed, 1, "shortest within budget");
     }
 }
@@ -1578,7 +1293,9 @@ mod bounded_tests {
     /// count hops: a committed route plus some history.
     fn congest(r: &mut Router) {
         let t = (3 % r.index().ii()) as u32;
-        let p = r.route_one(SignalId(90), fu(0, 0, 0), fu(0, 3, t), Some(3)).unwrap();
+        let p = r
+            .route(SignalId(90), &[fu(0, 0, 0)], fu(0, 3, t), Elapsed::Exact(3), |_| true)
+            .unwrap();
         r.commit(&p);
         r.add_history(RNode::new(PeId::new(1, 1), 1, RKind::Wire(Dir::East)), 3.5);
         r.bump_history();
@@ -1596,7 +1313,7 @@ mod bounded_tests {
                 for budget in [Elapsed::Exact(10), Elapsed::AtMost(12), Elapsed::Exact(2)] {
                     let src = fu(sx, sy, 0);
                     let tgt = fu(tx, ty, 2);
-                    let plain = r.route_constrained(SignalId(7), &[src], tgt, budget, |_| true);
+                    let plain = r.route(SignalId(7), &[src], tgt, budget, |_| true);
                     let bounded = r.route_bounded(SignalId(7), &[src], tgt, budget, |_| true);
                     match (&plain, &bounded) {
                         (Some(p), Some(b)) => {
@@ -1621,31 +1338,11 @@ mod bounded_tests {
     }
 
     #[test]
-    fn negotiated_model_reproduces_the_plain_search() {
-        let mut r = router(4, 3);
-        congest(&mut r);
-        let src = fu(0, 0, 0);
-        let tgt = fu(3, 3, 0);
-        let plain = r.route_constrained(SignalId(3), &[src], tgt, Elapsed::Exact(6), |_| true);
-        let modelled = r.route_with_model(
-            SignalId(3),
-            &[src],
-            tgt,
-            Elapsed::Exact(6),
-            |_| true,
-            &NegotiatedCost,
-        );
-        let (p, m) = (plain.expect("routable"), modelled.expect("routable"));
-        assert!((p.cost - m.cost).abs() < 1e-9);
-        assert_eq!(p.nodes, m.nodes, "zero bound is plain Dijkstra with identical tie-breaks");
-    }
-
-    #[test]
     fn bounded_search_pops_fewer_nodes_on_long_hauls() {
         let mut r = router(8, 4);
         let src = fu(0, 0, 0);
         let tgt = fu(7, 7, 2);
-        let _ = r.route_constrained(SignalId(1), &[src], tgt, Elapsed::Exact(14), |_| true);
+        let _ = r.route(SignalId(1), &[src], tgt, Elapsed::Exact(14), |_| true);
         let plain_pops = r.take_search_stats().nodes_popped;
         let _ = r.route_bounded(SignalId(1), &[src], tgt, Elapsed::Exact(14), |_| true);
         let bounded_pops = r.take_search_stats().nodes_popped;
@@ -1668,13 +1365,12 @@ mod bounded_tests {
         // Manhattan distance from (0,0) is 7; the detour through column 7
         // costs 7 + 2 * 7 = 21 hops, reported minus the crossing already
         // paid by the node the search holds.
-        assert_eq!(model.remaining_hops(fu(0, 0, 0)), Some(20));
+        assert_eq!(model.remaining(fu(0, 0, 0)), Some((20, 20.0 * 0.01)));
         faults.kill_pe(PeId::new(3, 7));
         let cut = CgraSpec::mesh(8, 8).expect("valid").with_faults(faults);
         let model = HopBoundCost::toward(&cut, PeId::new(7, 0), &RouterConfig::default());
-        assert_eq!(model.remaining_hops(fu(0, 0, 0)), Some(u32::MAX));
-        assert!(model.remaining(fu(0, 0, 0)).is_infinite());
-        assert_eq!(model.remaining_hops(fu(7, 7, 0)), Some(6), "same half stays reachable");
+        assert_eq!(model.remaining(fu(0, 0, 0)), None);
+        assert_eq!(model.remaining(fu(7, 7, 0)).map(|r| r.0), Some(6), "same half stays reachable");
     }
 
     #[test]

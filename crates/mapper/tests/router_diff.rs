@@ -6,13 +6,72 @@
 //! *bit-identical*: same path nodes, same elapsed counts, and the same cost
 //! down to the floating-point bit pattern, under congestion, history and
 //! rip-up alike. Any divergence means the dense refactor changed routing
-//! behavior rather than just its speed.
+//! behavior rather than just its speed. The A*-bounded search may visit
+//! states in another order, so it must only match the oracle's feasibility,
+//! elapsed count and optimal cost.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+// The oracle keeps the whole original router surface, not just the calls
+// these tests make.
+#[allow(dead_code)]
+mod reference;
+#[path = "../../cgra/tests/support/mod.rs"]
+mod support;
+
 use himap_cgra::{CgraSpec, Mrrg, PeId, RKind, RNode};
-use himap_mapper::{Elapsed, ReferenceRouter, RoutedPath, Router, RouterConfig, SignalId};
+use himap_mapper::{Elapsed, RoutedPath, Router, RouterConfig, SignalId};
 use proptest::prelude::*;
+use reference::ReferenceRouter;
+use support::arb_faulted;
+
+/// The reference router's call shapes, spelled with [`Router::route`], so
+/// each parity test drives both routers through identical calls.
+trait ReferenceCalls {
+    fn route_one(
+        &mut self,
+        signal: SignalId,
+        source: RNode,
+        target: RNode,
+        intended_elapsed: Option<u32>,
+    ) -> Option<RoutedPath>;
+
+    fn route_constrained(
+        &mut self,
+        signal: SignalId,
+        sources: &[RNode],
+        target: RNode,
+        constraint: Elapsed,
+        allowed: impl Fn(RNode) -> bool,
+    ) -> Option<RoutedPath>;
+}
+
+impl ReferenceCalls for Router {
+    fn route_one(
+        &mut self,
+        signal: SignalId,
+        source: RNode,
+        target: RNode,
+        intended_elapsed: Option<u32>,
+    ) -> Option<RoutedPath> {
+        let constraint = match intended_elapsed {
+            Some(e) => Elapsed::Exact(e),
+            None => Elapsed::AtMost(self.config().default_elapsed_cap),
+        };
+        self.route(signal, &[source], target, constraint, |_| true)
+    }
+
+    fn route_constrained(
+        &mut self,
+        signal: SignalId,
+        sources: &[RNode],
+        target: RNode,
+        constraint: Elapsed,
+        allowed: impl Fn(RNode) -> bool,
+    ) -> Option<RoutedPath> {
+        self.route(signal, sources, target, constraint, allowed)
+    }
+}
 
 /// Everything observable about a routing answer, with the cost as raw bits
 /// so `assert_eq` is exact (NaN included).
@@ -132,6 +191,58 @@ proptest! {
         let a = norm(dense.fu_distances(SignalId(1), &[src], cap));
         let b = norm(legacy.fu_distances(SignalId(1), &[src], cap));
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn route_bounded_matches_the_oracle_on_faulted_fabrics(
+        (rows, cols, ii, faults) in arb_faulted(),
+        congestion in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0usize..4, 0usize..4, 1u32..6), 0..6),
+        queries in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0usize..4, 0usize..4, 0u32..12, any::<bool>()), 1..6),
+    ) {
+        let spec = CgraSpec::mesh(rows, cols).expect("non-empty mesh").with_faults(faults);
+        let mrrg = Mrrg::new(spec, ii);
+        let mut dense = Router::new(mrrg.clone(), RouterConfig::default());
+        let mut oracle = ReferenceRouter::new(mrrg.clone(), RouterConfig::default());
+        let endpoints = |sx: usize, sy: usize, dx: usize, dy: usize, elapsed: u32| {
+            let src = fu(sx % rows, sy % cols, 0, ii);
+            let dst = fu(dx % rows, dy % cols, elapsed as usize, ii);
+            // Dead PEs have no FU slots to route between.
+            (mrrg.contains(src) && mrrg.contains(dst)).then_some((src, dst))
+        };
+        // Congest both routers identically: committed routes plus one
+        // round of history penalties.
+        for (i, &(sx, sy, dx, dy, elapsed)) in congestion.iter().enumerate() {
+            let Some((src, dst)) = endpoints(sx, sy, dx, dy, elapsed) else { continue };
+            let signal = SignalId(100 + i as u32);
+            let a = dense.route(signal, &[src], dst, Elapsed::Exact(elapsed), |_| true);
+            let b = oracle.route_one(signal, src, dst, Some(elapsed));
+            prop_assert_eq!(fingerprint(&a), fingerprint(&b), "congesting route {}", i);
+            if let (Some(pa), Some(pb)) = (a, b) {
+                dense.commit(&pa);
+                oracle.commit(&pb);
+            }
+        }
+        prop_assert_eq!(dense.bump_history(), oracle.bump_history());
+        for &(sx, sy, dx, dy, budget, exact) in &queries {
+            let Some((src, dst)) = endpoints(sx, sy, dx, dy, budget) else { continue };
+            let constraint = if exact { Elapsed::Exact(budget) } else { Elapsed::AtMost(budget) };
+            let a = dense.route_bounded(SignalId(7), &[src], dst, constraint, |_| true);
+            let b = oracle.route_constrained(SignalId(7), &[src], dst, constraint, |_| true);
+            match (&a, &b) {
+                (Some(pa), Some(pb)) => {
+                    prop_assert_eq!(pa.elapsed, pb.elapsed, "{:?} -> {:?} {:?}", src, dst, constraint);
+                    prop_assert!(
+                        (pa.cost - pb.cost).abs() < 1e-9,
+                        "cost {} vs {} for {:?} -> {:?} {:?}", pa.cost, pb.cost, src, dst, constraint
+                    );
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "feasibility mismatch {:?} -> {:?} {:?}: {:?} vs {:?}",
+                    src, dst, constraint, fingerprint(&a), fingerprint(&b)),
+            }
+        }
     }
 }
 
