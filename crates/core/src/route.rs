@@ -542,11 +542,12 @@ pub fn replicate_and_verify(
 ) -> Result<Vec<FullRoute>, RouteError> {
     let iib = layout.iib();
     let spec = layout.vsa().spec();
-    // Full-array occupancy is dense: one slot vector per MRRG resource id.
+    // Full-array occupancy is a flat list of `(resource id, signal)` claims,
+    // one per stamped step: its size is the work stamped, not the fabric.
     // The shared index is the same build the representative negotiation used,
     // so replication adds no per-call graph construction.
     let index = MrrgIndex::shared(spec.clone(), iib);
-    let mut occupancy: Vec<Vec<u32>> = vec![Vec::new(); index.len()];
+    let mut claims: Vec<(u32, u32)> = Vec::new();
     let mut routes = Vec::with_capacity(dfg.graph().edge_count());
     // Steps (in the representative frame) whose translations land on
     // faulted or capability-illegal resources; reported together so the
@@ -567,7 +568,7 @@ pub fn replicate_and_verify(
                 continue;
             }
             if let Some(ri) = index.index_of(fu) {
-                occupancy[ri.index()].push(node.index() as u32);
+                claims.push((ri.0, node.index() as u32));
             } else {
                 debug_assert!(false, "op slot outside the array at {fu:?}");
             }
@@ -593,10 +594,7 @@ pub fn replicate_and_verify(
             let endpoint = i == 0 || i == pattern.len() - 1;
             if !(endpoint && node.kind == RKind::Fu) {
                 if let Some(ri) = index.index_of(node) {
-                    let occ = &mut occupancy[ri.index()];
-                    if !occ.contains(&(root.index() as u32)) {
-                        occ.push(root.index() as u32);
-                    }
+                    claims.push((ri.0, root.index() as u32));
                 } else if spec.faults.masks(spec, node) {
                     let (rep_node, _) = translate_step(layout, dfg, rep_iter, rep_iter, step);
                     faulted_steps.push(rep_node);
@@ -614,18 +612,22 @@ pub fn replicate_and_verify(
             rep_frame: faulted_steps,
         });
     }
-    // Capacity check. On conflicts, translate the offending steps back into
-    // their representatives' frames so the caller can penalize them in the
-    // next negotiation round.
-    let mut conflicted = vec![false; index.len()];
-    let mut conflict_count = 0usize;
-    for (i, sigs) in occupancy.iter().enumerate() {
-        if sigs.len() > index.capacity(himap_cgra::RIdx(i as u32)) {
-            conflicted[i] = true;
-            conflict_count += 1;
-        }
-    }
-    if conflict_count > 0 {
+    // Capacity check: after sort + dedup each resource's run holds its
+    // distinct signals (a signal re-entering a resource is fan-out, not a
+    // second occupant). On conflicts, translate the offending steps back
+    // into their representatives' frames so the caller can penalize them in
+    // the next negotiation round.
+    claims.sort_unstable();
+    claims.dedup();
+    // Oversubscribed resource ids, ascending (the claims are sorted).
+    let conflicted: Vec<u32> = claims
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > index.capacity(himap_cgra::RIdx(run[0].0)))
+        .map(|run| run[0].0)
+        .collect();
+    drop(claims);
+    if !conflicted.is_empty() {
+        let conflict_count = conflicted.len();
         let mut rep_frame = Vec::new();
         let t = layout.sub().t as i64;
         for route in &routes {
@@ -636,7 +638,7 @@ pub fn replicate_and_verify(
             let rep_pos = layout.position(dfg, rep_iter);
             let member_pos = layout.position(dfg, dst_iter);
             for &(node, abs) in &route.steps {
-                if index.index_of(node).is_some_and(|ri| conflicted[ri.index()]) {
+                if index.index_of(node).is_some_and(|ri| conflicted.binary_search(&ri.0).is_ok()) {
                     // Same step in the representative frame.
                     let rep_abs = abs - (member_pos.t - rep_pos.t) as i64 * t;
                     let dx = (member_pos.x - rep_pos.x) * layout.sub().s1 as i32;
@@ -654,6 +656,16 @@ pub fn replicate_and_verify(
         rep_frame.dedup();
         return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
     }
+    // Each source node's earliest and latest first-step time over its
+    // out-edge routes, built once for the dependence checks below.
+    let mut first_steps: Vec<Option<(i64, i64)>> = vec![None; dfg.graph().node_count()];
+    for r in &routes {
+        let (s, _) = dfg.graph().edge_endpoints(r.edge);
+        let abs = r.steps[0].1;
+        let span = first_steps[s.index()].get_or_insert((abs, abs));
+        span.0 = span.0.min(abs);
+        span.1 = span.1.max(abs);
+    }
     // Anti-dependences: a live-in load must issue before the overwriting
     // store becomes visible (load_abs <= writer_abs + 1; the store is
     // readable from writer_abs + 2).
@@ -662,38 +674,21 @@ pub fn replicate_and_verify(
             continue;
         };
         let w_abs = layout.op_slot(dfg, dfg.graph()[writer].iter, stmt, op).abs;
-        let load_abs = routes
-            .iter()
-            .filter(|r| {
-                let (s, _) = dfg.graph().edge_endpoints(r.edge);
-                s == reader
-            })
-            .map(|r| r.steps[0].1)
-            .max();
-        if let Some(load_abs) = load_abs {
+        if let Some((_, load_abs)) = first_steps[reader.index()] {
             if load_abs > w_abs + 1 {
                 return Err(RouteError::AntiDependence);
             }
         }
     }
     // Memory causality: every memory-routed load happens at least two cycles
-    // after its producing op.
+    // after its producing op. The load's absolute time is the first step of
+    // the consumer input node's earliest out-edge route.
     for &(producer, consumer) in dfg.mem_deps() {
         let NodeKind::Op { stmt, op, .. } = dfg.graph()[producer].kind else {
             continue;
         };
         let p_abs = layout.op_slot(dfg, dfg.graph()[producer].iter, stmt, op).abs;
-        // The load's absolute time = first step of any out-edge route of the
-        // consumer input node.
-        let load_abs = routes
-            .iter()
-            .filter(|r| {
-                let (s, _) = dfg.graph().edge_endpoints(r.edge);
-                s == consumer
-            })
-            .map(|r| r.steps[0].1)
-            .min();
-        if let Some(load_abs) = load_abs {
+        if let Some((load_abs, _)) = first_steps[consumer.index()] {
             if load_abs < p_abs + 2 {
                 return Err(RouteError::MemCausality);
             }
@@ -713,10 +708,12 @@ mod tests {
     use himap_kernels::suite;
     use himap_systolic::{search, SearchConfig};
 
-    fn pipeline(kernel: &himap_kernels::Kernel, c: usize) -> (Dfg, Layout, Classes) {
+    /// Dfg, layout and classes of `kernel` on a `c`×`c` array, from the
+    /// `sub`-th `MAP()` sub-CGRA candidate and the top-ranked schedule.
+    fn pipeline(kernel: &himap_kernels::Kernel, c: usize, sub: usize) -> (Dfg, Layout, Classes) {
         let spec = CgraSpec::square(c);
         let options = HiMapOptions::default();
-        let sub = map_idfg(kernel, &spec, &options)[0].clone();
+        let sub = map_idfg(kernel, &spec, &options)[sub].clone();
         let vsa = Vsa::new(spec, sub.s1, sub.s2).expect("tiles");
         let block: Vec<usize> = (0..kernel.dims())
             .map(|dim| match dim {
@@ -765,14 +762,19 @@ mod tests {
     }
 
     /// The orchestrator's replication-aware negotiation loop, reproduced
-    /// for direct testing of this module.
-    fn route_with_feedback(dfg: &Dfg, layout: &Layout, classes: &Classes) -> Vec<FullRoute> {
+    /// for direct testing of this module: the converged design and its
+    /// replicated routes.
+    fn route_with_feedback(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+    ) -> (RoutedDesign, Vec<FullRoute>) {
         let options = HiMapOptions::default();
         let mut seed: Vec<RNode> = Vec::new();
         for _ in 0..options.replication_feedback_rounds {
             let design = route_fresh(dfg, layout, classes, &seed).expect("representatives route");
             match replicate_and_verify(dfg, layout, classes, &design) {
-                Ok(routes) => return routes,
+                Ok(routes) => return (design, routes),
                 Err(RouteError::ReplicaConflicts { rep_frame, .. }) => seed.extend(rep_frame),
                 Err(e) => panic!("unexpected failure: {e}"),
             }
@@ -783,19 +785,19 @@ mod tests {
     #[test]
     fn representatives_cover_every_descriptor() {
         let kernel = suite::gemm();
-        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
         // Replication fails with `MissingPattern` on any uncovered class
         // descriptor, so a clean pass proves descriptor coverage; the route
         // count proves every edge is implemented.
-        let routes = route_with_feedback(&dfg, &layout, &classes);
+        let (_, routes) = route_with_feedback(&dfg, &layout, &classes);
         assert_eq!(routes.len(), dfg.graph().edge_count());
     }
 
     #[test]
     fn replicated_routes_end_at_consumers() {
         let kernel = suite::mvt();
-        let (dfg, layout, classes) = pipeline(&kernel, 4);
-        let routes = route_with_feedback(&dfg, &layout, &classes);
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
+        let (_, routes) = route_with_feedback(&dfg, &layout, &classes);
         for route in &routes {
             let (_, dst) = dfg.graph().edge_endpoints(route.edge);
             let NodeKind::Op { stmt, op, .. } = dfg.graph()[dst].kind else {
@@ -812,12 +814,63 @@ mod tests {
         }
     }
 
+    /// Shifts the first-step offset of the pattern that routes `source`'s
+    /// first out-edge by `windows` whole modulo windows. Every translated
+    /// step keeps its modulo resource, so occupancy is unchanged and only
+    /// the load's absolute time moves.
+    fn shift_first_step(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        design: &mut RoutedDesign,
+        source: NodeId,
+        windows: i64,
+    ) {
+        let e = dfg.graph().out_edges(source).next().expect("the load feeds a consumer");
+        let dst_iter = dfg.graph()[e.dst].iter;
+        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+        let (_, desc) = descriptor(dfg, layout, e.id, dst_iter);
+        let pattern = design.patterns[class].routes.get_mut(&desc).expect("routed pattern");
+        pattern[0].2 += windows * layout.iib() as i64;
+    }
+
+    #[test]
+    fn late_live_in_load_is_an_anti_dependence_violation() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
+        let &(reader, _) = dfg.anti_deps().first().expect("gemm has anti-dependences");
+        let (mut design, _) = route_with_feedback(&dfg, &layout, &classes);
+        assert!(replicate_and_verify(&dfg, &layout, &classes, &design).is_ok());
+        // Start the load a thousand windows late: long after the writer.
+        shift_first_step(&dfg, &layout, &classes, &mut design, reader, 1000);
+        assert_eq!(
+            replicate_and_verify(&dfg, &layout, &classes, &design).err(),
+            Some(RouteError::AntiDependence)
+        );
+    }
+
+    #[test]
+    fn early_memory_routed_load_is_a_causality_violation() {
+        let kernel = suite::floyd_warshall();
+        // The (1, 1, 3) sub-CGRA the candidate walk settles on for 4x4.
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 1);
+        let &(_, consumer) = dfg.mem_deps().first().expect("floyd-warshall has memory deps");
+        let (mut design, _) = route_with_feedback(&dfg, &layout, &classes);
+        assert!(replicate_and_verify(&dfg, &layout, &classes, &design).is_ok());
+        // Start the load a thousand windows early: before its store.
+        shift_first_step(&dfg, &layout, &classes, &mut design, consumer, -1000);
+        assert_eq!(
+            replicate_and_verify(&dfg, &layout, &classes, &design).err(),
+            Some(RouteError::MemCausality)
+        );
+    }
+
     #[test]
     fn seed_history_is_accepted() {
         // Pre-seeding arbitrary history must not break routing (it only
         // biases the search).
         let kernel = suite::gemm();
-        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
         let seed = vec![RNode::new(himap_cgra::PeId::new(0, 0), 0, RKind::Out)];
         let design =
             route_fresh(&dfg, &layout, &classes, &seed).expect("routes despite seeded history");

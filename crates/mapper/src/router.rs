@@ -246,7 +246,10 @@ const NO_PREV: u32 = u32::MAX;
 /// `node_id * (cap + 1) + elapsed`. Entries are valid only when their stamp
 /// equals the current epoch, so starting a search is one integer increment
 /// — no clearing, no hashing, no allocation once the arrays have grown to
-/// the session's largest search.
+/// the router's largest search so far. Growth allocates the arrays zeroed
+/// rather than writing them, so the OS maps a page only when a search
+/// first touches it: resident memory is the states searches actually
+/// visit, not `nodes × (cap + 1)` of the full fabric.
 #[derive(Clone, Debug, Default)]
 struct SearchScratch {
     epoch: u32,
@@ -269,10 +272,13 @@ impl SearchScratch {
         let want = nodes * stride;
         assert!(want < u32::MAX as usize, "router search state exceeds the u32 key space");
         if want > self.stamp.len() {
-            self.stamp.clear();
-            self.stamp.resize(want, 0);
-            self.dist.resize(want, 0.0);
-            self.prev.resize(want, NO_PREV);
+            // Zeroed allocations, not writes: untouched pages stay unmapped.
+            // A zero stamp is never the current epoch, and `dist`/`prev` are
+            // read only once `stamp` matches it, after `set` has written all
+            // three — so their initial value is never observed.
+            self.stamp = vec![0; want];
+            self.dist = vec![0.0; want];
+            self.prev = vec![0; want];
             self.epoch = 0;
             stats.epoch_resets += 1;
         }

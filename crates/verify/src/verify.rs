@@ -373,14 +373,23 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
         }
     }
 
+    // Each node's earliest and latest first-step time over the routes
+    // leaving it, indexed once for the dependence checks below.
+    let mut source_times: Vec<Option<(i64, i64)>> = vec![None; dfg.graph().node_count()];
+    for route in mapping.routes() {
+        let Some(&(_, abs)) = route.steps.first() else { continue };
+        let (src, _) = dfg.graph().edge_endpoints(route.edge);
+        let (lo, hi) = source_times[src.index()].get_or_insert((abs, abs));
+        *lo = (*lo).min(abs);
+        *hi = (*hi).max(abs);
+    }
     // Memory causality: a memory-routed load issues at the earliest first
     // step of the consuming input's out-routes, and the producing store is
     // readable two cycles after the producer executes (result registered,
     // then written to memory).
     for &(producer, input) in dfg.mem_deps() {
         let Some(p_abs) = mapping.op_slot(producer).map(|s| s.abs) else { continue };
-        let load_abs = route_source_times(mapping, input).min();
-        if let Some(load_abs) = load_abs {
+        if let Some((load_abs, _)) = source_times[input.index()] {
             if load_abs < p_abs + 2 {
                 sink.push(
                     Diagnostic::error(
@@ -404,8 +413,7 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
     // legal load cycle is writer_abs + 1).
     for &(reader, writer) in dfg.anti_deps() {
         let Some(w_abs) = mapping.op_slot(writer).map(|s| s.abs) else { continue };
-        let load_abs = route_source_times(mapping, reader).max();
-        if let Some(load_abs) = load_abs {
+        if let Some((_, load_abs)) = source_times[reader.index()] {
             if load_abs > w_abs + 1 {
                 sink.push(
                     Diagnostic::error(
@@ -425,27 +433,24 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
     }
 }
 
-/// The first-step absolute times of every route leaving `node`.
-fn route_source_times(mapping: &Mapping, node: NodeId) -> impl Iterator<Item = i64> + '_ {
-    mapping.routes().iter().filter_map(move |r| {
-        let (s, _) = mapping.dfg().graph().edge_endpoints(r.edge);
-        (s == node).then(|| r.steps.first().map(|&(_, abs)| abs)).flatten()
-    })
-}
-
 /// Modulo resource exclusivity (V001): restamp every resource from the op
 /// placements and routes — the same occupancy model `replicate_and_verify`
 /// uses, but derived here from the final artifact instead of the mapper's
 /// intermediate state. Register-file resources report as V004.
+///
+/// Claims are one flat `(resource, signal)` list in stamping order. A stable
+/// sort by resource groups each resource's claims while keeping them in
+/// claim order, so diagnostics come out in `RNode` order and list each
+/// resource's distinct signals in first-claim order.
 fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {
     let dfg = mapping.dfg();
     let spec = mapping.spec();
-    let mut occupancy: HashMap<RNode, Vec<u32>> = HashMap::new();
+    let mut claims: Vec<(RNode, u32)> = Vec::new();
     for (node, w) in dfg.graph().nodes() {
         if matches!(w.kind, NodeKind::Op { .. }) {
             if let Some(slot) = mapping.op_slot(node) {
                 let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
-                occupancy.entry(fu).or_default().push(node.index() as u32);
+                claims.push((fu, node.index() as u32));
             }
         }
     }
@@ -458,18 +463,27 @@ fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {
             if endpoint && node.kind == RKind::Fu {
                 continue;
             }
-            let occ = occupancy.entry(node).or_default();
-            if !occ.contains(&(root.index() as u32)) {
-                occ.push(root.index() as u32);
-            }
+            claims.push((node, root.index() as u32));
         }
     }
-    let mut over: Vec<(&RNode, &Vec<u32>)> = occupancy
-        .iter()
-        .filter(|(node, signals)| signals.len() > spec.capacity(node.kind))
-        .collect();
-    over.sort_by_key(|(node, _)| **node);
-    for (&node, signals) in over {
+    claims.sort_by_key(|&(node, _)| node);
+    let mut signals: Vec<u32> = Vec::new();
+    for run in claims.chunk_by(|a, b| a.0 == b.0) {
+        let node = run[0].0;
+        let capacity = spec.capacity(node.kind);
+        // A run no longer than capacity cannot oversubscribe: skip the dedup.
+        if run.len() <= capacity {
+            continue;
+        }
+        signals.clear();
+        for &(_, signal) in run {
+            if !signals.contains(&signal) {
+                signals.push(signal);
+            }
+        }
+        if signals.len() <= capacity {
+            continue;
+        }
         let code = match node.kind {
             RKind::Reg(_) | RKind::RegWr | RKind::RegRd => Code::V004,
             _ => Code::V001,
@@ -479,9 +493,8 @@ fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {
             Diagnostic::error(
                 code,
                 format!(
-                    "{node:?} carries {} distinct signals (capacity {})",
-                    signals.len(),
-                    spec.capacity(node.kind)
+                    "{node:?} carries {} distinct signals (capacity {capacity})",
+                    signals.len()
                 ),
             )
             .at_resource(node)

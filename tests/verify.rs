@@ -86,14 +86,26 @@ fn reassembled_mapping_still_verifies() {
     assert!(!report.has_errors(), "{}", report.render_pretty());
 }
 
+/// Message and notes of every `code` error, in report order.
+fn errors_of(mapping: &Mapping, code: Code) -> Vec<(String, Vec<String>)> {
+    verify_mapping(mapping)
+        .diags()
+        .iter()
+        .filter(|d| d.code == code && d.severity == Severity::Error)
+        .map(|d| (d.message.clone(), d.notes.clone()))
+        .collect()
+}
+
 // ------------------------------------------------------------- mutations
 
 #[test]
 fn double_booked_fu_slot_is_v001() {
     let mut parts = gemm_parts();
     // Move one op onto another op's FU slot: two distinct signals on one
-    // modulo FU resource.
-    let nodes: Vec<_> = parts.op_slots.keys().copied().collect();
+    // modulo FU resource. Sorted ids make the injection, and so the
+    // diagnostic text, deterministic.
+    let mut nodes: Vec<_> = parts.op_slots.keys().copied().collect();
+    nodes.sort();
     let (a, b) = (
         nodes[0],
         *nodes
@@ -103,7 +115,17 @@ fn double_booked_fu_slot_is_v001() {
     );
     let slot_a = parts.op_slots[&a];
     parts.op_slots.insert(b, slot_a);
-    assert_error(&Mapping::from_parts(parts), Code::V001);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V001);
+    // Pinned text: resource, distinct-signal count and the signals in
+    // first-claim order.
+    assert_eq!(
+        errors_of(&mapping, Code::V001),
+        [(
+            "fu@(0,0)t0 carries 2 distinct signals (capacity 1)".to_string(),
+            vec!["signals n0, n1".to_string()]
+        )]
+    );
 }
 
 #[test]
@@ -192,7 +214,16 @@ fn register_overflow_is_v004() {
     let route = parts.routes.iter_mut().find(|r| r.steps.len() >= 3).expect("multi-step route");
     // Park an intermediate step in a register beyond the register file.
     route.steps[1].0.kind = himap_repro::cgra::RKind::Reg(rf_size + 2);
-    assert_error(&Mapping::from_parts(parts), Code::V004);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V004);
+    assert_eq!(
+        errors_of(&mapping, Code::V004),
+        [(
+            "route of edge e0 uses reg6@(0,0)t1: register r6 exceeds the 4-entry register file"
+                .to_string(),
+            vec![]
+        )]
+    );
 }
 
 #[test]
@@ -218,6 +249,15 @@ fn rf_port_oversubscription_is_v004() {
         "expected V004 from {} routes through one RegWr port:\n{}",
         corrupted.len(),
         report.render_pretty()
+    );
+    // Pinned text: the port, its distinct-signal count and the grafted
+    // routes' signals in first-claim order.
+    assert_eq!(
+        errors_of(&mapping, Code::V004),
+        [(
+            "regwr@(0,0)t0 carries 3 distinct signals (capacity 2)".to_string(),
+            vec!["signals n0, n5, n9".to_string()]
+        )]
     );
 }
 
