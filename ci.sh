@@ -126,10 +126,11 @@ stage "himap-analyze heterogeneous clean" \
 
 # Consolidated benchmark gate: one manifest (BENCH.json, measured by
 # `bench_summary --gate-baseline`), one verdict table. Covers the scaling
-# rows (25 % + 2 ms), the portfolio races (double tolerance — cancellation
-# latency is noisier), the fault-model overhead row (+2 % + 2 ms on an
-# empty CapabilityMap), the heterogeneity rows (stencil2d must map and
-# verify on the corner-multiplier + edge-memory 4x4 at the pinned II) and
+# rows (25 % + 2 ms), the portfolio races (double tolerance, kept from
+# baselines recorded when losing backends still ran), the fault-model
+# overhead row (+2 % + 2 ms on an empty CapabilityMap), the heterogeneity
+# rows (stencil2d must map and verify on the corner-multiplier +
+# edge-memory 4x4 at the pinned II) and
 # the mega-scale rows (gemm + floyd-warshall tile-mapped *and verified* on
 # 32x32/64x64, 64x64 wall < 1 s unconditionally, index high-water held to
 # one tile). Writes BENCH_verdict.json, uploaded as a CI artifact.

@@ -511,9 +511,6 @@ impl RIdx {
 const INVALID: u32 = u32::MAX;
 /// Bit of a packed CSR edge word holding the edge's latency (0 or 1).
 const LAT_BIT: u32 = 1 << 31;
-/// Node count above which [`MrrgIndex::new`] shards the CSR build across
-/// threads. Small fabrics build faster serially than they spawn threads.
-const SHARD_THRESHOLD: usize = 1 << 15;
 
 /// Memory footprint of one compiled [`MrrgIndex`].
 ///
@@ -545,9 +542,9 @@ impl MemoryStats {
 
 /// The [`Mrrg`] compiled to dense ids and CSR adjacency.
 ///
-/// Built once per `(spec, II)` — see [`MrrgIndex::shared`] — and then read
-/// concurrently by every router, candidate-walk worker and verifier that
-/// needs the graph. Per edge the CSR stores the target id plus the
+/// Built once per `(spec, II)` — see [`MrrgIndex::shared`] — and then
+/// shared by every router, the replication pass and the verifier that
+/// need the graph. Per edge the CSR stores the target id plus the
 /// architectural latency (one bit: crossbar feed or clocked hop), so
 /// routing and hop-timing checks never re-enumerate neighbour sets.
 ///
@@ -630,61 +627,21 @@ impl MrrgIndex {
     /// backward. Latency is derived from the kind pair (`same_cycle`), the
     /// same rule [`Mrrg::edge_latency`] applies.
     ///
-    /// Rows are independent and offsets are running sums, so the build
-    /// shards into contiguous node ranges across threads and stitches the
-    /// segments back with a prefix sum — byte-identical to a serial build
-    /// (locked in by `sharded_csr_matches_serial_build`).
+    /// One pass writes every row straight into the final `off`/`edges`
+    /// vectors, on the calling thread.
     fn build_csr(&self, forward: bool) -> (Vec<u32>, Vec<u32>) {
         let n = self.node_of.len();
-        let threads = if n >= SHARD_THRESHOLD {
-            std::thread::available_parallelism().map_or(1, usize::from).min(8)
-        } else {
-            1
-        };
-        self.build_csr_with(forward, threads)
-    }
-
-    /// [`build_csr`](Self::build_csr) with an explicit shard count.
-    fn build_csr_with(&self, forward: bool, threads: usize) -> (Vec<u32>, Vec<u32>) {
-        let n = self.node_of.len();
-        let chunk = n.div_ceil(threads.max(1)).max(1);
-        let shards: Vec<(Vec<u32>, Vec<u32>)> = if threads <= 1 || chunk >= n {
-            vec![self.build_csr_range(forward, 0, n)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(chunk)
-                    .map(|lo| {
-                        let hi = (lo + chunk).min(n);
-                        scope.spawn(move || self.build_csr_range(forward, lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                    .collect()
-            })
-        };
-        let total: usize = shards.iter().map(|(_, e)| e.len()).sum();
-        assert!((total as u64) < u32::MAX as u64, "CSR edge count exceeds the u32 offset space");
         let mut off = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(total);
+        // Rows average about 4.5 edges on square fabrics, so reserving six
+        // per node avoids regrowth. The reserved tail is never written: it
+        // is address space, not resident memory. Trimming it (or sizing the
+        // vector exactly with a counting pass) shifts glibc's dynamic mmap
+        // threshold so that the router's zeroed search scratch is sometimes
+        // served, and cleared, from reused heap; that made the peak RSS of
+        // the eight-kernel 8x8 suite bimodal (13 or 18 MB).
+        let mut edges = Vec::with_capacity(n * 6);
         off.push(0u32);
-        for (lens, shard_edges) in shards {
-            let base = edges.len() as u32;
-            off.extend(lens.iter().map(|&l| base + l));
-            edges.extend_from_slice(&shard_edges);
-        }
-        (off, edges)
-    }
-
-    /// One shard of the CSR build: rows `lo..hi` of the dense node order,
-    /// with offsets relative to the shard start (the stitcher rebases them
-    /// onto the global edge array).
-    fn build_csr_range(&self, forward: bool, lo: usize, hi: usize) -> (Vec<u32>, Vec<u32>) {
-        let mut off = Vec::with_capacity(hi - lo);
-        let mut edges = Vec::with_capacity((hi - lo) * 6);
-        for &node in &self.node_of[lo..hi] {
+        for &node in &self.node_of {
             let mut push = |other: RNode| {
                 let padded = self.padded_index(other);
                 let id = self.idx_of[padded];
@@ -701,6 +658,10 @@ impl MrrgIndex {
             }
             off.push(edges.len() as u32);
         }
+        assert!(
+            (edges.len() as u64) < u32::MAX as u64,
+            "CSR edge count exceeds the u32 offset space"
+        );
         (off, edges)
     }
 
@@ -710,7 +671,7 @@ impl MrrgIndex {
     pub fn shared(spec: CgraSpec, ii: usize) -> Arc<MrrgIndex> {
         // `CgraSpec` holds an `f64`, so no `Hash`/`Eq`: the cache is a small
         // LRU vector scanned linearly. Builds happen under the lock so
-        // concurrent callers (raced backends) trigger exactly one build.
+        // concurrent callers trigger exactly one build.
         static CACHE: OnceLock<Mutex<Vec<Arc<MrrgIndex>>>> = OnceLock::new();
         const CACHE_CAP: usize = 32;
         let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
@@ -1007,22 +968,6 @@ mod tests {
         let mem = RNode::new(PeId::new(0, 0), 0, RKind::Mem);
         assert!(m.predecessors(mem).is_empty());
         assert!(m.successors(mem).contains(&RNode::new(PeId::new(0, 0), 0, RKind::Fu)));
-    }
-
-    #[test]
-    fn sharded_csr_matches_serial_build() {
-        // Force the sharded path on a small graph and compare against the
-        // serial reference — stitching must be byte-identical, including
-        // the degenerate split where shards outnumber rows.
-        let idx = MrrgIndex::new(CgraSpec::square(4), 3);
-        for forward in [true, false] {
-            let (serial_off, serial_edges) = idx.build_csr_with(forward, 1);
-            for threads in [2, 3, 8, 64] {
-                let (off, edges) = idx.build_csr_with(forward, threads);
-                assert_eq!(off, serial_off, "forward={forward} threads={threads}");
-                assert_eq!(edges, serial_edges, "forward={forward} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -1,27 +1,25 @@
-//! Pluggable mapping backends and the portfolio racer.
+//! Pluggable mapping backends and the portfolio runner.
 //!
 //! Every mapper in the workspace — HiMap's hierarchical pipeline, the
 //! whole-DFG BHC baselines, and the exact SAT backend in `himap-exact` —
 //! answers the same question: *map this kernel onto this fabric within this
 //! budget*. The [`Backend`] trait captures that contract, and [`race`] runs
-//! several backends concurrently under the shared [`CancelToken`] machinery:
-//! the first backend (in priority order) to produce a feasible mapping wins
-//! and the losers are cancelled cooperatively.
+//! several backends in priority order on the calling thread, each on what
+//! is left of the request's budget.
 //!
 //! # Determinism of the race
 //!
-//! The winner is the **lowest-index** backend that succeeds, not the first
-//! to cross the finish line. Backend `i` is only ever cancelled after some
-//! `j < i` has already succeeded — in which case the winner is `≤ j`
-//! regardless of what `i` would have returned — so scheduling jitter can
-//! change wall time but never the winner. [`RaceMode::BestII`] instead lets
-//! every backend finish and picks the lowest achieved II (ties by index).
+//! Under [`RaceMode::FirstFeasible`] the winner is the **lowest-index**
+//! backend that succeeds: the backends after it never run.
+//! [`RaceMode::BestII`] runs every backend and picks the lowest achieved II
+//! (ties by index). Absent a deadline, the winner depends only on the
+//! backends' results, never on timing.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use himap_baseline::{baseline_block, BaselineFailure, BaselineOptions, SaMapper, SprMapper};
+use himap_baseline::{
+    baseline_block, BaselineFailure, BaselineOptions, BhcResult, SaMapper, SprMapper,
+};
 use himap_cgra::CgraSpec;
 use himap_dfg::Dfg;
 use himap_kernels::Kernel;
@@ -41,8 +39,8 @@ pub struct MapRequest {
     /// The target fabric.
     pub spec: CgraSpec,
     /// Wall-clock budget for the whole request. Backends fold it into their
-    /// own timeout machinery; [`race`] additionally arms every backend's
-    /// [`CancelToken`] with it.
+    /// own timeout machinery; [`race`] hands each backend what is left of
+    /// it when that backend's turn comes.
     pub deadline: Option<Duration>,
 }
 
@@ -63,8 +61,6 @@ impl MapRequest {
 /// Why a backend produced no mapping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// The cancel token fired (a sibling backend won the race).
-    Cancelled,
     /// The wall-clock budget passed before a mapping completed.
     Deadline(String),
     /// The backend proved or concluded the problem infeasible for it.
@@ -78,7 +74,6 @@ pub enum BackendError {
 impl std::fmt::Display for BackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendError::Cancelled => write!(f, "cancelled by the race"),
             BackendError::Deadline(why) => write!(f, "deadline exceeded: {why}"),
             BackendError::Infeasible(why) => write!(f, "infeasible: {why}"),
             BackendError::Unsupported(why) => write!(f, "unsupported request: {why}"),
@@ -89,29 +84,26 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// A pluggable mapping engine. Implementations must be cheap to share
-/// across threads (`Sync`) — [`race`] calls [`Backend::map`] from a scoped
-/// worker per backend.
-pub trait Backend: Sync {
+/// A pluggable mapping engine.
+pub trait Backend {
     /// Stable name for reports and tie-break documentation.
     fn name(&self) -> &'static str;
 
-    /// Maps the request, polling `cancel` cooperatively.
+    /// Maps the request within `req.deadline`.
     ///
     /// # Errors
     ///
-    /// [`BackendError::Cancelled`] when the token fired for a non-deadline
-    /// reason, [`BackendError::Deadline`] on budget expiry, and the other
-    /// variants for infeasibility/unsupported inputs/internal failures.
-    fn map(&self, req: &MapRequest, cancel: &CancelToken) -> Result<Mapping, BackendError>;
+    /// [`BackendError::Deadline`] on budget expiry, and the other variants
+    /// for infeasibility/unsupported inputs/internal failures.
+    fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError>;
 }
 
 /// The HiMap hierarchical pipeline as a [`Backend`].
 #[derive(Clone, Debug, Default)]
 pub struct HiMapBackend {
-    /// Pipeline options. The request's deadline (and the race's token) are
-    /// layered on top: an explicit `options.deadline` is kept only when it
-    /// is tighter than the request's.
+    /// Pipeline options. The request's deadline is layered on top: an
+    /// explicit `options.deadline` is kept only when it is tighter than the
+    /// request's.
     pub options: HiMapOptions,
 }
 
@@ -127,26 +119,19 @@ impl Backend for HiMapBackend {
         "himap"
     }
 
-    fn map(&self, req: &MapRequest, cancel: &CancelToken) -> Result<Mapping, BackendError> {
+    fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError> {
         let mut options = self.options.clone();
         options.deadline = match (options.deadline, req.deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let mapper = HiMap::new(options);
-        let (result, _) = mapper.map_cancellable(&req.kernel, &req.spec, Some(cancel));
-        result.map_err(|err| {
-            if cancel.is_cancelled() && !cancel.deadline_passed() {
-                return BackendError::Cancelled;
+        HiMap::new(options).map(&req.kernel, &req.spec).map_err(|err| match err {
+            HiMapError::DeadlineExceeded(report) => BackendError::Deadline(report.to_string()),
+            HiMapError::UnsupportedKernel(why) => BackendError::Unsupported(why),
+            HiMapError::Verification(why) | HiMapError::Internal(why) => {
+                BackendError::Internal(why)
             }
-            match err {
-                HiMapError::DeadlineExceeded(report) => BackendError::Deadline(report.to_string()),
-                HiMapError::UnsupportedKernel(why) => BackendError::Unsupported(why),
-                HiMapError::Verification(why) | HiMapError::Internal(why) => {
-                    BackendError::Internal(why)
-                }
-                other => BackendError::Infeasible(other.to_string()),
-            }
+            other => BackendError::Infeasible(other.to_string()),
         })
     }
 }
@@ -191,7 +176,7 @@ impl Backend for BhcBackend {
         "bhc"
     }
 
-    fn map(&self, req: &MapRequest, cancel: &CancelToken) -> Result<Mapping, BackendError> {
+    fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError> {
         let started = Instant::now();
         let mut options = self.options.clone();
         if let Some(budget) = req.deadline {
@@ -200,35 +185,23 @@ impl Backend for BhcBackend {
         let block = self.block.clone().unwrap_or_else(|| baseline_block(&req.kernel, &options));
         let dfg = Dfg::build(&req.kernel, &block)
             .map_err(|e| BackendError::Infeasible(format!("dfg construction failed: {e}")))?;
-        let failure = |e: BaselineFailure| match e {
-            BaselineFailure::Timeout => BackendError::Deadline("baseline budget spent".into()),
-            other => BackendError::Infeasible(other.to_string()),
-        };
-        // SPR first, then (token permitting) SA; keep the better mapping —
-        // the same "best of both" rule as `himap_baseline::bhc`, with a
-        // cancellation poll between the two runs.
+        // SPR first, then SA on the budget SPR left; `BhcResult::best` keeps
+        // the better mapping.
         let spr = SprMapper::run(&dfg, &req.spec, &options);
-        if cancel.is_cancelled() && !cancel.deadline_passed() {
-            return Err(BackendError::Cancelled);
-        }
         let remaining = options.timeout.saturating_sub(started.elapsed());
         let sa = if remaining.is_zero() {
             Err(BaselineFailure::Timeout)
         } else {
             SaMapper::run(&dfg, &req.spec, &BaselineOptions { timeout: remaining, ..options })
         };
-        let best = match (&spr, &sa) {
-            (Ok(a), Ok(b)) => {
-                if (b.utilization, a.ii) > (a.utilization, b.ii) {
-                    b
-                } else {
-                    a
-                }
+        let result = BhcResult { spr, sa };
+        let best = result.best().ok_or_else(|| {
+            match result.spr.as_ref().err().cloned().unwrap_or(BaselineFailure::NoValidMapping) {
+                BaselineFailure::Timeout => BackendError::Deadline("baseline budget spent".into()),
+                other => BackendError::Infeasible(other.to_string()),
             }
-            (Ok(a), Err(_)) => a,
-            (Err(_), Ok(b)) => b,
-            (Err(a), Err(_)) => return Err(failure(a.clone())),
-        };
+        })?;
+        let cancel = req.deadline.map(|budget| CancelToken::until(started + budget));
         route_placement(
             &dfg,
             &req.spec,
@@ -236,10 +209,9 @@ impl Backend for BhcBackend {
             &best.op_slots,
             &block,
             self.lower_rounds,
-            Some(cancel),
+            cancel.as_ref(),
         )
         .map_err(|e| match e {
-            LowerError::Cancelled if !cancel.deadline_passed() => BackendError::Cancelled,
             LowerError::Cancelled => BackendError::Deadline("lowering cut by deadline".into()),
             other => BackendError::Infeasible(format!("placement does not lower: {other}")),
         })
@@ -249,12 +221,12 @@ impl Backend for BhcBackend {
 /// Which rule crowns the race winner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RaceMode {
-    /// First feasible mapping in priority order wins; later backends are
-    /// cancelled as soon as an earlier one succeeds.
+    /// First feasible mapping in priority order wins; the backends after it
+    /// are not run.
     #[default]
     FirstFeasible,
-    /// Every backend runs to completion (or deadline); the lowest achieved
-    /// II wins, ties broken by priority order.
+    /// Every backend runs (each on the budget the earlier ones left); the
+    /// lowest achieved II wins, ties broken by priority order.
     BestII,
 }
 
@@ -269,7 +241,8 @@ pub struct BackendOutcome {
     pub ii: Option<usize>,
     /// Achieved utilization on success.
     pub utilization: Option<f64>,
-    /// The error, when the backend failed or was cancelled.
+    /// The error, when the backend failed or its turn came after the
+    /// deadline.
     pub error: Option<BackendError>,
     /// Wall time this backend ran.
     pub elapsed: Duration,
@@ -286,16 +259,16 @@ pub struct RaceOutcome {
     pub mapping: Mapping,
     /// Wall time of the whole race.
     pub elapsed: Duration,
-    /// Per-backend outcomes, in priority order.
+    /// Outcomes of the backends that took a turn, in priority order.
     pub outcomes: Vec<BackendOutcome>,
 }
 
-/// Races `backends` on `req` concurrently — one scoped thread each — under
-/// a shared deadline and cooperative cancellation.
+/// Runs `backends` on `req` in priority order on the calling thread, each on
+/// what is left of the request's deadline.
 ///
-/// The deterministic tie-break rule is documented on [`RaceMode`]; under
-/// [`RaceMode::FirstFeasible`] each backend's token cancels once a
-/// strictly-higher-priority backend succeeds.
+/// The winner rule is documented on [`RaceMode`]. A backend whose turn
+/// comes after the deadline is not called; its outcome is
+/// [`BackendError::Deadline`].
 ///
 /// # Errors
 ///
@@ -309,7 +282,7 @@ pub fn race(
 ) -> Result<RaceOutcome, HiMapError> {
     let started = Instant::now();
     // Admission control: a statically infeasible request fails every
-    // backend, so reject it once — before spawning any of them — with the
+    // backend, so reject it once — before running any of them — with the
     // analyzer's A-code diagnostics instead of N redundant backend failures.
     let analysis = himap_analyze::analyze_kernel(
         &req.kernel,
@@ -321,109 +294,67 @@ pub fn race(
     }
     let static_bounds = Some(Box::new(analysis.bounds));
     let deadline = req.deadline.map(|budget| started + budget);
-    // Lowest priority index that has succeeded so far; backend `i`'s token
-    // cancels once `best < i` — exactly the candidate-walk invariant.
-    let best = Arc::new(AtomicUsize::new(usize::MAX));
-    let cells: Vec<OnceLock<(Result<Mapping, BackendError>, Duration)>> =
-        backends.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for (idx, backend) in backends.iter().enumerate() {
-            let best = Arc::clone(&best);
-            let cells = &cells;
-            scope.spawn(move || {
-                let begun = Instant::now();
-                let token = match mode {
-                    RaceMode::FirstFeasible => CancelToken::new(Arc::clone(&best), idx),
-                    RaceMode::BestII => CancelToken::never(),
+    let mut outcomes: Vec<BackendOutcome> = Vec::with_capacity(backends.len());
+    // `(index, mapping)` of the winner so far: the lowest II, ties by index.
+    let mut best: Option<(usize, Mapping)> = None;
+    for (index, backend) in backends.iter().enumerate() {
+        let begun = Instant::now();
+        let left = deadline.map(|d| d.saturating_duration_since(begun));
+        let result = if left.is_some_and(|left| left.is_zero()) {
+            Err(BackendError::Deadline("budget spent before this backend's turn".into()))
+        } else {
+            backend.map(&MapRequest { deadline: left, ..req.clone() })
+        };
+        let mut outcome = BackendOutcome {
+            name: backend.name(),
+            index,
+            ii: None,
+            utilization: None,
+            error: None,
+            elapsed: begun.elapsed(),
+        };
+        match result {
+            Ok(mapping) => {
+                outcome.ii = Some(mapping.stats().iib);
+                outcome.utilization = Some(mapping.utilization());
+                if best.as_ref().is_none_or(|(_, b)| mapping.stats().iib < b.stats().iib) {
+                    best = Some((index, mapping));
                 }
-                .with_deadline(deadline);
-                let result = backend.map(req, &token);
-                if result.is_ok() && mode == RaceMode::FirstFeasible {
-                    best.fetch_min(idx, Ordering::AcqRel);
-                }
-                let stored = cells[idx].set((result, begun.elapsed()));
-                debug_assert!(stored.is_ok(), "backend {idx} reported twice");
-            });
-        }
-    });
-    let mut results: Vec<(Result<Mapping, BackendError>, Duration)> = cells
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner().unwrap_or_else(|| {
-                (Err(BackendError::Internal("backend worker vanished".into())), Duration::ZERO)
-            })
-        })
-        .collect();
-    let winner_index = match mode {
-        RaceMode::FirstFeasible => results.iter().position(|(r, _)| r.is_ok()),
-        RaceMode::BestII => results
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (r, _))| r.as_ref().ok().map(|m| (m.stats().iib, i)))
-            .min()
-            .map(|(_, i)| i),
-    };
-    let elapsed = started.elapsed();
-    let outcomes: Vec<BackendOutcome> = results
-        .iter()
-        .zip(backends)
-        .enumerate()
-        .map(|(index, ((result, spent), backend))| match result {
-            Ok(mapping) => BackendOutcome {
-                name: backend.name(),
-                index,
-                ii: Some(mapping.stats().iib),
-                utilization: Some(mapping.utilization()),
-                error: None,
-                elapsed: *spent,
-            },
-            Err(err) => BackendOutcome {
-                name: backend.name(),
-                index,
-                ii: None,
-                utilization: None,
-                error: Some(err.clone()),
-                elapsed: *spent,
-            },
-        })
-        .collect();
-    match winner_index {
-        Some(idx) => {
-            let (result, _) = results.swap_remove(idx);
-            let mapping = result.map_err(|_| {
-                HiMapError::Internal("winner index points at a failed backend".into())
-            })?;
-            Ok(RaceOutcome {
-                winner: backends[idx].name(),
-                winner_index: idx,
-                mapping,
-                elapsed,
-                outcomes,
-            })
-        }
-        None => {
-            let attempts: Vec<Attempt> = outcomes
-                .iter()
-                .map(|o| Attempt {
-                    rung: o.index,
-                    stage: format!("backend-{}", o.name),
-                    shape: None,
-                    ii: None,
-                    cause: o
-                        .error
-                        .as_ref()
-                        .map_or_else(|| "unknown".to_string(), ToString::to_string),
-                    elapsed: o.elapsed,
-                })
-                .collect();
-            let report = MapReport { attempts, elapsed, static_bounds };
-            let deadline_hit = deadline.is_some_and(|d| Instant::now() >= d)
-                || outcomes.iter().any(|o| matches!(o.error, Some(BackendError::Deadline(_))));
-            if deadline_hit {
-                Err(HiMapError::DeadlineExceeded(report))
-            } else {
-                Err(HiMapError::Exhausted(report))
             }
+            Err(err) => outcome.error = Some(err),
         }
+        outcomes.push(outcome);
+        if mode == RaceMode::FirstFeasible && best.is_some() {
+            break;
+        }
+    }
+    let elapsed = started.elapsed();
+    if let Some((idx, mapping)) = best {
+        return Ok(RaceOutcome {
+            winner: backends[idx].name(),
+            winner_index: idx,
+            mapping,
+            elapsed,
+            outcomes,
+        });
+    }
+    let attempts: Vec<Attempt> = outcomes
+        .iter()
+        .map(|o| Attempt {
+            rung: o.index,
+            stage: format!("backend-{}", o.name),
+            shape: None,
+            ii: None,
+            cause: o.error.as_ref().map_or_else(|| "unknown".to_string(), ToString::to_string),
+            elapsed: o.elapsed,
+        })
+        .collect();
+    let report = MapReport { attempts, elapsed, static_bounds };
+    let deadline_hit = deadline.is_some_and(|d| Instant::now() >= d)
+        || outcomes.iter().any(|o| matches!(o.error, Some(BackendError::Deadline(_))));
+    if deadline_hit {
+        Err(HiMapError::DeadlineExceeded(report))
+    } else {
+        Err(HiMapError::Exhausted(report))
     }
 }

@@ -4,8 +4,7 @@
 //! `(sub-candidate, block, space-assignment)` tuple up front in
 //! best-utilization-first order, then [`Walk`] evaluates them in that order
 //! and stops at the first terminal verdict — the literal Algorithm-1 loop.
-//! A deadline or an external [`CancelToken`](himap_mapper::CancelToken)
-//! stops it between candidates, between phases and mid-route.
+//! A deadline stops it between candidates, between phases and mid-route.
 //!
 //! The walk keeps one long-lived [`Router`] per initiation interval, holding
 //! a cloned `Arc<MrrgIndex>` and epoch-reset search scratch, so routing a
@@ -17,12 +16,11 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use himap_baseline::{baseline_block, bhc, BaselineMapping, BaselineOptions};
 use himap_cgra::{CgraSpec, MrrgIndex, Vsa};
 use himap_dfg::{Dfg, NodeKind};
 use himap_kernels::Kernel;
 use himap_mapper::{CancelToken, Router, RouterConfig};
-use himap_systolic::{search_counted, SearchConfig};
+use himap_systolic::{search_counted, RankedMap, SearchConfig};
 
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
@@ -39,36 +37,6 @@ use crate::unique::classify;
 #[derive(Clone, Debug, Default)]
 pub struct HiMap {
     options: HiMapOptions,
-}
-
-/// What [`HiMap::map_recover`] recovered: the result of whichever ladder
-/// rung succeeded first.
-#[derive(Clone, Debug)]
-pub enum Recovered {
-    /// A HiMap rung produced a fully routed and verified [`Mapping`].
-    HiMap(Box<Mapping>),
-    /// The ladder fell through to the baseline SPR/SA mapper: a
-    /// placement-only modulo schedule with no explicit routes (check it with
-    /// `himap-verify`'s baseline verifier, not the mapping verifier).
-    Baseline(Box<BaselineMapping>),
-}
-
-impl Recovered {
-    /// The HiMap mapping, when that rung won.
-    pub fn as_himap(&self) -> Option<&Mapping> {
-        match self {
-            Recovered::HiMap(mapping) => Some(mapping),
-            Recovered::Baseline(_) => None,
-        }
-    }
-
-    /// The baseline fallback mapping, when the ladder fell through.
-    pub fn as_baseline(&self) -> Option<&BaselineMapping> {
-        match self {
-            Recovered::HiMap(_) => None,
-            Recovered::Baseline(baseline) => Some(baseline),
-        }
-    }
 }
 
 /// Builds the attempt-trail report of a failed climb and mirrors the trail
@@ -111,7 +79,7 @@ enum Verdict {
     /// Full-block DFG construction failed; the sequential walk aborts with
     /// this error immediately, so it is terminal like `Mapped`.
     DfgError(String),
-    /// Cut short by cancellation (the deadline or an external token).
+    /// Cut short by the deadline.
     Abandoned,
 }
 
@@ -153,68 +121,13 @@ impl HiMap {
         kernel: &Kernel,
         cgra: &CgraSpec,
     ) -> (Result<Mapping, HiMapError>, PipelineStats) {
-        self.map_cancellable(kernel, cgra, None)
-    }
-
-    /// [`HiMap::map_with_stats`] under an external [`CancelToken`]: the
-    /// token is chained under the walk's deadline token, so firing it stops
-    /// probe routing, candidate evaluation and detailed routing within a
-    /// poll interval. The portfolio racer uses this to cut losing
-    /// backends.
-    ///
-    /// External cancellation surfaces as [`HiMapError::DeadlineExceeded`]
-    /// with the partial attempt trail; callers that need to distinguish a
-    /// fired bound from a passed deadline ask the token
-    /// ([`CancelToken::deadline_passed`]).
-    pub fn map_cancellable(
-        &self,
-        kernel: &Kernel,
-        cgra: &CgraSpec,
-        external: Option<&CancelToken>,
-    ) -> (Result<Mapping, HiMapError>, PipelineStats) {
         let wall = Instant::now();
         let mut stats = PipelineStats::default();
-        let result = self.climb(kernel, cgra, &mut stats, wall, external);
+        let result = self.climb(kernel, cgra, &mut stats, wall);
         stats.times.total = wall.elapsed();
         let result = result.map(|mut mapping| {
             mapping.set_pipeline_stats(stats.clone());
             mapping
-        });
-        (result, stats)
-    }
-
-    /// [`HiMap::map`] with the full recovery ladder, including the baseline
-    /// SPR/SA fallback rung (`options.recovery.baseline_fallback`).
-    ///
-    /// The baseline mapper produces a placement-only modulo schedule with no
-    /// explicit routes, so a fallback result cannot be a [`Mapping`]; this is
-    /// the only entry point that can return [`Recovered::Baseline`], and
-    /// [`HiMap::map`] / [`HiMap::map_with_stats`] climb the HiMap rungs only.
-    ///
-    /// # Errors
-    ///
-    /// [`HiMapError::Exhausted`] when every rung (baseline included) fails,
-    /// [`HiMapError::DeadlineExceeded`] when `options.deadline` cut the climb
-    /// short, or the bare underlying error for single-attempt runs.
-    pub fn map_recover(
-        &self,
-        kernel: &Kernel,
-        cgra: &CgraSpec,
-    ) -> (Result<Recovered, HiMapError>, PipelineStats) {
-        let wall = Instant::now();
-        let mut stats = PipelineStats::default();
-        let climbed = self.climb(kernel, cgra, &mut stats, wall, None);
-        let result = match climbed {
-            Ok(mapping) => Ok(Recovered::HiMap(Box::new(mapping))),
-            Err(err) => self.baseline_rung(kernel, cgra, &mut stats, wall, err),
-        };
-        stats.times.total = wall.elapsed();
-        let result = result.map(|recovered| match recovered {
-            Recovered::HiMap(mut mapping) => {
-                mapping.set_pipeline_stats(stats.clone());
-                Recovered::HiMap(mapping)
-            }
-            baseline => baseline,
         });
         (result, stats)
     }
@@ -233,7 +146,6 @@ impl HiMap {
         cgra: &CgraSpec,
         stats: &mut PipelineStats,
         started: Instant,
-        external: Option<&CancelToken>,
     ) -> Result<Mapping, HiMapError> {
         // Admission control: the static analyzer's certified bounds are
         // computed once, up front. A statically infeasible request is
@@ -256,16 +168,14 @@ impl HiMap {
         let mut attempts: Vec<Attempt> = Vec::new();
         let mut last: Option<HiMapError> = None;
         for (rung, (stage, options)) in self.rung_plan().into_iter().enumerate() {
-            if deadline.is_some_and(|d| Instant::now() >= d)
-                || external.is_some_and(CancelToken::is_cancelled)
-            {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(HiMapError::DeadlineExceeded(report(stats, attempts, started)));
             }
             let attempt_start = Instant::now();
             let mapper = HiMap { options };
             // `shape` is the walk's best sub-candidate: the shape and II of
             // the closest miss, for the ladder's attempt trail.
-            let (outcome, shape) = mapper.walk(kernel, cgra, stats, deadline, external);
+            let (outcome, shape) = mapper.walk(kernel, cgra, stats, deadline);
             match outcome {
                 Ok(mapping) => {
                     // A success after failed rungs still surfaces the trail
@@ -282,9 +192,7 @@ impl HiMap {
                         cause: err.to_string(),
                         elapsed: attempt_start.elapsed(),
                     });
-                    if deadline.is_some_and(|d| Instant::now() >= d)
-                        || external.is_some_and(CancelToken::is_cancelled)
-                    {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
                         return Err(HiMapError::DeadlineExceeded(report(stats, attempts, started)));
                     }
                     if !err.is_recoverable() {
@@ -304,8 +212,7 @@ impl HiMap {
 
     /// The HiMap rungs as `(stage label, options)` pairs: the configured
     /// options first, then each II bump widening the time-slack window, then
-    /// the widened-candidate retry. The baseline rung is not an options
-    /// tweak and lives in [`HiMap::map_recover`].
+    /// the widened-candidate retry.
     fn rung_plan(&self) -> Vec<(String, HiMapOptions)> {
         let base = &self.options;
         let mut rungs = vec![("himap".to_string(), base.clone())];
@@ -331,84 +238,6 @@ impl HiMap {
         rungs
     }
 
-    /// The last rung: the baseline SPR/SA mapper on the fault-masked fabric,
-    /// under whatever deadline budget the HiMap rungs left over. `err` is
-    /// the climb's failure; when the rung is disabled or the failure is not
-    /// recoverable it passes through unchanged.
-    fn baseline_rung(
-        &self,
-        kernel: &Kernel,
-        cgra: &CgraSpec,
-        stats: &mut PipelineStats,
-        started: Instant,
-        err: HiMapError,
-    ) -> Result<Recovered, HiMapError> {
-        let recoverable = match &err {
-            HiMapError::Exhausted(_) => true,
-            HiMapError::DeadlineExceeded(_) => false,
-            other => other.is_recoverable(),
-        };
-        if !self.options.recovery.baseline_fallback || !recoverable {
-            return Err(err);
-        }
-        let deadline = self.options.deadline.map(|budget| started + budget);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(err);
-        }
-        let attempt_start = Instant::now();
-        let mut baseline_options = BaselineOptions::default();
-        if let Some(d) = deadline {
-            baseline_options.timeout = d.saturating_duration_since(attempt_start);
-        }
-        let block = baseline_block(kernel, &baseline_options);
-        let cause = match Dfg::build(kernel, &block) {
-            Ok(dfg) => match bhc(&dfg, cgra, &baseline_options).best() {
-                Some(best) => {
-                    let mut attempts = match err {
-                        HiMapError::Exhausted(report) => report.attempts,
-                        _ => Vec::new(),
-                    };
-                    attempts.push(Attempt {
-                        rung: attempts.len(),
-                        stage: "baseline-bhc".to_string(),
-                        shape: None,
-                        ii: Some(best.ii),
-                        cause: format!("recovered via {:?}", best.algorithm),
-                        elapsed: attempt_start.elapsed(),
-                    });
-                    stats.attempts = attempts;
-                    return Ok(Recovered::Baseline(Box::new(best.clone())));
-                }
-                None => "baseline mapper found no valid mapping".to_string(),
-            },
-            Err(e) => format!("baseline block DFG failed: {e}"),
-        };
-        // The rung failed: extend the trail and re-wrap.
-        let mut attempts = match err {
-            HiMapError::Exhausted(report) => report.attempts,
-            other => vec![Attempt {
-                rung: 0,
-                stage: "himap".to_string(),
-                shape: None,
-                ii: None,
-                cause: other.to_string(),
-                elapsed: attempt_start.duration_since(started),
-            }],
-        };
-        attempts.push(Attempt {
-            rung: attempts.len(),
-            stage: "baseline-bhc".to_string(),
-            shape: None,
-            ii: None,
-            cause,
-            elapsed: attempt_start.elapsed(),
-        });
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(HiMapError::DeadlineExceeded(report(stats, attempts, started)));
-        }
-        Err(HiMapError::Exhausted(report(stats, attempts, started)))
-    }
-
     /// Enumerates the candidate tuples and evaluates them in order, stopping
     /// at the first terminal verdict. Also returns the walk's best
     /// sub-candidate shape `(s1, s2, t)`, when `MAP()` produced one.
@@ -423,7 +252,6 @@ impl HiMap {
         cgra: &CgraSpec,
         stats: &mut PipelineStats,
         deadline: Option<Instant>,
-        external: Option<&CancelToken>,
     ) -> (Result<Mapping, HiMapError>, Option<Shape>) {
         if kernel.dims() < 2 {
             let why = format!(
@@ -433,14 +261,7 @@ impl HiMap {
             );
             return (Err(HiMapError::UnsupportedKernel(why)), None);
         }
-        // Merge the walk's own deadline scope with the caller's token: the
-        // chained token cancels when either does.
-        let token = match (deadline, external) {
-            (Some(d), Some(ext)) => Some(CancelToken::until(d).with_parent(ext.clone())),
-            (Some(d), None) => Some(CancelToken::until(d)),
-            (None, Some(ext)) => Some(ext.clone()),
-            (None, None) => None,
-        };
+        let token = deadline.map(CancelToken::until);
         let token = token.as_ref();
         let (subs, sub_stats) =
             timed(&mut stats.times.map, || map_idfg_counted(kernel, cgra, &self.options, token));
@@ -598,9 +419,9 @@ impl<'a> Walk<'a> {
     /// routing with replication-aware negotiation for each ranked systolic
     /// map.
     ///
-    /// `cancel` (when present) is polled between the expensive phases *and*
-    /// armed on the pooled router during negotiation; once it reports
-    /// cancelled the evaluation stops early with [`Verdict::Abandoned`] —
+    /// `cancel` (the deadline, when present) is polled between the expensive
+    /// phases *and* armed on the pooled router during negotiation; once it
+    /// reports cancelled the evaluation stops early with [`Verdict::Abandoned`] —
     /// mid-route via the Dijkstra loop's poll, mid-phase via the boundary
     /// checks.
     fn evaluate(&mut self, candidate: &Candidate, cancel: Option<&CancelToken>) -> Verdict {
@@ -611,7 +432,7 @@ impl<'a> Walk<'a> {
         let Candidate { sub, vsa, block } = candidate;
         // Probe the dependence structure on a small same-shape block.
         let probe_block: Vec<usize> = block.iter().map(|&b| b.min(4)).collect();
-        let (mesh_deps, mem_deps, anti_deps) = match self.probe_cache.get(&probe_block) {
+        let probe_deps = match self.probe_cache.get(&probe_block) {
             Some(deps) => {
                 stats.probe_cache_hits += 1;
                 deps.clone()
@@ -626,31 +447,12 @@ impl<'a> Walk<'a> {
                         return Verdict::Pruned;
                     }
                 };
-                let deps = (
-                    probe.isdg().distances().to_vec(),
-                    probe.mem_dep_distances(),
-                    probe.anti_dep_distances(),
-                );
+                let deps = distances(&probe);
                 self.probe_cache.insert(probe_block, deps.clone());
                 deps
             }
         };
-        let (ranked, search_stats) = timed(&mut stats.times.search, || {
-            search_counted(&SearchConfig {
-                dims: kernel.dims(),
-                block: block.clone(),
-                vsa_rows: vsa.rows(),
-                vsa_cols: vsa.cols(),
-                mesh_deps,
-                mem_deps,
-                anti_deps,
-            })
-        });
-        stats.systolic_searches += 1;
-        stats.systolic_matrices_tried += search_stats.matrices_tried;
-        stats.systolic_maps_found += search_stats.valid;
-        if ranked.is_empty() {
-            stats.candidates_pruned += 1;
+        if systolic_search(stats, kernel, vsa, block, probe_deps).is_empty() {
             return Verdict::Pruned;
         }
         if abandon() {
@@ -662,23 +464,8 @@ impl<'a> Walk<'a> {
             Ok(d) => d,
             Err(e) => return Verdict::DfgError(e.to_string()),
         };
-        let isdg = dfg.isdg();
-        let (ranked, search_stats) = timed(&mut stats.times.search, || {
-            search_counted(&SearchConfig {
-                dims: kernel.dims(),
-                block: block.clone(),
-                vsa_rows: vsa.rows(),
-                vsa_cols: vsa.cols(),
-                mesh_deps: isdg.distances().to_vec(),
-                mem_deps: dfg.mem_dep_distances(),
-                anti_deps: dfg.anti_dep_distances(),
-            })
-        });
-        stats.systolic_searches += 1;
-        stats.systolic_matrices_tried += search_stats.matrices_tried;
-        stats.systolic_maps_found += search_stats.valid;
+        let ranked = systolic_search(stats, kernel, vsa, block, distances(&dfg));
         if ranked.is_empty() {
-            stats.candidates_pruned += 1;
             return Verdict::Pruned;
         }
         for st in ranked.iter().take(options.max_systolic_candidates) {
@@ -771,6 +558,41 @@ impl<'a> Walk<'a> {
         }
         Verdict::RouteFailed
     }
+}
+
+/// The distinct dependence distances of `dfg`.
+fn distances(dfg: &Dfg) -> Deps {
+    (dfg.isdg().distances().to_vec(), dfg.mem_dep_distances(), dfg.anti_dep_distances())
+}
+
+/// The systolic search of one candidate against dependence distances
+/// `deps`, timed and counted into `stats`. An empty ranking prunes the
+/// candidate, and is counted as such.
+fn systolic_search(
+    stats: &mut PipelineStats,
+    kernel: &Kernel,
+    vsa: &Vsa,
+    block: &[usize],
+    (mesh_deps, mem_deps, anti_deps): Deps,
+) -> Vec<RankedMap> {
+    let (ranked, search_stats) = timed(&mut stats.times.search, || {
+        search_counted(&SearchConfig {
+            dims: kernel.dims(),
+            block: block.to_vec(),
+            vsa_rows: vsa.rows(),
+            vsa_cols: vsa.cols(),
+            mesh_deps,
+            mem_deps,
+            anti_deps,
+        })
+    });
+    stats.systolic_searches += 1;
+    stats.systolic_matrices_tried += search_stats.matrices_tried;
+    stats.systolic_maps_found += search_stats.valid;
+    if ranked.is_empty() {
+        stats.candidates_pruned += 1;
+    }
+    ranked
 }
 
 /// Candidate assignments of loop dims to the VSA's space axes: `p` feeds the

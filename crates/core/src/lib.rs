@@ -57,8 +57,7 @@ pub use backend::{
     RaceOutcome,
 };
 pub use config::{ConfigImage, DstPort, Instr, Move, SrcPort};
-pub use himap::{HiMap, Recovered};
-pub use himap_baseline::BaselineMapping;
+pub use himap::HiMap;
 pub use layout::{Layout, Slot};
 pub use lower::{route_placement, LowerError};
 pub use mapping::{Mapping, MappingParts, MappingStats, RouteInstance};

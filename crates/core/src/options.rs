@@ -75,11 +75,11 @@ pub struct HiMapOptions {
 ///    deeper sub-CGRAs (and therefore larger initiation intervals);
 /// 2. **widen** — one retry with widened shape/slack candidate budgets
 ///    (extra free extents, doubled sub-candidate and systolic budgets) on
-///    top of the full II bump;
-/// 3. **baseline fallback** — the baseline SPR/SA mapper as a last resort.
-///    Its result is placement-only (no routed `Mapping`), so this rung is
-///    climbed by [`HiMap::map_recover`](crate::HiMap::map_recover) and
-///    skipped by the `Mapping`-returning entry points.
+///    top of the full II bump.
+///
+/// Falling back to another mapper altogether is the portfolio's job: run
+/// [`race`](crate::race) over `[HiMapBackend, BhcBackend]` and BHC gets
+/// whatever budget HiMap left.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Extra initiation-interval rungs tried after the base attempt (each
@@ -87,21 +87,12 @@ pub struct RecoveryPolicy {
     pub ii_bumps: usize,
     /// Whether to retry once with widened shape/slack candidate budgets.
     pub widen: bool,
-    /// Whether to fall back to the baseline SPR/SA mapper as the last rung
-    /// (only reachable through `map_recover`).
-    pub baseline_fallback: bool,
 }
 
 impl RecoveryPolicy {
-    /// The full ladder: two II bumps, the widened retry and the baseline
-    /// fallback.
+    /// The full ladder: two II bumps and the widened retry.
     pub fn full() -> Self {
-        RecoveryPolicy { ii_bumps: 2, widen: true, baseline_fallback: true }
-    }
-
-    /// `true` when the policy is the no-op default (base attempt only).
-    pub fn is_noop(&self) -> bool {
-        *self == RecoveryPolicy::default()
+        RecoveryPolicy { ii_bumps: 2, widen: true }
     }
 }
 
@@ -110,8 +101,8 @@ impl RecoveryPolicy {
 pub struct Attempt {
     /// Ladder rung index (`0` is the base attempt).
     pub rung: usize,
-    /// What ran: `"himap"`, `"himap+ii<n>"`, `"himap+widen"` or
-    /// `"baseline-bhc"`.
+    /// What ran: `"himap"`, `"himap+ii<n>"`, `"himap+widen"`, or
+    /// `"backend-<name>"` in a [`race`](crate::race) trail.
     pub stage: String,
     /// Best sub-CGRA shape `(s1, s2, t)` the rung produced, when `MAP()`
     /// got that far.
@@ -219,8 +210,7 @@ pub enum HiMapError {
     /// diagnostics.
     Verification(String),
     /// An internal fault, surfaced instead of unwinding into the caller: the
-    /// installed verify hook panicked (caught), or [`race`](crate::race)
-    /// lost track of its winning backend. Carries the message.
+    /// installed verify hook panicked (caught). Carries the message.
     Internal(String),
     /// Every rung of the recovery ladder failed. Carries the structured
     /// attempt trail. Only produced when the ladder actually climbed (more

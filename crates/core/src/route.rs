@@ -186,7 +186,35 @@ fn negotiate(
             edges.push(e);
         }
     }
-    // Place every rep op's FU slot so congestion sees them.
+    place_reps(dfg, layout, classes, router)?;
+
+    let mut last_err = RouteError::ForwardOrdering;
+    for round in 0..options.pathfinder_rounds {
+        match route_round(dfg, layout, classes, &edges, router) {
+            Ok(mut result) => {
+                if router.oversubscribed().is_empty() {
+                    result.rounds = round + 1;
+                    return Ok(result);
+                }
+                last_err = RouteError::Congested(router.oversubscribed().len());
+            }
+            Err(e) => last_err = e,
+        }
+        // Clear routed occupancy but keep placed FU slots and history.
+        router.bump_history();
+        router.clear_present();
+        place_reps(dfg, layout, classes, router)?;
+    }
+    Err(last_err)
+}
+
+/// Places every representative op on its FU slot so congestion sees them.
+fn place_reps(
+    dfg: &Dfg,
+    layout: &Layout,
+    classes: &Classes,
+    router: &mut Router,
+) -> Result<(), RouteError> {
     for &rep in &classes.reps {
         let iter = dfg.iteration_at(rep);
         for &node in dfg.cluster(iter) {
@@ -203,44 +231,7 @@ fn negotiate(
             }
         }
     }
-
-    let mut last_err = RouteError::ForwardOrdering;
-    for round in 0..options.pathfinder_rounds {
-        match route_round(dfg, layout, classes, &edges, router) {
-            Ok(mut result) => {
-                if router.oversubscribed().is_empty() {
-                    result.rounds = round + 1;
-                    return Ok(result);
-                }
-                last_err = RouteError::Congested(router.oversubscribed().len());
-                router.bump_history();
-                clear_routes(dfg, layout, classes, router);
-            }
-            Err(e) => {
-                last_err = e;
-                router.bump_history();
-                clear_routes(dfg, layout, classes, router);
-            }
-        }
-    }
-    Err(last_err)
-}
-
-/// Clears routed occupancy but keeps placed FU slots and history.
-fn clear_routes(dfg: &Dfg, layout: &Layout, classes: &Classes, router: &mut Router) {
-    router.clear_present();
-    for &rep in &classes.reps {
-        let iter = dfg.iteration_at(rep);
-        for &node in dfg.cluster(iter) {
-            if let NodeKind::Op { stmt, op, .. } = dfg.graph()[node].kind {
-                let slot = layout.op_slot(dfg, iter, stmt, op);
-                router.place(
-                    RNode::new(slot.pe, slot.cycle_mod, RKind::Fu),
-                    SignalId(node.index() as u32),
-                );
-            }
-        }
-    }
+    Ok(())
 }
 
 fn route_round(

@@ -66,8 +66,7 @@ pub struct PipelineStats {
     /// Tuples rejected before detailed routing (probe build failed, or no
     /// valid systolic mapping on probe or exact distances).
     pub candidates_pruned: usize,
-    /// Tuples cut short by cancellation (the deadline or an external
-    /// token) part-way through evaluation.
+    /// Tuples cut short by the deadline part-way through evaluation.
     pub candidates_abandoned: usize,
     /// Systolic searches executed (up to two per tried tuple).
     pub systolic_searches: usize,
@@ -98,8 +97,8 @@ pub struct PipelineStats {
     /// Full clears of the router's epoch-stamped scratch (reallocation on
     /// growth or epoch wraparound) — stays tiny when scratch reuse works.
     pub router_epoch_resets: u64,
-    /// Router searches aborted by cooperative cancellation (the deadline or
-    /// an external token fired mid-search).
+    /// Router searches aborted by cooperative cancellation (the deadline
+    /// passed mid-search).
     pub router_searches_cancelled: u64,
     /// Recovery-ladder attempt trail: one entry per failed rung. Empty when
     /// the first attempt succeeded (the common case) or the ladder is

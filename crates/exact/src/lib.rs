@@ -30,7 +30,8 @@
 //!   but the bound is recorded rather than silently assumed.
 //!
 //! [`ExactBackend`] wraps the oracle behind the [`Backend`] portfolio
-//! trait so it can race HiMap and BHC under shared cancellation.
+//! trait, so it can take its turn in a race on whatever budget the
+//! backends before it left.
 
 #![forbid(unsafe_code)]
 
@@ -107,8 +108,6 @@ pub struct ExactResult {
 /// Why the oracle produced no mapping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExactError {
-    /// The cancel token fired for a non-deadline reason.
-    Cancelled,
     /// The wall-clock budget expired mid-solve.
     Deadline,
     /// The instance exceeds the oracle's size limits.
@@ -124,7 +123,6 @@ pub enum ExactError {
 impl fmt::Display for ExactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExactError::Cancelled => write!(f, "cancelled"),
             ExactError::Deadline => write!(f, "deadline exceeded"),
             ExactError::TooLarge(why) => write!(f, "instance too large for the oracle: {why}"),
             ExactError::Encode(err) => write!(f, "encoding failed: {err}"),
@@ -168,22 +166,14 @@ fn pair_clause(
     ])
 }
 
-fn cancel_error(cancel: Option<&CancelToken>) -> ExactError {
-    if cancel.is_some_and(CancelToken::deadline_passed) {
-        ExactError::Deadline
-    } else {
-        ExactError::Cancelled
-    }
-}
-
 /// Walks the II upward from the resource minimum until a SAT model lowers
 /// to a routed, verifier-clean mapping; see the crate docs for what the
 /// returned [`Certificate`] does and does not promise.
 ///
 /// # Errors
 ///
-/// [`ExactError::Infeasible`] when the II span is exhausted, the
-/// cancellation variants when `cancel` fires, and the size/encoding
+/// [`ExactError::Infeasible`] when the II span is exhausted,
+/// [`ExactError::Deadline`] when `cancel` fires, and the size/encoding
 /// variants for oversized or malformed inputs.
 pub fn minimal_ii(
     dfg: &Dfg,
@@ -217,7 +207,7 @@ pub fn minimal_ii(
     let mut last_horizon = 0;
     for ii in mii..=mii + options.max_ii_span {
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(cancel_error(cancel));
+            return Err(ExactError::Deadline);
         }
         let horizon = default_horizon(dfg, ii) + options.horizon_slack;
         last_horizon = horizon;
@@ -236,7 +226,7 @@ pub fn minimal_ii(
         for _ in 0..options.model_budget.max(1) {
             let mut solver = encoding.solver(&blocked);
             match solver.solve(cancel) {
-                SolveResult::Cancelled => return Err(cancel_error(cancel)),
+                SolveResult::Cancelled => return Err(ExactError::Deadline),
                 SolveResult::Unsat => {
                     if blocked.is_empty() {
                         // Clean refutation: no placement satisfies even the
@@ -267,7 +257,7 @@ pub fn minimal_ii(
                                 },
                             });
                         }
-                        Err(LowerError::Cancelled) => return Err(cancel_error(cancel)),
+                        Err(LowerError::Cancelled) => return Err(ExactError::Deadline),
                         Err(LowerError::Unroutable(eid)) => {
                             blocked.push(encoding.blocking_clause(&placement));
                             let (src, dst) = dfg.graph().edge_endpoints(eid);
@@ -339,21 +329,15 @@ impl Backend for ExactBackend {
         "exact"
     }
 
-    fn map(&self, req: &MapRequest, cancel: &CancelToken) -> Result<Mapping, BackendError> {
+    fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError> {
+        let started = std::time::Instant::now();
         let block = self.options.block.clone().unwrap_or_else(|| vec![2; req.kernel.dims().max(1)]);
         let dfg = Dfg::build(&req.kernel, &block)
             .map_err(|e| BackendError::Infeasible(format!("dfg construction failed: {e}")))?;
-        // Layer the request deadline onto the race token.
-        let token = match req.deadline {
-            Some(budget) => {
-                CancelToken::until(std::time::Instant::now() + budget).with_parent(cancel.clone())
-            }
-            None => cancel.clone(),
-        };
-        minimal_ii(&dfg, &req.spec, &self.options, Some(&token))
+        let token = req.deadline.map(|budget| CancelToken::until(started + budget));
+        minimal_ii(&dfg, &req.spec, &self.options, token.as_ref())
             .map(|result| result.mapping)
             .map_err(|err| match err {
-                ExactError::Cancelled => BackendError::Cancelled,
                 ExactError::Deadline => BackendError::Deadline("exact solve cut short".into()),
                 ExactError::TooLarge(why) => BackendError::Unsupported(why),
                 ExactError::Encode(e) => BackendError::Unsupported(e.to_string()),

@@ -2,7 +2,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,79 +109,30 @@ impl RouterStats {
 
 /// Cooperative cancellation handle polled inside the Dijkstra pop loop.
 ///
-/// A token fires on any of three conditions: a wall-clock deadline passes
-/// ([`CancelToken::until`]), a shared atomic bound drops *strictly below* a
-/// fixed threshold ([`CancelToken::new`]; it never un-fires for a
-/// monotonically decreasing bound), or a parent token fires. HiMap's walk
-/// arms its router with the `map` call's deadline; the portfolio racer
-/// shares one bound — the lowest backend index known to have succeeded —
-/// across its backends, so a loser's routing stops within a few heap pops
-/// of a strictly better backend winning.
+/// A token fires once the wall clock reaches its deadline
+/// ([`CancelToken::until`]); [`CancelToken::never`] never fires. HiMap's
+/// walk arms its router with the `map` call's deadline, so routing stops
+/// within a few heap pops of the budget running out.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
-    bound: Arc<AtomicUsize>,
-    threshold: usize,
-    /// Optional wall-clock deadline: the token also cancels once `Instant::now()`
-    /// reaches it, independent of the shared bound.
     deadline: Option<Instant>,
-    /// Optional parent token: cancellation of the parent cancels this token
-    /// too, letting nested scopes (a portfolio race around HiMap's own
-    /// candidate walk) compose without merging their bounds.
-    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
-    /// A token that cancels once `bound` drops below `threshold`.
-    pub fn new(bound: Arc<AtomicUsize>, threshold: usize) -> Self {
-        CancelToken { bound, threshold, deadline: None, parent: None }
-    }
-
-    /// A token that cancels only once the wall clock reaches `deadline`.
+    /// A token that cancels once the wall clock reaches `deadline`.
     pub fn until(deadline: Instant) -> Self {
-        CancelToken::never().with_deadline(Some(deadline))
+        CancelToken { deadline: Some(deadline) }
     }
 
-    /// A token that can never cancel (every bound is `>= 0`).
+    /// A token that never cancels.
     pub fn never() -> Self {
-        CancelToken {
-            bound: Arc::new(AtomicUsize::new(usize::MAX)),
-            threshold: 0,
-            deadline: None,
-            parent: None,
-        }
+        CancelToken { deadline: None }
     }
 
-    /// This token with `deadline` installed (or cleared with `None`),
-    /// keeping the shared-bound condition intact.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// This token chained under `parent`: it cancels when its own condition
-    /// fires *or* when `parent` (or any ancestor) is cancelled.
-    #[must_use]
-    pub fn with_parent(mut self, parent: CancelToken) -> Self {
-        self.parent = Some(Arc::new(parent));
-        self
-    }
-
-    /// Whether the deadline (if any) of this token or an ancestor has
-    /// passed. Distinguishes wall-clock expiry from bound-based
-    /// cancellation, so callers can report `DeadlineExceeded` vs `Cancelled`.
-    pub fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.parent.as_deref().is_some_and(CancelToken::deadline_passed)
-    }
-
-    /// Whether the shared bound has dropped below this token's threshold,
-    /// the deadline (if any) has passed, or an ancestor is cancelled.
+    /// Whether the deadline (if any) has passed.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.bound.load(AtomicOrdering::Acquire) < self.threshold
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.parent.as_deref().is_some_and(CancelToken::is_cancelled)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -457,7 +407,7 @@ pub struct Router {
     config: RouterConfig,
     scratch: SearchScratch,
     stats: RouterStats,
-    /// Armed by the caller (HiMap's deadline or a race's bound); `None`
+    /// Armed by the caller with its deadline; `None`
     /// disables polling.
     cancel: Option<CancelToken>,
 }
@@ -683,8 +633,8 @@ impl Router {
         while let Some(HeapEntry { f, idx, elapsed }) = scratch.heap.pop() {
             stats.nodes_popped += 1;
             // A cancelled search falls out of the loop: the caller's
-            // candidate has already lost the priority race, so "no route"
-            // is as good an answer as any and arrives immediately.
+            // budget is spent, so "no route" is as good an answer as any
+            // and arrives immediately.
             if cancel_poll(cancel, stats) {
                 break;
             }
@@ -1049,30 +999,26 @@ mod tests {
 
     #[test]
     fn cancelled_token_aborts_search_and_counts() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
         let mut r = router(3, 4);
         // The route exists without cancellation…
         assert!(r
             .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
             .is_some());
-        // …but an already-cancelled token (bound 0 < threshold 5) aborts the
-        // identical search before it reaches the target, counting the abort.
-        let bound = Arc::new(AtomicUsize::new(0));
-        r.set_cancel_token(Some(CancelToken::new(Arc::clone(&bound), 5)));
+        // …but an already-expired deadline aborts the identical search
+        // before it reaches the target, counting the abort.
+        r.set_cancel_token(Some(CancelToken::until(Instant::now())));
         let before = r.search_stats().cancelled;
         assert!(r
             .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
             .is_none());
         assert_eq!(r.search_stats().cancelled, before + 1);
-        // Raising the bound back above the threshold re-enables routing.
-        bound.store(usize::MAX, std::sync::atomic::Ordering::Release);
+        // A token that has not fired leaves routing enabled.
+        r.set_cancel_token(Some(CancelToken::never()));
         assert!(r
             .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
             .is_some());
         assert_eq!(r.search_stats().cancelled, before + 1, "live search not counted");
         // Disarming removes the poll entirely.
-        bound.store(0, std::sync::atomic::Ordering::Release);
         r.set_cancel_token(None);
         assert!(r
             .route(SignalId(1), &[fu(0, 0, 0)], fu(2, 2, 3), Elapsed::Exact(7), |_| true)
@@ -1092,37 +1038,11 @@ mod tests {
     }
 
     #[test]
-    fn parent_cancellation_propagates_to_children() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        // A live child under a live parent is not cancelled.
-        let parent_bound = Arc::new(AtomicUsize::new(usize::MAX));
-        let parent = CancelToken::new(Arc::clone(&parent_bound), 5);
-        let child = CancelToken::never().with_parent(parent.clone());
-        assert!(!child.is_cancelled());
-        // Cancelling the parent cancels the child — and a grandchild.
-        parent_bound.store(0, std::sync::atomic::Ordering::Release);
-        assert!(parent.is_cancelled());
-        assert!(child.is_cancelled());
-        let grandchild = CancelToken::never().with_parent(child);
-        assert!(grandchild.is_cancelled());
-        // Bound-based cancellation is not a deadline expiry…
-        assert!(!grandchild.deadline_passed());
-        // …but a passed deadline on an ancestor is visible from the leaf.
-        let expired = CancelToken::until(Instant::now() - std::time::Duration::from_millis(1));
-        let leaf = CancelToken::never().with_parent(expired);
-        assert!(leaf.is_cancelled());
-        assert!(leaf.deadline_passed());
-    }
-
-    #[test]
     fn cancelled_timed_route_aborts() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
         let mut r = router(3, 4);
         let src = [(fu(0, 0, 0), 0i64)];
         assert!(r.route_timed(SignalId(2), &src, fu(2, 2, 3), 7, |_| true).is_some());
-        r.set_cancel_token(Some(CancelToken::new(Arc::new(AtomicUsize::new(0)), 1)));
+        r.set_cancel_token(Some(CancelToken::until(Instant::now())));
         assert!(r.route_timed(SignalId(2), &src, fu(2, 2, 3), 7, |_| true).is_none());
         assert_eq!(r.search_stats().cancelled, 1);
     }
@@ -1381,13 +1301,11 @@ mod bounded_tests {
 
     #[test]
     fn bounded_route_honours_the_cancel_token() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
         let mut r = router(4, 4);
         let src = fu(0, 0, 0);
         let tgt = fu(3, 3, 2);
         assert!(r.route_bounded(SignalId(1), &[src], tgt, Elapsed::Exact(6), |_| true).is_some());
-        r.set_cancel_token(Some(CancelToken::new(Arc::new(AtomicUsize::new(0)), 1)));
+        r.set_cancel_token(Some(CancelToken::until(Instant::now())));
         let before = r.search_stats().cancelled;
         assert!(r.route_bounded(SignalId(1), &[src], tgt, Elapsed::Exact(6), |_| true).is_none());
         assert_eq!(r.search_stats().cancelled, before + 1);

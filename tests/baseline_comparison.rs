@@ -10,14 +10,13 @@ use himap_repro::cgra::CgraSpec;
 use himap_repro::core::backend::{Backend, BackendError, BhcBackend, HiMapBackend, MapRequest};
 use himap_repro::dfg::Dfg;
 use himap_repro::kernels::suite;
-use himap_repro::mapper::CancelToken;
 use himap_repro::verify::verify_mapping;
 
 #[test]
 fn bhc_maps_small_blocks() {
     let backend = BhcBackend::default().with_block(vec![2, 2, 2]);
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(4));
-    let mapping = backend.map(&req, &CancelToken::never()).expect("small GEMM block maps");
+    let mapping = backend.map(&req).expect("small GEMM block maps");
     assert!(mapping.utilization() > 0.0);
     assert!(mapping.stats().iib >= 1);
     let sink = verify_mapping(&mapping);
@@ -34,7 +33,7 @@ fn bhc_hits_the_scalability_cliff() {
     assert!(dfg.graph().node_count() > options.max_dfg_nodes);
     let backend = BhcBackend::new(options).with_block(vec![8, 8, 8]);
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(16));
-    let result = backend.map(&req, &CancelToken::never());
+    let result = backend.map(&req);
     assert!(
         matches!(result, Err(BackendError::Infeasible(_))),
         "expected the node-cap cliff, got {result:?}"
@@ -46,12 +45,11 @@ fn himap_dominates_on_large_arrays() {
     // Fig. 7's crossover: on a 16x16 array the baselines' node-capped DFG
     // cannot fill 256 PEs, while HiMap's utilization stays flat.
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(16));
-    let himap_util =
-        HiMapBackend::default().map(&req, &CancelToken::never()).expect("himap maps").utilization();
+    let himap_util = HiMapBackend::default().map(&req).expect("himap maps").utilization();
     let options =
         BaselineOptions { timeout: Duration::from_secs(15), ..BaselineOptions::default() };
     let bhc = BhcBackend::new(options);
-    let bhc_util = match bhc.map(&req, &CancelToken::never()) {
+    let bhc_util = match bhc.map(&req) {
         Ok(mapping) => {
             // The baseline's ops are capped near the node limit; 256 PEs
             // cannot be filled even at II = 1.
@@ -77,7 +75,7 @@ fn baseline_mappings_respect_mem_causality() {
     let req = MapRequest::new(suite::floyd_warshall(), CgraSpec::square(4));
     // Failing to map is acceptable; producing a causality-violating
     // mapping is not.
-    if let Ok(mapping) = backend.map(&req, &CancelToken::never()) {
+    if let Ok(mapping) = backend.map(&req) {
         let sink = verify_mapping(&mapping);
         assert!(!sink.has_errors(), "{}", sink.render_pretty());
     }
@@ -89,7 +87,7 @@ fn timeouts_are_honoured() {
     let req =
         MapRequest::new(suite::ttm(), CgraSpec::square(8)).with_deadline(Duration::from_millis(1));
     let start = std::time::Instant::now();
-    let result = backend.map(&req, &CancelToken::never());
+    let result = backend.map(&req);
     assert!(start.elapsed() < Duration::from_secs(30));
     // With a 1 ms budget the backend must report a deadline (or an early
     // structural failure), never hang or return a half-mapped success.

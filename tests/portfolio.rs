@@ -1,21 +1,36 @@
-//! Portfolio-racing tests: deadlines are honoured, losers observe
-//! cancellation, and the winner is deterministic under the documented
-//! lowest-index tie-break regardless of thread scheduling.
+//! Portfolio tests: deadlines are honoured, backends after the winner never
+//! run, and the winner is deterministic under the documented lowest-index
+//! tie-break.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::backend::{
     race, Backend, BackendError, BhcBackend, HiMapBackend, MapRequest, RaceMode,
 };
-use himap_repro::core::HiMapError;
+use himap_repro::core::{HiMapError, Mapping};
 use himap_repro::exact::ExactBackend;
 use himap_repro::kernels::suite;
-use himap_repro::mapper::CancelToken;
+
+/// A backend that only counts how often it is called.
+#[derive(Default)]
+struct Probe {
+    calls: Cell<usize>,
+}
+
+impl Backend for Probe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn map(&self, _req: &MapRequest) -> Result<Mapping, BackendError> {
+        self.calls.set(self.calls.get() + 1);
+        Err(BackendError::Unsupported("probe never maps".into()))
+    }
+}
 
 #[test]
 fn race_honours_the_deadline() {
@@ -43,48 +58,45 @@ fn race_honours_the_deadline() {
 }
 
 #[test]
-fn losing_backend_observes_cancellation() {
-    // HiMap finishes TTM on 4x4 in well under the time the exact backend
-    // needs for its default 2x2x2x2 block (tens of seconds of CEGAR churn),
-    // so under FirstFeasible the exact worker must be cancelled
-    // cooperatively, not run to completion.
-    let req = MapRequest::new(suite::ttm(), CgraSpec::square(4));
+fn backends_after_the_winner_never_run() {
+    // Under FirstFeasible the race stops at the first success: HiMap maps
+    // MVT on 4x4, so the backend queued behind it is never called and has
+    // no outcome.
+    let req = MapRequest::new(suite::mvt(), CgraSpec::square(4));
     let himap = HiMapBackend::default();
-    let exact = ExactBackend::default();
+    let probe = Probe::default();
     let outcome =
-        race(&[&himap, &exact], &req, RaceMode::FirstFeasible).expect("himap wins the race");
+        race(&[&himap, &probe], &req, RaceMode::FirstFeasible).expect("himap wins the race");
     assert_eq!(outcome.winner, "himap");
     assert_eq!(outcome.winner_index, 0);
-    let exact_outcome = &outcome.outcomes[1];
-    assert_eq!(exact_outcome.name, "exact");
-    assert!(
-        matches!(exact_outcome.error, Some(BackendError::Cancelled)),
-        "exact should lose by cancellation, got {:?}",
-        exact_outcome.error
-    );
+    assert_eq!(outcome.outcomes.len(), 1, "{:?}", outcome.outcomes);
+    assert_eq!(probe.calls.get(), 0, "a backend after the winner ran");
 }
 
 #[test]
-fn backend_returns_cancelled_on_a_pre_fired_token() {
-    // A token whose bound is already below its threshold is "cancelled
-    // before the start": the backend must notice it and bail out with
-    // Cancelled rather than mapping anyway.
-    let req = MapRequest::new(suite::mvt(), CgraSpec::square(4));
-    let token = CancelToken::new(Arc::new(AtomicUsize::new(0)), 1);
-    assert!(token.is_cancelled());
-    let himap = HiMapBackend::default();
-    let result = himap.map(&req, &token);
-    assert!(matches!(result, Err(BackendError::Cancelled)), "got {result:?}");
-    let exact = ExactBackend::default();
-    let result = exact.map(&req, &token);
-    assert!(matches!(result, Err(BackendError::Cancelled)), "got {result:?}");
+fn expired_budget_is_a_deadline_without_mapping() {
+    // A request whose budget is already spent: each backend must report a
+    // deadline rather than map anyway, and the race calls no backend at all.
+    let req = MapRequest::new(suite::mvt(), CgraSpec::square(4)).with_deadline(Duration::ZERO);
+    let result = HiMapBackend::default().map(&req);
+    assert!(matches!(result, Err(BackendError::Deadline(_))), "got {result:?}");
+    let result = ExactBackend::default().map(&req);
+    assert!(matches!(result, Err(BackendError::Deadline(_))), "got {result:?}");
+    let probe = Probe::default();
+    match race(&[&probe], &req, RaceMode::FirstFeasible) {
+        Err(HiMapError::DeadlineExceeded(report)) => {
+            assert_eq!(report.attempts.len(), 1);
+            assert!(report.attempts[0].cause.starts_with("deadline exceeded"), "{report:?}");
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(probe.calls.get(), 0, "a backend ran after the deadline");
 }
 
 #[test]
 fn winner_is_deterministic_across_repeated_races() {
-    // The documented tie-break: lowest index among successes, immune to
-    // scheduling jitter between the racing threads. Re-race three times;
-    // the winner name, index, and achieved II must never move.
+    // The documented tie-break: lowest II, then lowest index. Re-race three
+    // times; the winner name, index, and achieved II must never move.
     let req = MapRequest::new(suite::mvt(), CgraSpec::square(4));
     let himap = HiMapBackend::default();
     let bhc = BhcBackend::default().with_block(vec![2, 3]);
@@ -100,8 +112,8 @@ fn winner_is_deterministic_across_repeated_races() {
 
 #[test]
 fn best_ii_mode_keeps_every_outcome() {
-    // BestII races run all backends to completion: both outcomes carry an
-    // II or an error, and the winner achieved the minimum of the IIs.
+    // BestII races run every backend: both outcomes carry an II or an
+    // error, and the winner achieved the minimum of the IIs.
     let req =
         MapRequest::new(suite::mvt(), CgraSpec::square(4)).with_deadline(Duration::from_secs(30));
     let himap = HiMapBackend::default();
