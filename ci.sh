@@ -81,6 +81,11 @@ stage "cargo test -q" cargo test -q
 stage "cargo test --workspace -q" cargo test --workspace -q
 stage "cargo bench --no-run" cargo bench --no-run
 
+# API docs: a doc link left dangling by a renamed or deleted item fails the
+# gate instead of rendering as plain text.
+stage "cargo doc (-D warnings)" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Static verification smoke: lint + map + re-derive legality from scratch.
 # The binary exits non-zero on any Error-severity diagnostic.
 stage "himap-verify smoke (gemm)" target/release/himap-verify gemm --size 4
@@ -107,8 +112,9 @@ stage "bound consistency vs exact oracle" \
   cargo test --release -q --test static_analysis -- --ignored
 
 # Fault-injection sweep: random fault maps over every suite kernel on 4x4
-# and 8x8 fabrics, asserting mapped-and-verified / typed error / deadline —
-# never a panic. The proptest shim derives each case's RNG from the test
+# and 8x8 fabrics, each raced through HiMap's recovery ladder
+# (`HiMapBackend::ladder`), asserting mapped-and-verified / typed error /
+# deadline — never a panic. The proptest shim derives each case's RNG from the test
 # name and case index, so the sweep replays identically on every machine.
 stage "fault-injection sweep" \
   cargo test --release -q --test fault_injection -- --ignored

@@ -14,6 +14,15 @@
 //! [`RaceMode::BestII`] runs every backend and picks the lowest achieved II
 //! (ties by index). Absent a deadline, the winner depends only on the
 //! backends' results, never on timing.
+//!
+//! # Escalation
+//!
+//! HiMap's recovery ladder is a list of backends:
+//! [`HiMapBackend::ladder`] returns the configured pipeline followed by its
+//! II-bumped and widened variants, and racing them under
+//! [`RaceMode::FirstFeasible`] tries each only when the ones before it
+//! failed. Appending a [`BhcBackend`] falls back to another mapper
+//! altogether on whatever budget HiMap left.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +36,7 @@ use himap_mapper::CancelToken;
 
 use crate::lower::{route_placement, LowerError};
 use crate::mapping::Mapping;
-use crate::options::{Attempt, HiMapError, HiMapOptions, MapReport};
+use crate::options::{HiMapError, HiMapOptions, MapReport};
 use crate::HiMap;
 
 /// One mapping problem, phrased identically for every backend: the kernel,
@@ -99,24 +108,62 @@ pub trait Backend {
 }
 
 /// The HiMap hierarchical pipeline as a [`Backend`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct HiMapBackend {
+    /// Report name: `himap`, or a ladder rung's `himap+…` label.
+    name: &'static str,
     /// Pipeline options. The request's deadline is layered on top: an
     /// explicit `options.deadline` is kept only when it is tighter than the
     /// request's.
     pub options: HiMapOptions,
 }
 
+impl Default for HiMapBackend {
+    fn default() -> Self {
+        HiMapBackend::new(HiMapOptions::default())
+    }
+}
+
 impl HiMapBackend {
-    /// A backend over the given options.
+    /// A backend over the given options, named `himap`.
     pub fn new(options: HiMapOptions) -> Self {
-        HiMapBackend { options }
+        HiMapBackend { name: "himap", options }
+    }
+
+    /// HiMap's recovery ladder as four backends, in escalation order:
+    ///
+    /// 1. `himap` — `base` as given;
+    /// 2. `himap+ii1`, `himap+ii2` — [`HiMapOptions::max_time_slack`]
+    ///    widened by one and two cycles, so `MAP()` probes deeper sub-CGRAs
+    ///    and therefore larger initiation intervals;
+    /// 3. `himap+widen` — three cycles of slack plus extra free extents,
+    ///    doubled sub-candidate and systolic budgets and two more
+    ///    replication feedback rounds.
+    ///
+    /// Race them under [`RaceMode::FirstFeasible`] to escalate only on
+    /// failure.
+    pub fn ladder(base: &HiMapOptions) -> Vec<HiMapBackend> {
+        let slack = |name, bump| HiMapBackend {
+            name,
+            options: HiMapOptions { max_time_slack: base.max_time_slack + bump, ..base.clone() },
+        };
+        let mut widen = slack("himap+widen", 3);
+        let options = &mut widen.options;
+        for extent in [8, 6, 3, 1] {
+            if !options.free_extents.contains(&extent) {
+                options.free_extents.push(extent);
+            }
+        }
+        options.max_sub_candidates = base.max_sub_candidates.saturating_mul(2);
+        options.max_systolic_candidates = base.max_systolic_candidates.saturating_mul(2);
+        options.replication_feedback_rounds = base.replication_feedback_rounds.saturating_add(2);
+        vec![slack("himap", 0), slack("himap+ii1", 1), slack("himap+ii2", 2), widen]
     }
 }
 
 impl Backend for HiMapBackend {
     fn name(&self) -> &'static str {
-        "himap"
+        self.name
     }
 
     fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError> {
@@ -230,8 +277,9 @@ pub enum RaceMode {
     BestII,
 }
 
-/// One backend's result inside a [`RaceOutcome`].
-#[derive(Clone, Debug)]
+/// One backend's turn in a [`race`]: inside a [`RaceOutcome`], or in the
+/// [`MapReport`] trail of a race with no winner.
+#[derive(Clone, Debug, PartialEq)]
 pub struct BackendOutcome {
     /// The backend's [`Backend::name`].
     pub name: &'static str,
@@ -246,6 +294,17 @@ pub struct BackendOutcome {
     pub error: Option<BackendError>,
     /// Wall time this backend ran.
     pub elapsed: Duration,
+}
+
+impl std::fmt::Display for BackendOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{} {}: ", self.index, self.name)?;
+        match &self.error {
+            Some(err) => write!(f, "{err}")?,
+            None => f.write_str("mapped")?,
+        }
+        write!(f, " [{:.1} ms]", self.elapsed.as_secs_f64() * 1e3)
+    }
 }
 
 /// The result of a successful [`race`].
@@ -273,8 +332,8 @@ pub struct RaceOutcome {
 /// # Errors
 ///
 /// With no winner: [`HiMapError::DeadlineExceeded`] when the request's
-/// deadline passed (per-backend failures as the attempt trail), otherwise
-/// [`HiMapError::Exhausted`] with the same trail.
+/// deadline passed, otherwise [`HiMapError::Exhausted`]; both carry the
+/// outcomes as their [`MapReport`] trail.
 pub fn race(
     backends: &[&dyn Backend],
     req: &MapRequest,
@@ -338,20 +397,9 @@ pub fn race(
             outcomes,
         });
     }
-    let attempts: Vec<Attempt> = outcomes
-        .iter()
-        .map(|o| Attempt {
-            rung: o.index,
-            stage: format!("backend-{}", o.name),
-            shape: None,
-            ii: None,
-            cause: o.error.as_ref().map_or_else(|| "unknown".to_string(), ToString::to_string),
-            elapsed: o.elapsed,
-        })
-        .collect();
-    let report = MapReport { attempts, elapsed, static_bounds };
     let deadline_hit = deadline.is_some_and(|d| Instant::now() >= d)
         || outcomes.iter().any(|o| matches!(o.error, Some(BackendError::Deadline(_))));
+    let report = MapReport { outcomes, elapsed, static_bounds };
     if deadline_hit {
         Err(HiMapError::DeadlineExceeded(report))
     } else {

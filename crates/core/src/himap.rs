@@ -24,7 +24,7 @@ use himap_systolic::{search_counted, RankedMap, SearchConfig};
 
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
-use crate::options::{Attempt, HiMapError, HiMapOptions, MapReport};
+use crate::options::{HiMapError, HiMapOptions, MapReport};
 use crate::route::{replicate_and_verify, route_representatives_pooled};
 use crate::stats::{timed, PipelineStats};
 use crate::submap::{map_idfg_counted, SubMapping};
@@ -38,20 +38,6 @@ use crate::unique::classify;
 pub struct HiMap {
     options: HiMapOptions,
 }
-
-/// Builds the attempt-trail report of a failed climb and mirrors the trail
-/// into the stats record so [`PipelineStats`] surfaces it too.
-fn report(stats: &mut PipelineStats, attempts: Vec<Attempt>, started: Instant) -> MapReport {
-    stats.attempts = attempts.clone();
-    MapReport {
-        attempts,
-        elapsed: started.elapsed(),
-        static_bounds: stats.static_bounds.map(Box::new),
-    }
-}
-
-/// A sub-CGRA shape `(s1, s2, t)`.
-type Shape = (usize, usize, usize);
 
 /// Distinct dependence distances probed on a small block:
 /// `(mesh, memory-routed, anti)`.
@@ -123,7 +109,7 @@ impl HiMap {
     ) -> (Result<Mapping, HiMapError>, PipelineStats) {
         let wall = Instant::now();
         let mut stats = PipelineStats::default();
-        let result = self.climb(kernel, cgra, &mut stats, wall);
+        let result = self.admit_and_walk(kernel, cgra, &mut stats, wall);
         stats.times.total = wall.elapsed();
         let result = result.map(|mut mapping| {
             mapping.set_pipeline_stats(stats.clone());
@@ -132,115 +118,45 @@ impl HiMap {
         (result, stats)
     }
 
-    /// Climbs the HiMap rungs of the recovery ladder: the configured
-    /// attempt first, then II bumps and the widened retry
-    /// (`options.recovery`), each under `options.deadline`.
+    /// Admission control, then one walk under `options.deadline`.
     ///
-    /// Compatibility rule: a climb that made exactly one attempt with no
-    /// deadline configured returns the bare underlying error (the ladder is
-    /// invisible unless it actually ran); otherwise failures carry the
-    /// structured [`MapReport`] attempt trail.
-    fn climb(
+    /// A failed walk returns its bare error, or
+    /// [`HiMapError::DeadlineExceeded`] when the deadline cut it. Escalating
+    /// to other options is the job of [`race`](crate::race) over
+    /// [`HiMapBackend::ladder`](crate::HiMapBackend::ladder).
+    fn admit_and_walk(
         &self,
         kernel: &Kernel,
         cgra: &CgraSpec,
         stats: &mut PipelineStats,
         started: Instant,
     ) -> Result<Mapping, HiMapError> {
-        // Admission control: the static analyzer's certified bounds are
-        // computed once, up front. A statically infeasible request is
-        // rejected here — before a single DFG or MRRG exists — and every
-        // rung would fail identically, so the ladder never climbs past it.
-        // A feasible request records its certified II floor for the stats
-        // snapshot and the attempt-trail reports.
-        if self.options.admission {
-            let analysis = himap_analyze::analyze_kernel(
-                kernel,
-                cgra,
-                &himap_analyze::AnalyzeOptions::default(),
-            );
-            stats.static_bounds = Some(analysis.bounds);
-            if !analysis.is_feasible() {
-                return Err(HiMapError::Infeasible(analysis.diagnostics.render_pretty()));
-            }
+        // The static analyzer's certified bounds are computed once, up
+        // front. A statically infeasible request is rejected here — before a
+        // single DFG or MRRG exists. A feasible one records its certified II
+        // floor for the stats snapshot.
+        let analysis =
+            himap_analyze::analyze_kernel(kernel, cgra, &himap_analyze::AnalyzeOptions::default());
+        stats.static_bounds = Some(analysis.bounds);
+        if !analysis.is_feasible() {
+            return Err(HiMapError::Infeasible(analysis.diagnostics.render_pretty()));
         }
         let deadline = self.options.deadline.map(|budget| started + budget);
-        let mut attempts: Vec<Attempt> = Vec::new();
-        let mut last: Option<HiMapError> = None;
-        for (rung, (stage, options)) in self.rung_plan().into_iter().enumerate() {
+        self.walk(kernel, cgra, stats, deadline).map_err(|err| {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(HiMapError::DeadlineExceeded(report(stats, attempts, started)));
+                HiMapError::DeadlineExceeded(MapReport {
+                    outcomes: Vec::new(),
+                    elapsed: started.elapsed(),
+                    static_bounds: stats.static_bounds.map(Box::new),
+                })
+            } else {
+                err
             }
-            let attempt_start = Instant::now();
-            let mapper = HiMap { options };
-            // `shape` is the walk's best sub-candidate: the shape and II of
-            // the closest miss, for the ladder's attempt trail.
-            let (outcome, shape) = mapper.walk(kernel, cgra, stats, deadline);
-            match outcome {
-                Ok(mapping) => {
-                    // A success after failed rungs still surfaces the trail
-                    // through `PipelineStats`.
-                    stats.attempts = attempts;
-                    return Ok(mapping);
-                }
-                Err(err) => {
-                    attempts.push(Attempt {
-                        rung,
-                        stage,
-                        shape,
-                        ii: shape.map(|(_, _, t)| t),
-                        cause: err.to_string(),
-                        elapsed: attempt_start.elapsed(),
-                    });
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return Err(HiMapError::DeadlineExceeded(report(stats, attempts, started)));
-                    }
-                    if !err.is_recoverable() {
-                        return Err(err);
-                    }
-                    last = Some(err);
-                }
-            }
-        }
-        if attempts.len() <= 1 && deadline.is_none() {
-            // Single-attempt, no-deadline runs keep the pre-ladder error
-            // surface: the bare furthest-stage variant.
-            return Err(last.unwrap_or(HiMapError::NoSubMapping));
-        }
-        Err(HiMapError::Exhausted(report(stats, attempts, started)))
-    }
-
-    /// The HiMap rungs as `(stage label, options)` pairs: the configured
-    /// options first, then each II bump widening the time-slack window, then
-    /// the widened-candidate retry.
-    fn rung_plan(&self) -> Vec<(String, HiMapOptions)> {
-        let base = &self.options;
-        let mut rungs = vec![("himap".to_string(), base.clone())];
-        for bump in 1..=base.recovery.ii_bumps {
-            let mut options = base.clone();
-            options.max_time_slack = base.max_time_slack + bump;
-            rungs.push((format!("himap+ii{bump}"), options));
-        }
-        if base.recovery.widen {
-            let mut options = base.clone();
-            options.max_time_slack = base.max_time_slack + base.recovery.ii_bumps + 1;
-            for extent in [8, 6, 3, 1] {
-                if !options.free_extents.contains(&extent) {
-                    options.free_extents.push(extent);
-                }
-            }
-            options.max_sub_candidates = base.max_sub_candidates.saturating_mul(2);
-            options.max_systolic_candidates = base.max_systolic_candidates.saturating_mul(2);
-            options.replication_feedback_rounds =
-                base.replication_feedback_rounds.saturating_add(2);
-            rungs.push(("himap+widen".to_string(), options));
-        }
-        rungs
+        })
     }
 
     /// Enumerates the candidate tuples and evaluates them in order, stopping
-    /// at the first terminal verdict. Also returns the walk's best
-    /// sub-candidate shape `(s1, s2, t)`, when `MAP()` produced one.
+    /// at the first terminal verdict.
     ///
     /// `deadline` (from [`HiMapOptions::deadline`]) is enforced
     /// cooperatively: it arms the walk's [`CancelToken`], so MAP()'s probe
@@ -252,14 +168,14 @@ impl HiMap {
         cgra: &CgraSpec,
         stats: &mut PipelineStats,
         deadline: Option<Instant>,
-    ) -> (Result<Mapping, HiMapError>, Option<Shape>) {
+    ) -> Result<Mapping, HiMapError> {
         if kernel.dims() < 2 {
             let why = format!(
                 "kernel `{}` is {}-dimensional; HiMap targets multi-dimensional kernels",
                 kernel.name(),
                 kernel.dims()
             );
-            return (Err(HiMapError::UnsupportedKernel(why)), None);
+            return Err(HiMapError::UnsupportedKernel(why));
         }
         let token = deadline.map(CancelToken::until);
         let token = token.as_ref();
@@ -268,9 +184,8 @@ impl HiMap {
         stats.sub_shapes_tried += sub_stats.shapes_tried;
         stats.sub_candidates += subs.len();
         stats.add_router(sub_stats.router);
-        let shape = subs.first().map(|s| (s.s1, s.s2, s.t));
         if subs.is_empty() {
-            return (Err(HiMapError::NoSubMapping), shape);
+            return Err(HiMapError::NoSubMapping);
         }
         let (candidates, deduped) = timed(&mut stats.times.enumerate, || {
             enumerate_candidates(kernel, cgra, &subs, &self.options)
@@ -286,27 +201,22 @@ impl HiMap {
                 break;
             }
             match walk.evaluate(candidate, token) {
-                Verdict::Mapped(mapping) => return (self.cross_check(*mapping), shape),
-                Verdict::DfgError(why) => return (Err(HiMapError::Dfg(why)), shape),
+                Verdict::Mapped(mapping) => return self.cross_check(*mapping),
+                Verdict::DfgError(why) => return Err(HiMapError::Dfg(why)),
                 Verdict::RouteFailed => route_failed = true,
                 Verdict::Pruned => {}
                 Verdict::Abandoned => walk.stats.candidates_abandoned += 1,
             }
         }
-        let err =
-            if route_failed { HiMapError::RoutingFailed } else { HiMapError::NoSystolicMapping };
-        (Err(err), shape)
+        Err(if route_failed { HiMapError::RoutingFailed } else { HiMapError::NoSystolicMapping })
     }
 
     /// Runs the installed external verifier (see [`crate::set_verify_hook`])
-    /// over a winning mapping — always in debug builds, and in release
-    /// builds when `options.verify` is set. A rejection aborts the walk with
-    /// [`HiMapError::Verification`]: returning a mapping the independent
-    /// checker calls illegal would defeat the point of having one.
+    /// over a winning mapping, in every build profile. A rejection aborts
+    /// the walk with [`HiMapError::Verification`]: returning a mapping the
+    /// independent checker calls illegal would defeat the point of having
+    /// one.
     fn cross_check(&self, mapping: Mapping) -> Result<Mapping, HiMapError> {
-        if !(self.options.verify || cfg!(debug_assertions)) {
-            return Ok(mapping);
-        }
         match crate::verify_hook() {
             // The hook is external code; a panic in it is its bug, not a
             // reason to tear down the caller — surface it as `Internal`.
@@ -473,8 +383,9 @@ impl<'a> Walk<'a> {
                 return Verdict::Abandoned;
             }
             stats.layouts_tried += 1;
-            let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
-            let classes = classify(&dfg, &layout);
+            let layout =
+                timed(&mut stats.times.layout, || Layout::new(&dfg, vsa.clone(), sub.clone(), st));
+            let classes = timed(&mut stats.times.classify, || classify(&dfg, &layout));
             // Replication-aware negotiation: replica conflicts feed back into
             // representative routing as pre-seeded history costs.
             let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
@@ -536,23 +447,27 @@ impl<'a> Walk<'a> {
                 continue;
             };
             // Success: materialize the mapping artifact.
-            let mut op_slots = HashMap::new();
-            for (node, w) in dfg.graph().nodes() {
-                if let NodeKind::Op { stmt, op, .. } = w.kind {
-                    op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
+            let mut mapping = timed(&mut stats.times.layout, || {
+                let mut op_slots = HashMap::new();
+                for (node, w) in dfg.graph().nodes() {
+                    if let NodeKind::Op { stmt, op, .. } = w.kind {
+                        op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
+                    }
                 }
-            }
-            let mapping_stats = MappingStats {
-                sub_shape: (sub.s1, sub.s2, sub.t),
-                unique_iterations: classes.count(),
-                iterations_per_spe: layout.iterations_per_spe(),
-                iib: layout.iib(),
-                max_config_slots: 0, // filled from the config image below
-                block: block.clone(),
-                pipeline: PipelineStats::default(), // record attached by the caller
-            };
-            let mut mapping = Mapping::new(self.cgra.clone(), dfg, op_slots, routes, mapping_stats);
-            let image = crate::config::ConfigImage::from_mapping(&mapping);
+                let mapping_stats = MappingStats {
+                    sub_shape: (sub.s1, sub.s2, sub.t),
+                    unique_iterations: classes.count(),
+                    iterations_per_spe: layout.iterations_per_spe(),
+                    iib: layout.iib(),
+                    max_config_slots: 0, // filled from the config image below
+                    block: block.clone(),
+                    pipeline: PipelineStats::default(), // record attached by the caller
+                };
+                Mapping::new(self.cgra.clone(), dfg, op_slots, routes, mapping_stats)
+            });
+            let image = timed(&mut stats.times.config, || {
+                crate::config::ConfigImage::from_mapping(&mapping)
+            });
             mapping.set_max_config_slots(image.max_unique_instrs());
             return Verdict::Mapped(Box::new(mapping));
         }

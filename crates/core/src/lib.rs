@@ -61,7 +61,7 @@ pub use himap::HiMap;
 pub use layout::{Layout, Slot};
 pub use lower::{route_placement, LowerError};
 pub use mapping::{Mapping, MappingParts, MappingStats, RouteInstance};
-pub use options::{Attempt, HiMapError, HiMapOptions, MapReport, RecoveryPolicy};
+pub use options::{HiMapError, HiMapOptions, MapReport};
 pub use stats::{PipelineStats, StageTimes};
 pub use submap::{map_idfg, map_idfg_counted, SubMapStats, SubMapping};
 pub use tiled::{SeamStats, TileDisposition, TiledMapping};

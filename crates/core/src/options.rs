@@ -1,11 +1,14 @@
-//! Options and errors of the HiMap pipeline, including the recovery ladder
-//! ([`RecoveryPolicy`]) and its structured attempt trail ([`MapReport`]).
+//! Options and errors of the HiMap pipeline, including the structured
+//! failure trail ([`MapReport`]) of a deadline-cut walk or a failed
+//! [`race`](crate::race).
 
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
 use himap_analyze::StaticBounds;
+
+use crate::backend::BackendOutcome;
 
 /// Tuning options for [`HiMap`](crate::HiMap).
 #[derive(Clone, Debug)]
@@ -36,118 +39,30 @@ pub struct HiMapOptions {
     /// Setting it to `false` reproduces the paper's exact utilization
     /// profile — see the `ablation` benchmark binary.
     pub depth_priority_scheduling: bool,
-    /// Run the `himap-analyze` admission check before any mapping work: a
-    /// statically infeasible request (dead fabric, no live memory bank for a
-    /// loading kernel, config-memory overflow, …) is rejected with
-    /// [`HiMapError::Infeasible`] carrying the rendered A-code diagnostics,
-    /// before a single MRRG or DFG is built. On by default; turning it off
-    /// restores the probe-everything behaviour (the walk then discovers
-    /// infeasibility the slow way). The certified static bound is recorded
-    /// in [`PipelineStats`](crate::PipelineStats) either way.
-    pub admission: bool,
-    /// Run the installed static verifier (see `himap-verify`) over the
-    /// final mapping before returning it. Always on in debug builds; this
-    /// flag forces it in release builds too. A diagnostic of Error severity
-    /// turns into [`HiMapError::Verification`]. No-op unless a verifier has
-    /// been installed via [`set_verify_hook`](crate::set_verify_hook).
-    pub verify: bool,
     /// Wall-clock budget for one `map` call, enforced cooperatively: the
-    /// deadline is checked between ladder rungs and pipeline phases, and
+    /// deadline is checked between candidates and pipeline phases, and
     /// threaded into every Dijkstra pop loop through the router's
     /// [`CancelToken`](himap_mapper::CancelToken), so the call returns
     /// within a poll interval of the budget — never mid-resource. `None`
     /// (the default) runs without a budget. An exceeded deadline surfaces as
-    /// [`HiMapError::DeadlineExceeded`] with the attempt trail so far.
+    /// [`HiMapError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// The recovery ladder climbed when the walk fails with a *recoverable*
-    /// error (`NoSubMapping` / `NoSystolicMapping` / `RoutingFailed`). The
-    /// default policy is a strict no-op: exactly one attempt, bare errors,
-    /// bit-identical to the pre-ladder pipeline.
-    pub recovery: RecoveryPolicy,
 }
 
-/// Escalation policy of the recovery ladder (see `DESIGN.md`).
-///
-/// Rungs are climbed in order after the base attempt fails recoverably:
-///
-/// 1. **II bumps** — `ii_bumps` retries, each widening
-///    [`HiMapOptions::max_time_slack`] by one more cycle so `MAP()` probes
-///    deeper sub-CGRAs (and therefore larger initiation intervals);
-/// 2. **widen** — one retry with widened shape/slack candidate budgets
-///    (extra free extents, doubled sub-candidate and systolic budgets) on
-///    top of the full II bump.
-///
-/// Falling back to another mapper altogether is the portfolio's job: run
-/// [`race`](crate::race) over `[HiMapBackend, BhcBackend]` and BHC gets
-/// whatever budget HiMap left.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Extra initiation-interval rungs tried after the base attempt (each
-    /// adds one cycle of time slack). `0` disables II escalation.
-    pub ii_bumps: usize,
-    /// Whether to retry once with widened shape/slack candidate budgets.
-    pub widen: bool,
-}
-
-impl RecoveryPolicy {
-    /// The full ladder: two II bumps and the widened retry.
-    pub fn full() -> Self {
-        RecoveryPolicy { ii_bumps: 2, widen: true }
-    }
-}
-
-/// One rung of the recovery ladder that was attempted and failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Attempt {
-    /// Ladder rung index (`0` is the base attempt).
-    pub rung: usize,
-    /// What ran: `"himap"`, `"himap+ii<n>"`, `"himap+widen"`, or
-    /// `"backend-<name>"` in a [`race`](crate::race) trail.
-    pub stage: String,
-    /// Best sub-CGRA shape `(s1, s2, t)` the rung produced, when `MAP()`
-    /// got that far.
-    pub shape: Option<(usize, usize, usize)>,
-    /// Initiation interval of that best sub-mapping.
-    pub ii: Option<usize>,
-    /// Why the rung failed (the underlying error's display).
-    pub cause: String,
-    /// Wall-clock time the rung consumed.
-    pub elapsed: Duration,
-}
-
-impl fmt::Display for Attempt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{} {}", self.rung, self.stage)?;
-        if let Some((s1, s2, t)) = self.shape {
-            write!(f, " shape={s1}x{s2}x{t}")?;
-        }
-        if let Some(ii) = self.ii {
-            write!(f, " ii={ii}")?;
-        }
-        write!(f, ": {} [{:.1} ms]", self.cause, self.elapsed.as_secs_f64() * 1e3)
-    }
-}
-
-/// The structured attempt trail of a failed (or deadline-cut) mapping run:
-/// every ladder rung that ran, with stage, shape, II, failure cause and
-/// elapsed time — infeasibility as evidence instead of a bare error.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The structured trail of a failed (or deadline-cut) mapping run: every
+/// backend that took a turn in a [`race`](crate::race), with its failure
+/// cause and elapsed time — infeasibility as evidence instead of a bare
+/// error. A walk cut by its own deadline reports an empty trail.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapReport {
-    /// The rungs attempted, in ladder order.
-    pub attempts: Vec<Attempt>,
-    /// Total wall time across all rungs.
+    /// The backends that took a turn, in priority order.
+    pub outcomes: Vec<BackendOutcome>,
+    /// Total wall time of the run.
     pub elapsed: Duration,
-    /// The pre-mapping static bounds (`himap-analyze`), when the admission
-    /// pass ran: the certified II floor every attempt was up against.
-    /// Boxed to keep `HiMapError` (which carries a `MapReport`) small.
+    /// The pre-mapping static bounds (`himap-analyze`): the certified II
+    /// floor every backend was up against. Boxed to keep `HiMapError`
+    /// (which carries a `MapReport`) small.
     pub static_bounds: Option<Box<StaticBounds>>,
-}
-
-impl MapReport {
-    /// The failure cause of the last completed rung, if any rung completed.
-    pub fn last_cause(&self) -> Option<&str> {
-        self.attempts.last().map(|a| a.cause.as_str())
-    }
 }
 
 impl fmt::Display for MapReport {
@@ -155,14 +70,14 @@ impl fmt::Display for MapReport {
         write!(
             f,
             "{} attempt(s) in {:.1} ms",
-            self.attempts.len(),
+            self.outcomes.len(),
             self.elapsed.as_secs_f64() * 1e3
         )?;
         if let Some(bounds) = &self.static_bounds {
             write!(f, "\n  static {bounds}")?;
         }
-        for attempt in &self.attempts {
-            write!(f, "\n  {attempt}")?;
+        for outcome in &self.outcomes {
+            write!(f, "\n  {outcome}")?;
         }
         Ok(())
     }
@@ -178,16 +93,13 @@ impl Default for HiMapOptions {
             max_systolic_candidates: 4,
             replication_feedback_rounds: 6,
             depth_priority_scheduling: true,
-            admission: true,
-            verify: false,
             deadline: None,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
 
 /// Errors produced by the HiMap pipeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum HiMapError {
     /// The kernel has more loop levels than supported.
     UnsupportedKernel(String),
@@ -201,8 +113,8 @@ pub enum HiMapError {
     /// DFG construction failed.
     Dfg(String),
     /// The `himap-analyze` admission check proved the request statically
-    /// infeasible before any mapping work (see [`HiMapOptions::admission`]).
-    /// Carries the rendered A-code diagnostics; no MRRG or DFG was built.
+    /// infeasible before any mapping work. Carries the rendered A-code
+    /// diagnostics; no MRRG or DFG was built.
     Infeasible(String),
     /// The independent static verifier rejected the produced mapping
     /// (only reachable with a verify hook installed — see
@@ -212,13 +124,11 @@ pub enum HiMapError {
     /// An internal fault, surfaced instead of unwinding into the caller: the
     /// installed verify hook panicked (caught). Carries the message.
     Internal(String),
-    /// Every rung of the recovery ladder failed. Carries the structured
-    /// attempt trail. Only produced when the ladder actually climbed (more
-    /// than one rung ran, or a deadline was set) — a single-rung no-policy
-    /// run keeps returning the bare underlying error.
+    /// Every backend of a [`race`](crate::race) failed. Carries the
+    /// per-backend trail.
     Exhausted(MapReport),
-    /// The [`HiMapOptions::deadline`] passed before any rung succeeded.
-    /// Carries the attempt trail up to the cut.
+    /// The deadline ([`HiMapOptions::deadline`] or the race's budget) passed
+    /// before a mapping completed. Carries the trail up to the cut.
     DeadlineExceeded(MapReport),
     /// The tiled mega-fabric path failed structurally: the tile shape does
     /// not divide the fabric, or not a single tile could be configured.
@@ -227,17 +137,6 @@ pub enum HiMapError {
 }
 
 impl HiMapError {
-    /// Whether the recovery ladder may climb past this error: shape/search/
-    /// routing dead ends are recoverable by escalation, while kernel,
-    /// DFG-construction, static-infeasibility, verification and internal
-    /// errors would fail every rung identically.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            HiMapError::NoSubMapping | HiMapError::NoSystolicMapping | HiMapError::RoutingFailed
-        )
-    }
-
     /// The structured attempt trail, when this error carries one.
     pub fn report(&self) -> Option<&MapReport> {
         match self {
@@ -266,13 +165,11 @@ impl fmt::Display for HiMapError {
                 write!(f, "static verification rejected the mapping: {why}")
             }
             HiMapError::Internal(why) => write!(f, "internal error: {why}"),
-            HiMapError::Exhausted(report) => {
-                write!(f, "every recovery rung failed: {report}")
+            HiMapError::Exhausted(report) => write!(f, "every backend failed: {report}"),
+            HiMapError::DeadlineExceeded(report) if report.outcomes.is_empty() => {
+                write!(f, "deadline exceeded before any mapping attempt completed")
             }
-            HiMapError::DeadlineExceeded(report) => match report.last_cause() {
-                Some(_) => write!(f, "deadline exceeded: {report}"),
-                None => write!(f, "deadline exceeded before any mapping attempt completed"),
-            },
+            HiMapError::DeadlineExceeded(report) => write!(f, "deadline exceeded: {report}"),
             HiMapError::Tiling(why) => write!(f, "tiled mapping failed: {why}"),
         }
     }

@@ -17,8 +17,6 @@ use himap_analyze::StaticBounds;
 use himap_cgra::MemoryStats;
 use himap_mapper::RouterStats;
 
-use crate::options::Attempt;
-
 /// Wall time spent in each pipeline stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
@@ -32,10 +30,18 @@ pub struct StageTimes {
     pub search: Duration,
     /// Full-block DFG unrolls.
     pub dfg: Duration,
+    /// Space-time layouts (`Layout::new`) of the routed systolic maps, plus
+    /// the winner's op-slot map and `Mapping` assembly.
+    pub layout: Duration,
+    /// Unique-iteration classification (`classify`) of each layout.
+    pub classify: Duration,
     /// `ROUTE()` — PathFinder negotiation over class representatives.
     pub route: Duration,
     /// Replication of class patterns and full-array verification.
     pub replicate: Duration,
+    /// Configuration image of the winning mapping
+    /// (`ConfigImage::from_mapping`).
+    pub config: Duration,
     /// Dense MRRG index acquisition (`MrrgIndex::shared`) for the walk's
     /// pooled routers. The first acquisition per `(spec, II)` compiles the
     /// CSR adjacency; later ones are cache hits, so this stays near zero in
@@ -100,17 +106,14 @@ pub struct PipelineStats {
     /// Router searches aborted by cooperative cancellation (the deadline
     /// passed mid-search).
     pub router_searches_cancelled: u64,
-    /// Recovery-ladder attempt trail: one entry per failed rung. Empty when
-    /// the first attempt succeeded (the common case) or the ladder is
-    /// disabled.
-    pub attempts: Vec<Attempt>,
     /// Certified pre-mapping lower bounds from the `himap-analyze` admission
-    /// pass; `None` when admission was disabled
-    /// ([`HiMapOptions::admission`](crate::HiMapOptions)).
+    /// pass, which every [`HiMap::map`](crate::HiMap::map) run records;
+    /// `None` only in records no admission pass wrote.
     pub static_bounds: Option<StaticBounds>,
     /// High-water mark of the dense MRRG indexes this run acquired —
-    /// field-wise maximum of [`MrrgIndex::memory_stats`]
-    /// (himap_cgra::MrrgIndex::memory_stats) across every acquisition. The
+    /// field-wise maximum of
+    /// [`MrrgIndex::memory_stats`](himap_cgra::MrrgIndex::memory_stats)
+    /// across every acquisition. The
     /// mega-fabric tiled path asserts this stays at sub-CGRA scale (the
     /// full-fabric graph is never materialised).
     pub memory: MemoryStats,
@@ -144,8 +147,8 @@ impl PipelineStats {
         let mut out = format!(
             "pipeline: {:.1} ms wall\n\
              \x20 stages   MAP {:.1} ms | enumerate {:.1} ms | probe {:.1} ms | \
-             search {:.1} ms | DFG {:.1} ms | ROUTE {:.1} ms | replicate {:.1} ms | \
-             index {:.1} ms\n\
+             search {:.1} ms | DFG {:.1} ms | layout {:.1} ms | classify {:.1} ms | \
+             ROUTE {:.1} ms | replicate {:.1} ms | config {:.1} ms | index {:.1} ms\n\
              \x20 MAP      {} shapes tried -> {} sub-candidates\n\
              \x20 walk     {} enumerated (+{} deduped), {} tried, {} pruned, {} abandoned\n\
              \x20 systolic {} searches, {} matrices -> {} valid maps, {} layouts routed\n\
@@ -159,8 +162,11 @@ impl PipelineStats {
             ms(t.probe),
             ms(t.search),
             ms(t.dfg),
+            ms(t.layout),
+            ms(t.classify),
             ms(t.route),
             ms(t.replicate),
+            ms(t.config),
             ms(t.index),
             self.sub_shapes_tried,
             self.sub_candidates,
@@ -195,9 +201,6 @@ impl PipelineStats {
         }
         if let Some(bounds) = &self.static_bounds {
             out.push_str(&format!("\n  static   {bounds}"));
-        }
-        for a in &self.attempts {
-            out.push_str(&format!("\n  ladder   {a}"));
         }
         out
     }

@@ -4,7 +4,7 @@
 //! mapping time flat as the fabric grows. This module delivers that for
 //! mega fabrics (32×32, 64×64): [`HiMap::map_tiled`] maps the kernel once
 //! onto a *tile* — a small sub-CGRA whose shape divides the fabric — via
-//! the ordinary VSA/climb pipeline, then stamps the verified tile mapping
+//! the ordinary VSA pipeline, then stamps the verified tile mapping
 //! across the full array using **translation-only legality checks**. The
 //! full-fabric MRRG is never built; the largest graph materialised is the
 //! tile's, which [`PipelineStats::memory`](crate::PipelineStats) records
@@ -24,7 +24,7 @@
 //! any other tile. The only thing translation cannot guarantee is fault
 //! and capability state, which is position-dependent — so each stamp is
 //! checked per used resource against the full-fabric
-//! [`CapabilityMap`](himap_cgra::CapabilityMap) (the seam checks). A tile
+//! [`CapabilityMap`] (the seam checks). A tile
 //! where any check fails is *renegotiated*: mapped from scratch on a
 //! tile-local spec carrying the tile's restrictions; if that also fails the
 //! tile is skipped and counted.

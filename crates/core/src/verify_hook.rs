@@ -4,8 +4,7 @@
 //! pipeline cannot call into it directly without a dependency cycle.
 //! Instead the verifier crate installs a function pointer here once per
 //! process; [`HiMap::map`](crate::HiMap::map) invokes it on every mapping
-//! it is about to return when `HiMapOptions::verify` is set (or always in
-//! debug builds).
+//! it is about to return, in every build profile.
 
 use std::sync::OnceLock;
 

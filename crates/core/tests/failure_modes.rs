@@ -6,7 +6,10 @@
 use std::time::Duration;
 
 use himap_cgra::CgraSpec;
-use himap_core::{set_verify_hook, HiMap, HiMapError, HiMapOptions, Mapping, RecoveryPolicy};
+use himap_core::backend::{
+    race, Backend, BackendError, BackendOutcome, HiMapBackend, MapRequest, RaceMode, RaceOutcome,
+};
+use himap_core::{set_verify_hook, HiMap, HiMapError, HiMapOptions, MapReport, Mapping};
 use himap_kernels::{AffineExpr, ArrayRef, Expr, KernelBuilder, OpKind};
 
 /// Per-process verify hook shared by the tests in this binary. It keys off
@@ -131,27 +134,38 @@ fn degenerate_free_extents_report_no_systolic_mapping() {
     assert_display_style(&err);
 }
 
+/// Races HiMap's recovery ladder built over `options` on GEMM 4x4.
+fn race_ladder(options: &HiMapOptions) -> Result<RaceOutcome, HiMapError> {
+    let ladder = HiMapBackend::ladder(options);
+    let backends: Vec<&dyn Backend> = ladder.iter().map(|b| b as &dyn Backend).collect();
+    let req = MapRequest::new(himap_kernels::suite::gemm(), CgraSpec::square(4));
+    race(&backends, &req, RaceMode::FirstFeasible)
+}
+
 #[test]
 fn ladder_exhaustion_carries_attempt_trail() {
-    // `pathfinder_rounds: 0` fails identically on every rung, so a full
-    // recovery policy climbs the whole ladder and reports each attempt.
-    let options = HiMapOptions {
-        pathfinder_rounds: 0,
-        recovery: RecoveryPolicy::full(),
-        ..HiMapOptions::default()
-    };
-    let err = HiMap::new(options)
-        .map(&himap_kernels::suite::gemm(), &CgraSpec::square(4))
-        .expect_err("every rung inherits the zero-round handicap");
+    // `pathfinder_rounds: 0` fails identically on every rung, so the race
+    // runs the whole ladder and reports each rung's outcome.
+    let options = HiMapOptions { pathfinder_rounds: 0, ..HiMapOptions::default() };
+    let err = race_ladder(&options).expect_err("every rung inherits the zero-round handicap");
     let HiMapError::Exhausted(report) = &err else {
         panic!("expected Exhausted, got {err}");
     };
-    // base + two II bumps + the widened rung.
-    assert_eq!(report.attempts.len(), 4);
-    assert!(report.attempts.iter().all(|a| !a.cause.is_empty()));
-    assert!(report.attempts.iter().enumerate().all(|(i, a)| a.rung == i));
-    assert!(err.to_string().starts_with("every recovery rung failed"));
+    let names: Vec<_> = report.outcomes.iter().map(|o| o.name).collect();
+    assert_eq!(names, ["himap", "himap+ii1", "himap+ii2", "himap+widen"]);
+    assert!(report.outcomes.iter().enumerate().all(|(i, o)| o.index == i));
+    assert!(report.outcomes.iter().all(|o| o.error.is_some()), "{report}");
+    assert!(err.to_string().starts_with("every backend failed"));
     assert_display_style(&err);
+}
+
+#[test]
+fn ladder_stops_at_the_first_rung_that_maps() {
+    // GEMM maps on 4x4 with the default options, so the later rungs never
+    // run.
+    let outcome = race_ladder(&HiMapOptions::default()).expect("gemm maps on 4x4");
+    assert_eq!(outcome.winner, "himap");
+    assert_eq!(outcome.outcomes.len(), 1, "{:?}", outcome.outcomes);
 }
 
 #[test]
@@ -163,7 +177,7 @@ fn zero_deadline_reports_deadline_exceeded() {
     let HiMapError::DeadlineExceeded(report) = &err else {
         panic!("expected DeadlineExceeded, got {err}");
     };
-    assert!(report.attempts.is_empty(), "no attempt can complete in zero time");
+    assert!(report.outcomes.is_empty(), "no attempt can complete in zero time");
     assert_eq!(err.to_string(), "deadline exceeded before any mapping attempt completed");
     assert_display_style(&err);
 }
@@ -171,8 +185,7 @@ fn zero_deadline_reports_deadline_exceeded() {
 #[test]
 fn verification_rejection_surfaces_through_map() {
     install_selective_hook();
-    let options = HiMapOptions { verify: true, ..HiMapOptions::default() };
-    let err = HiMap::new(options)
+    let err = HiMap::new(HiMapOptions::default())
         .map(&himap_kernels::suite::gemm(), &CgraSpec::square(3))
         .expect_err("the hook rejects every 3x3 mapping");
     let HiMapError::Verification(why) = &err else {
@@ -186,8 +199,7 @@ fn verification_rejection_surfaces_through_map() {
 #[test]
 fn hook_panic_is_caught_as_internal_error() {
     install_selective_hook();
-    let options = HiMapOptions { verify: true, ..HiMapOptions::default() };
-    let err = HiMap::new(options)
+    let err = HiMap::new(HiMapOptions::default())
         .map(&himap_kernels::suite::gemm(), &CgraSpec::square(2))
         .expect_err("the hook panics on every 2x2 mapping");
     let HiMapError::Internal(why) = &err else {
@@ -199,13 +211,13 @@ fn hook_panic_is_caught_as_internal_error() {
 
 #[test]
 fn error_display_is_informative() {
-    let trail = himap_core::MapReport {
-        attempts: vec![himap_core::Attempt {
-            rung: 0,
-            stage: "himap".to_string(),
-            shape: Some((1, 1, 2)),
-            ii: Some(2),
-            cause: "detailed routing failed".to_string(),
+    let trail = MapReport {
+        outcomes: vec![BackendOutcome {
+            name: "himap",
+            index: 0,
+            ii: None,
+            utilization: None,
+            error: Some(BackendError::Infeasible("detailed routing failed".to_string())),
             elapsed: Duration::from_millis(7),
         }],
         elapsed: Duration::from_millis(9),

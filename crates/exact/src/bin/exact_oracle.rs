@@ -159,7 +159,7 @@ fn main() {
 /// II refuted; congestion-only infeasibility is invisible to the
 /// necessary-conditions encoding, so blocks whose op count sits just
 /// above a multiple of the PE count certify best). Shapes matter:
-/// bicg/mvt certify at [2,3] but not [3,2].
+/// bicg/mvt certify at `[2, 3]` but not `[3, 2]`.
 fn tuned_block(size: usize, name: &str) -> Option<Vec<usize>> {
     if size != 4 {
         return None;

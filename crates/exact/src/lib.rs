@@ -3,7 +3,7 @@
 //! HiMap and the BHC baselines are heuristics — fast, but silent about how
 //! far from optimal their achieved II is. This crate answers that question
 //! for small fabrics: it encodes per-II feasibility as CNF over the dense
-//! MRRG ([`encode`]), solves it with a hand-rolled CDCL solver ([`sat`] —
+//! MRRG ([`encode`](mod@encode)), solves it with a hand-rolled CDCL solver ([`sat`] —
 //! the build environment is offline, so no solver crate), and walks the II
 //! upward from the resource-minimum until a model both decodes *and*
 //! lowers to a routed, verifier-clean [`Mapping`].

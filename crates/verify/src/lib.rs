@@ -37,9 +37,9 @@
 //! ```
 //!
 //! To have every mapping the pipeline produces cross-checked automatically,
-//! call [`install`] once (tests and the CLI do): it registers the verifier
-//! with `himap-core`'s hook, which runs it in debug builds and whenever
-//! `HiMapOptions::verify` is set.
+//! call [`install`] once (the tests do; neither binary installs it): it
+//! registers the verifier with `himap-core`'s hook, which then runs it on
+//! every mapping `HiMap::map` returns, in every build profile.
 
 #![forbid(unsafe_code)]
 
@@ -68,8 +68,7 @@ pub fn verify_kernel(kernel: &Kernel, options: &LintOptions) -> DiagnosticSink {
 
 /// Installs this verifier as `himap-core`'s process-wide verify hook, so
 /// [`HiMap::map`](himap_core::HiMap::map) cross-checks every mapping it
-/// returns (always in debug builds; behind `HiMapOptions::verify` in
-/// release builds). Idempotent.
+/// returns, in every build profile. Idempotent.
 pub fn install() {
     himap_core::set_verify_hook(hook);
 }

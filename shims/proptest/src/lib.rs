@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the workspace vendors
 //! the slice of proptest it uses: the [`Strategy`] trait with `prop_map` /
-//! `prop_flat_map`, range and tuple strategies, [`Just`],
+//! `prop_flat_map`, range and tuple strategies, [`Just`](strategy::Just),
 //! [`collection::vec`], `any::<T>()`, the `proptest!` test macro and the
 //! `prop_assert*` macros.
 //!
@@ -275,7 +275,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::Range;
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         pub(crate) min: usize,
@@ -294,7 +294,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

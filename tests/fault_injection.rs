@@ -20,7 +20,8 @@
 use std::time::Duration;
 
 use himap_repro::cgra::{CapabilityMap, CgraSpec, OpClass, PeId, ALL_DIRS};
-use himap_repro::core::{HiMap, HiMapError, HiMapOptions, RecoveryPolicy};
+use himap_repro::core::backend::{race, Backend, HiMapBackend, MapRequest, RaceMode};
+use himap_repro::core::{HiMap, HiMapError, HiMapOptions};
 use himap_repro::kernels::suite;
 use himap_repro::sim::simulate;
 use himap_repro::verify::verify_mapping;
@@ -84,22 +85,21 @@ fn arb_fault_map(n: usize, max: usize) -> impl Strategy<Value = CapabilityMap> {
     })
 }
 
-/// Drives one `(kernel, faulted spec)` pair through the full pipeline and
-/// asserts the trichotomy (the shim's `prop_assert!` panics on failure, so
-/// a plain call suffices).
+/// Drives one `(kernel, faulted spec)` pair through a race over HiMap's
+/// recovery ladder and asserts the trichotomy (the shim's `prop_assert!`
+/// panics on failure, so a plain call suffices).
 fn assert_trichotomy(
     kernel: &himap_repro::kernels::Kernel,
     spec: &CgraSpec,
     seed: u64,
     deadline: Duration,
 ) {
-    let options = HiMapOptions {
-        deadline: Some(deadline),
-        recovery: RecoveryPolicy::full(),
-        ..HiMapOptions::default()
-    };
-    match HiMap::new(options).map(kernel, spec) {
-        Ok(mapping) => {
+    let ladder = HiMapBackend::ladder(&HiMapOptions::default());
+    let backends: Vec<&dyn Backend> = ladder.iter().map(|b| b as &dyn Backend).collect();
+    let req = MapRequest::new(kernel.clone(), spec.clone()).with_deadline(deadline);
+    match race(&backends, &req, RaceMode::FirstFeasible) {
+        Ok(outcome) => {
+            let mapping = outcome.mapping;
             // (a) mapped: the independent verifier must find nothing — in
             // particular no V006 (faulted resource in a placement or route) —
             // and cycle-accurate simulation must validate the result (the
@@ -168,13 +168,13 @@ fn assert_trichotomy(
             );
         }
         // (b) typed failure: allowed. A ladder-exhaustion error must carry
-        // its full attempt trail as evidence.
+        // every rung's outcome as evidence.
         Err(err) => {
             prop_assert!(!err.to_string().is_empty());
             if let HiMapError::Exhausted(report) = &err {
                 prop_assert!(
-                    !report.attempts.is_empty(),
-                    "Exhausted must carry at least one attempt"
+                    report.outcomes.len() == ladder.len(),
+                    "Exhausted must carry one outcome per rung: {report}"
                 );
             }
         }

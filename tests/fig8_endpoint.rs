@@ -18,6 +18,10 @@ use himap_repro::verify::verify_mapping;
 /// search visits only a few thousand states.
 const PEAK_MIB: u64 = 400;
 
+/// Share of the mapping's wall time its timed stages must account for:
+/// every expensive span of the walk has a stage of its own.
+const MIN_STAGE_COVERAGE: f64 = 0.95;
+
 /// The process's peak resident set (`VmHWM`) in KiB, where procfs has it.
 fn peak_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -31,6 +35,25 @@ fn gemm_32_on_32x32_maps_verifies_and_simulates_in_bounded_memory() {
     let mapping = HiMap::new(options)
         .map(&suite::gemm(), &CgraSpec::square(32))
         .unwrap_or_else(|e| panic!("GEMM b = 32 fails to map on 32x32: {e}"));
+    let t = &mapping.pipeline_stats().times;
+    let stages = t.map
+        + t.enumerate
+        + t.probe
+        + t.search
+        + t.dfg
+        + t.layout
+        + t.classify
+        + t.route
+        + t.replicate
+        + t.config
+        + t.index;
+    let coverage = stages.as_secs_f64() / t.total.as_secs_f64();
+    assert!(
+        coverage >= MIN_STAGE_COVERAGE,
+        "stages cover {:.1} % of the {:?} mapping run: {t:?}",
+        coverage * 100.0,
+        t.total
+    );
     let report = verify_mapping(&mapping);
     assert!(
         !report.has_errors(),

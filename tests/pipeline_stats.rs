@@ -72,7 +72,17 @@ fn sequential_counts(kernel: &Kernel, cgra_size: usize) -> Counts {
     // Stage times are disjoint wall-clock spans inside the run, so together
     // they never exceed its total.
     let t = &stats.times;
-    let stages = t.map + t.enumerate + t.probe + t.search + t.dfg + t.route + t.replicate + t.index;
+    let stages = t.map
+        + t.enumerate
+        + t.probe
+        + t.search
+        + t.dfg
+        + t.layout
+        + t.classify
+        + t.route
+        + t.replicate
+        + t.config
+        + t.index;
     assert!(stages <= t.total, "stage times {stages:?} exceed the run's total {:?}", t.total);
     Counts::from(&stats)
 }

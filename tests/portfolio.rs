@@ -47,8 +47,9 @@ fn race_honours_the_deadline() {
     let elapsed = started.elapsed();
     match result {
         Err(HiMapError::DeadlineExceeded(report)) => {
-            assert!(!report.attempts.is_empty());
-            assert!(report.attempts.iter().any(|a| a.stage.starts_with("backend-")));
+            assert!(!report.outcomes.is_empty());
+            assert!(report.outcomes.iter().all(|o| o.error.is_some()), "{report}");
+            assert_eq!(report.outcomes[0].name, "himap");
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -85,8 +86,12 @@ fn expired_budget_is_a_deadline_without_mapping() {
     let probe = Probe::default();
     match race(&[&probe], &req, RaceMode::FirstFeasible) {
         Err(HiMapError::DeadlineExceeded(report)) => {
-            assert_eq!(report.attempts.len(), 1);
-            assert!(report.attempts[0].cause.starts_with("deadline exceeded"), "{report:?}");
+            assert_eq!(report.outcomes.len(), 1);
+            assert_eq!(report.outcomes[0].name, "probe");
+            assert!(
+                matches!(report.outcomes[0].error, Some(BackendError::Deadline(_))),
+                "{report:?}"
+            );
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }

@@ -290,10 +290,9 @@ fn missing_route_is_v002() {
 fn installed_hook_cross_checks_the_pipeline() {
     himap_repro::verify::install();
     // With the hook installed, `HiMap::map` verifies the winning mapping
-    // before returning it (debug builds always; `verify` forces it
-    // everywhere). A clean pipeline must still return Ok.
-    let options = HiMapOptions { verify: true, ..HiMapOptions::default() };
-    let result = HiMap::new(options).map(&suite::gemm(), &CgraSpec::square(4));
+    // before returning it, in every build profile. A clean pipeline must
+    // still return Ok.
+    let result = HiMap::new(HiMapOptions::default()).map(&suite::gemm(), &CgraSpec::square(4));
     match result {
         Ok(mapping) => assert!(!verify_mapping(&mapping).has_errors()),
         Err(HiMapError::Verification(report)) => {
