@@ -81,6 +81,14 @@ stage "cargo test -q" cargo test -q
 stage "cargo test --workspace -q" cargo test --workspace -q
 stage "cargo bench --no-run" cargo bench --no-run
 
+# The benchmark (perfbench/) is a cargo workspace of its own, so no stage
+# above compiles it. Its traced replay calls `classify`,
+# `route_representatives_pooled` and `replicate_and_verify` directly: an
+# API change that breaks it fails here.
+stage "perfbench builds" \
+  env CARGO_TARGET_DIR=target/perfbench \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # API docs: a doc link left dangling by a renamed or deleted item fails the
 # gate instead of rendering as plain text.
 stage "cargo doc (-D warnings)" \

@@ -25,7 +25,7 @@ use himap_systolic::{search_counted, RankedMap, SearchConfig};
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
 use crate::options::{HiMapError, HiMapOptions, MapReport};
-use crate::route::{replicate_and_verify, route_representatives_pooled};
+use crate::route::{route_representatives_pooled, Replication};
 use crate::stats::{timed, PipelineStats};
 use crate::submap::{map_idfg_counted, SubMapping};
 use crate::unique::classify;
@@ -297,8 +297,9 @@ struct Walk<'a> {
     routers: HashMap<usize, Router>,
 }
 
-/// The pooled router for `layout`'s II, plus the index-acquisition time
-/// when this call had to build one (zero on reuse).
+/// The pooled router for `layout`'s II, plus the time spent acquiring the
+/// index and constructing the router when this call had to build one (zero
+/// on reuse).
 fn router_for<'r>(
     routers: &'r mut HashMap<usize, Router>,
     layout: &Layout,
@@ -308,8 +309,8 @@ fn router_for<'r>(
         Entry::Vacant(v) => {
             let start = Instant::now();
             let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-            let build = start.elapsed();
-            (v.insert(Router::with_index(index, RouterConfig::default())), build)
+            let router = Router::with_index(index, RouterConfig::default());
+            (v.insert(router), start.elapsed())
         }
     }
 }
@@ -374,7 +375,8 @@ impl<'a> Walk<'a> {
             Ok(d) => d,
             Err(e) => return Verdict::DfgError(e.to_string()),
         };
-        let ranked = systolic_search(stats, kernel, vsa, block, distances(&dfg));
+        let deps = timed(&mut stats.times.dfg, || distances(&dfg));
+        let ranked = systolic_search(stats, kernel, vsa, block, deps);
         if ranked.is_empty() {
             return Verdict::Pruned;
         }
@@ -390,6 +392,9 @@ impl<'a> Walk<'a> {
             // representative routing as pre-seeded history costs.
             let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
             let mut routed = None;
+            // Set up on the first design to replicate, then reused by every
+            // feedback round of this layout.
+            let mut replication = None;
             for _attempt in 0..options.replication_feedback_rounds {
                 if abandon() {
                     return Verdict::Abandoned;
@@ -430,13 +435,16 @@ impl<'a> Walk<'a> {
                 };
                 stats.replication_rounds += 1;
                 match timed(&mut stats.times.replicate, || {
-                    replicate_and_verify(&dfg, &layout, &classes, &design)
+                    replication
+                        .get_or_insert_with(|| Replication::new(&dfg, &layout, &classes))
+                        .run(&design)
                 }) {
                     Ok(routes) => {
                         routed = Some(routes);
                         break;
                     }
-                    Err(crate::route::RouteError::ReplicaConflicts { rep_frame, .. }) => {
+                    Err(crate::route::RouteError::ReplicaConflicts { count, rep_frame }) => {
+                        stats.replica_conflicts += count;
                         seed_history.extend(rep_frame);
                         continue;
                     }
@@ -559,6 +567,7 @@ fn block_for_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{reference, RouteError};
     use himap_kernels::suite;
 
     fn map(kernel: &Kernel, c: usize) -> Result<Mapping, HiMapError> {
@@ -771,5 +780,138 @@ mod tests {
             return;
         }
         panic!("no routable gemm candidate found");
+    }
+
+    /// Outcomes of the replication rounds one differential walk compared.
+    #[derive(Debug, Default)]
+    struct Compared {
+        /// Rounds whose replicated routing passed.
+        passed: usize,
+        /// Rounds that ended in replica conflicts.
+        conflicted: usize,
+        /// Rounds that ended in any other error.
+        failed: usize,
+    }
+
+    /// Asserts that two replication results are identical: the same routes
+    /// step for step, or the same error.
+    fn assert_same_replication(
+        keyed: &Result<Vec<crate::route::FullRoute>, RouteError>,
+        full: &Result<Vec<crate::route::FullRoute>, RouteError>,
+        what: &str,
+    ) {
+        match (keyed, full) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.len(), b.len(), "{what}: route counts differ");
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.edge, y.edge, "{what}: route order differs");
+                    assert_eq!(x.steps, y.steps, "{what}: route of {:?} differs", x.edge);
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}: errors differ"),
+            _ => panic!(
+                "{what}: keyed {} but full re-stamp {}",
+                keyed.as_ref().map_or_else(|e| e.to_string(), |_| "passes".to_string()),
+                full.as_ref().map_or_else(|e| e.to_string(), |_| "passes".to_string())
+            ),
+        }
+    }
+
+    /// Runs the walk's route/replicate feedback loop over the candidates
+    /// and top-ranked layouts the walk evaluates, up to the first that maps,
+    /// and in every round compares the keyed stamp pass (one `Replication`
+    /// per layout, as the walk sets it up) against the full re-stamp
+    /// reference. Every layout's keys are checked against the
+    /// descriptors too.
+    fn compare_replication(kernel: &Kernel, cgra: &CgraSpec) -> Compared {
+        let options = HiMapOptions::default();
+        let mut stats = PipelineStats::default();
+        let subs = crate::submap::map_idfg(kernel, cgra, &options);
+        let (candidates, _) = enumerate_candidates(kernel, cgra, &subs, &options);
+        let mut routers = HashMap::new();
+        let mut compared = Compared::default();
+        for Candidate { sub, vsa, block } in &candidates {
+            let Ok(dfg) = Dfg::build(kernel, block) else { continue };
+            let ranked = systolic_search(&mut stats, kernel, vsa, block, distances(&dfg));
+            for st in ranked.iter().take(options.max_systolic_candidates) {
+                let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
+                let classes = classify(&dfg, &layout);
+                crate::unique::assert_keys_follow_descriptors(&dfg, &layout, &classes);
+                let replication = Replication::new(&dfg, &layout, &classes);
+                let mut seed = Vec::new();
+                for round in 0..options.replication_feedback_rounds {
+                    let (router, _) = router_for(&mut routers, &layout);
+                    let (design, _) = route_representatives_pooled(
+                        &dfg,
+                        &layout,
+                        &classes,
+                        &options,
+                        &seed,
+                        router,
+                        Duration::ZERO,
+                    );
+                    let Ok(design) = design else { break };
+                    let keyed = replication.run(&design);
+                    let full = reference::replicate_and_verify(&dfg, &layout, &classes, &design);
+                    let what =
+                        format!("{} on {cgra:?}, block {block:?}, round {round}", kernel.name());
+                    assert_same_replication(&keyed, &full, &what);
+                    match keyed {
+                        Ok(_) => {
+                            compared.passed += 1;
+                            return compared;
+                        }
+                        Err(RouteError::ReplicaConflicts { rep_frame, .. }) => {
+                            compared.conflicted += 1;
+                            seed.extend(rep_frame);
+                        }
+                        Err(_) => {
+                            compared.failed += 1;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn keyed_replication_matches_the_full_restamp_on_the_suite() {
+        for size in [8, 16] {
+            for kernel in suite::all() {
+                let compared = compare_replication(&kernel, &CgraSpec::square(size));
+                assert_eq!(compared.passed, 1, "{} on {size}x{size}: {compared:?}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_replication_matches_the_full_restamp_on_faulted_fabrics() {
+        use himap_cgra::{CapabilityMap, Dir, PeId};
+        // The VSA is cropped around dead PEs, so no route crosses one; the
+        // severed links, disabled register and disabled bank inside the
+        // crop are what replicated steps land on. The corner-multiplier
+        // fabric drives the `supports_op` path instead.
+        let mut faults = CapabilityMap::new();
+        for (x, y) in [(1, 6), (4, 2), (6, 5)] {
+            faults.kill_pe(PeId::new(x, y));
+        }
+        faults
+            .sever_link(PeId::new(3, 3), Dir::East)
+            .sever_link(PeId::new(5, 6), Dir::North)
+            .disable_reg(PeId::new(2, 3), 0)
+            .disable_mem(PeId::new(4, 4));
+        let fabrics = [
+            CgraSpec::square(8).with_faults(faults),
+            CgraSpec::square(8).with_faults(CapabilityMap::corner_multipliers(8, 8)),
+        ];
+        for cgra in &fabrics {
+            let mut conflicted = 0;
+            for kernel in suite::all() {
+                conflicted += compare_replication(&kernel, cgra).conflicted;
+            }
+            assert!(conflicted > 0, "no conflict round on {cgra:?}");
+        }
     }
 }

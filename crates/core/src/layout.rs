@@ -89,7 +89,12 @@ impl Layout {
 
     /// Systolic position of an iteration.
     pub fn position(&self, dfg: &Dfg, iter: Iter4) -> Position {
-        self.positions[dfg.linear_index(iter)]
+        self.position_at(dfg.linear_index(iter))
+    }
+
+    /// Systolic position of the iteration at linear index `idx`.
+    pub fn position_at(&self, idx: usize) -> Position {
+        self.positions[idx]
     }
 
     /// Absolute slot of a compute op.

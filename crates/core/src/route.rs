@@ -2,48 +2,54 @@
 //!
 //! Only the class representatives' dependences are routed in detail; every
 //! other iteration reuses its class's routed patterns translated in
-//! space-time. A final full-array stamping pass verifies that the replicated
-//! routing oversubscribes no resource and that every memory-routed
-//! dependence loads after its store.
+//! space-time. A routed design holds one pattern per pattern key
+//! ([`Classes::edge_key`]): an edge's pattern is one array read away, and
+//! no descriptor is recomputed after classification.
+//!
+//! A full-array stamping pass then verifies that the replicated routing
+//! oversubscribes no resource and that every memory-routed dependence loads
+//! after its store. A [`Replication`] computes what is fixed per layout
+//! once: each iteration's shift out of its representative's frame, and
+//! every op's FU claim. Each feedback round is then a flat pass. Each
+//! resource keeps the first signal stamped on it, and only claims by another
+//! signal are kept, as packed `u64`s, and sorted. Oversubscribed resources
+//! are marked in a bitset, and one more walk over the recorded step ids
+//! translates the marked steps back into representative frames. The
+//! per-edge [`FullRoute`]s are built only in the round whose capacity and
+//! fault checks pass.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
-use himap_cgra::{Mrrg, MrrgIndex, PeId, RKind, RNode};
+use himap_cgra::{CgraSpec, Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{Elapsed, Router, RouterConfig, RouterStats, SignalId};
 
 use crate::layout::Layout;
 use crate::options::HiMapOptions;
-use crate::unique::{descriptor, Classes, Descriptor};
+use crate::unique::Classes;
 
 /// Mesh distance beyond which a memory-port route switches from the plain
 /// negotiated search to the A*-bounded one: close routes are cheaper
 /// without the backward sweep, distant ones amortize it many times over.
 const LONG_HAUL_HOPS: usize = 8;
 
-/// A route pattern in class-relative coordinates: physical PE and resource
-/// kind per step, plus the step's cycle offset from the owning iteration's
-/// macro start (`pos.t·t`). Offsets may be negative (sources in earlier
-/// macro steps).
+/// A route pattern in its class representative's frame: the
+/// representative's physical PE and resource kind per step, plus the step's
+/// cycle offset from the consuming iteration's macro start (`pos.t·t`).
+/// Offsets may be negative (sources in earlier macro steps).
 pub type Pattern = Vec<(PeId, RKind, i64)>;
 
-/// The detailed routing of one iteration class.
-#[derive(Clone, Debug, Default)]
-pub struct ClassPattern {
-    /// Routed in-edge patterns, keyed by edge descriptor. PE coordinates are
-    /// *relative to the representative's SPE origin* (its sub-CGRA corner).
-    pub routes: HashMap<Descriptor, Pattern>,
-}
-
-/// The routed design: one pattern per class.
+/// The routed design: one pattern per pattern key.
 #[derive(Clone, Debug)]
 pub struct RoutedDesign {
-    /// Per-class patterns, indexed by `ClassId`.
-    pub patterns: Vec<ClassPattern>,
+    /// Routed patterns, indexed by pattern key ([`Classes::edge_key`]);
+    /// `None` for a key no representative edge was routed under.
+    pub patterns: Vec<Option<Pattern>>,
     /// PathFinder negotiation rounds consumed before convergence (a failed
     /// negotiation always consumes the full `pathfinder_rounds` budget).
     pub rounds: usize,
@@ -81,9 +87,12 @@ pub enum RouteError {
         /// The class whose pattern set is incomplete.
         class: usize,
     },
-    /// A representative op slot lands on an FU masked out of the MRRG —
-    /// a dead or route-only PE. The capability-blind layout proposed it;
-    /// the candidate is rejected before any routing work.
+    /// A resource the design needs is not in the MRRG. Negotiation reports
+    /// a representative op slot on a dead or route-only PE, which the
+    /// capability-blind layout proposed; the candidate is rejected before
+    /// any routing work. Replication reports an op slot without an MRRG
+    /// node, or a translated route step that leaves the array: both mean
+    /// an upstream invariant broke.
     MaskedSlot(RNode),
 }
 
@@ -105,7 +114,7 @@ impl fmt::Display for RouteError {
                 write!(f, "class {class} is missing a routed pattern for one of its edges")
             }
             RouteError::MaskedSlot(node) => {
-                write!(f, "op slot {node:?} is masked out of the MRRG (dead or route-only PE)")
+                write!(f, "{node:?} is not in the MRRG (masked, or outside the array)")
             }
         }
     }
@@ -246,8 +255,7 @@ fn route_round(
     // signal exists on, with absolute times — later chain links may tap any
     // of them.
     let mut deliveries: HashMap<(NodeId, NodeId), Vec<(RNode, i64)>> = HashMap::new();
-    let mut patterns: Vec<ClassPattern> =
-        (0..classes.reps.len()).map(|_| ClassPattern::default()).collect();
+    let mut patterns: Vec<Option<Pattern>> = vec![None; classes.key_count()];
     let mut routed = vec![false; edges.len()];
     let mut remaining = edges.len();
     while remaining > 0 {
@@ -302,13 +310,11 @@ fn route_round(
             let net: Vec<(RNode, i64)> =
                 path.nodes.iter().zip(&abs_nodes).map(|(&n, &(_, _, abs))| (n, abs)).collect();
             deliveries.entry((dst, root)).or_default().extend(net_sources(&net));
-            let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-            let (_, desc) = descriptor(dfg, layout, e, dst_iter);
             let pos = layout.position(dfg, dst_iter);
             let macro_start = pos.t as i64 * t;
             let pattern: Pattern =
                 abs_nodes.iter().map(|&(pe, kind, abs)| (pe, kind, abs - macro_start)).collect();
-            patterns[class].routes.insert(desc, pattern);
+            patterns[classes.edge_key[e.index()] as usize] = Some(pattern);
             router.commit(&path);
             routed[idx] = true;
             remaining -= 1;
@@ -361,7 +367,7 @@ fn edge_source(
     layout: &Layout,
     classes: &Classes,
     deliveries: &HashMap<(NodeId, NodeId), Vec<(RNode, i64)>>,
-    patterns: &[ClassPattern],
+    patterns: &[Option<Pattern>],
     e: EdgeId,
 ) -> Option<EdgeSource> {
     let (src, _) = dfg.graph().edge_endpoints(e);
@@ -381,12 +387,11 @@ fn edge_source(
             }
             // Source consumer is not a representative: translate its class
             // pattern into the member frame.
-            let class = classes.of[dfg.linear_index(src_iter)] as usize;
             let carrier =
                 dfg.graph().in_edges(src).find(|ie| dfg.graph()[ie.id].signal(ie.src) == root)?;
-            let (_, desc) = descriptor(dfg, layout, carrier.id, src_iter);
-            let pattern = patterns[class].routes.get(&desc)?;
-            let rep_iter = dfg.iteration_at(classes.reps[class]);
+            let key = classes.edge_key[carrier.id.index()] as usize;
+            let pattern = patterns[key].as_ref()?;
+            let rep_iter = dfg.iteration_at(classes.reps[classes.key_class[key] as usize]);
             // A translated tap landing on a faulted resource cannot carry
             // the signal there; drop it. (Replication later rejects any
             // pattern whose member translation crosses a fault, so this
@@ -521,136 +526,273 @@ pub struct FullRoute {
     pub steps: Vec<(RNode, i64)>,
 }
 
+/// One iteration's translation out of its class representative's frame:
+/// the PE shift and the macro starts (`pos.t·t`) of member and
+/// representative.
+#[derive(Clone, Copy, Debug)]
+struct Shift {
+    dx: i32,
+    dy: i32,
+    origin: i64,
+    rep_origin: i64,
+}
+
+impl Shift {
+    /// Every iteration's shift, by linear index.
+    fn table(layout: &Layout, classes: &Classes) -> Vec<Shift> {
+        let sub = layout.sub();
+        let (s1, s2, t) = (sub.s1 as i32, sub.s2 as i32, sub.t as i64);
+        let rep_pos: Vec<_> = classes.reps.iter().map(|&rep| layout.position_at(rep)).collect();
+        classes
+            .of
+            .iter()
+            .enumerate()
+            .map(|(idx, &class)| {
+                let (pos, rep) = (layout.position_at(idx), rep_pos[class as usize]);
+                Shift {
+                    dx: (pos.x - rep.x) * s1,
+                    dy: (pos.y - rep.y) * s2,
+                    origin: pos.t as i64 * t,
+                    rep_origin: rep.t as i64 * t,
+                }
+            })
+            .collect()
+    }
+
+    /// The member's copy of a pattern step: its node and absolute cycle.
+    /// A step that leaves the array is [`RouteError::MaskedSlot`].
+    #[inline]
+    fn place(
+        self,
+        spec: &CgraSpec,
+        iib: i64,
+        (pe, kind, offset): (PeId, RKind, i64),
+    ) -> Result<(RNode, i64), RouteError> {
+        let (x, y) = (pe.x as i32 + self.dx, pe.y as i32 + self.dy);
+        let abs = self.origin + offset;
+        let node = RNode::new(PeId::new(x as usize, y as usize), abs.rem_euclid(iib) as u32, kind);
+        if x < 0 || y < 0 || x as usize >= spec.rows || y as usize >= spec.cols {
+            return Err(RouteError::MaskedSlot(node));
+        }
+        Ok((node, abs))
+    }
+
+    /// The step in its representative's own frame: the resource the next
+    /// negotiation round penalizes.
+    #[inline]
+    fn rep_node(self, iib: i64, (pe, kind, offset): (PeId, RKind, i64)) -> RNode {
+        RNode::new(pe, (self.rep_origin + offset).rem_euclid(iib) as u32, kind)
+    }
+}
+
+/// A recorded step id for a translated step that is not in the MRRG.
+const NO_RESOURCE: u32 = u32::MAX;
+
 /// Replicates all class patterns over every iteration, verifying resource
 /// capacities and memory causality.
 ///
-/// On success returns the complete per-edge routing.
+/// On success returns the complete per-edge routing. A feedback loop that
+/// replicates several designs of one layout sets up one [`Replication`]
+/// instead and runs it per design.
 pub fn replicate_and_verify(
     dfg: &Dfg,
     layout: &Layout,
     classes: &Classes,
     design: &RoutedDesign,
 ) -> Result<Vec<FullRoute>, RouteError> {
-    let iib = layout.iib();
-    let spec = layout.vsa().spec();
-    // Full-array occupancy is a flat list of `(resource id, signal)` claims,
-    // one per stamped step: its size is the work stamped, not the fabric.
-    // The shared index is the same build the representative negotiation used,
-    // so replication adds no per-call graph construction.
-    let index = MrrgIndex::shared(spec.clone(), iib);
-    let mut claims: Vec<(u32, u32)> = Vec::new();
-    let mut routes = Vec::with_capacity(dfg.graph().edge_count());
-    // Steps (in the representative frame) whose translations land on
-    // faulted or capability-illegal resources; reported together so the
-    // feedback loop steers the next negotiation round around them.
-    let mut faulted_steps: Vec<RNode> = Vec::new();
-    // Stamp every op's FU slot. A member translation may land an op on a PE
-    // that computes but lacks the op's capability class (heterogeneous
-    // fabrics) — that invalidates the pattern exactly like a faulted step.
-    for (node, w) in dfg.graph().nodes() {
-        if let NodeKind::Op { stmt, op, kind } = w.kind {
+    Replication::new(dfg, layout, classes).run(design)
+}
+
+/// The replication of one layout: what does not depend on the routed
+/// design — each iteration's shift out of its representative's frame and
+/// every op's FU claim — is computed once, and [`run`](Self::run) stamps
+/// one design per feedback round.
+pub struct Replication<'a> {
+    dfg: &'a Dfg,
+    layout: &'a Layout,
+    classes: &'a Classes,
+    /// The shared index the representative negotiation used, so replication
+    /// adds no graph construction.
+    index: Arc<MrrgIndex>,
+    /// Every iteration's shift, by linear index.
+    shifts: Vec<Shift>,
+    /// Every op's FU claim `(resource, signal)`, or the error for an op
+    /// slot without an MRRG node.
+    op_claims: Result<Vec<(RIdx, u32)>, RouteError>,
+    /// Representative-frame FU slots of ops that some member lands on a PE
+    /// lacking the op's capability class (heterogeneous fabrics): that
+    /// invalidates the pattern exactly like a faulted step.
+    op_faults: Vec<RNode>,
+}
+
+impl<'a> Replication<'a> {
+    /// Sets up the replication of `layout`.
+    pub fn new(dfg: &'a Dfg, layout: &'a Layout, classes: &'a Classes) -> Self {
+        let spec = layout.vsa().spec();
+        let index = MrrgIndex::shared(spec.clone(), layout.iib());
+        let mut op_claims = Ok(Vec::new());
+        let mut op_faults = Vec::new();
+        for (node, w) in dfg.graph().nodes() {
+            let NodeKind::Op { stmt, op, kind } = w.kind else {
+                continue;
+            };
             let slot = layout.op_slot(dfg, w.iter, stmt, op);
             let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
             if !spec.faults.supports_op(slot.pe, kind) {
                 let class = classes.of[dfg.linear_index(w.iter)] as usize;
                 let rep_iter = dfg.iteration_at(classes.reps[class]);
                 let rep_slot = layout.op_slot(dfg, rep_iter, stmt, op);
-                faulted_steps.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
+                op_faults.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
                 continue;
             }
-            if let Some(ri) = index.index_of(fu) {
-                claims.push((ri.0, node.index() as u32));
-            } else {
-                debug_assert!(false, "op slot outside the array at {fu:?}");
-            }
-        }
-    }
-    // Stamp every in-edge's translated route. A step whose translation
-    // lands on a faulted resource invalidates the whole pattern for that
-    // member: collect the offending steps in the representative frame so
-    // the feedback loop steers the next negotiation round around them.
-    for e in dfg.graph().edge_ids() {
-        let (src, dst) = dfg.graph().edge_endpoints(e);
-        let dst_iter = dfg.graph()[dst].iter;
-        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-        let (_, desc) = descriptor(dfg, layout, e, dst_iter);
-        let pattern =
-            design.patterns[class].routes.get(&desc).ok_or(RouteError::MissingPattern { class })?;
-        let rep_iter = dfg.iteration_at(classes.reps[class]);
-        let root = dfg.graph()[e].signal(src);
-        let mut steps = Vec::with_capacity(pattern.len());
-        for (i, &step) in pattern.iter().enumerate() {
-            let (node, abs) = translate_step(layout, dfg, rep_iter, dst_iter, step);
-            debug_assert!(spec.contains(node.pe), "translated route leaves the array at {node:?}");
-            let endpoint = i == 0 || i == pattern.len() - 1;
-            if !(endpoint && node.kind == RKind::Fu) {
-                if let Some(ri) = index.index_of(node) {
-                    claims.push((ri.0, root.index() as u32));
-                } else if spec.faults.masks(spec, node) {
-                    let (rep_node, _) = translate_step(layout, dfg, rep_iter, rep_iter, step);
-                    faulted_steps.push(rep_node);
-                }
-            }
-            steps.push((node, abs));
-        }
-        routes.push(FullRoute { edge: e, steps });
-    }
-    if !faulted_steps.is_empty() {
-        faulted_steps.sort();
-        faulted_steps.dedup();
-        return Err(RouteError::ReplicaConflicts {
-            count: faulted_steps.len(),
-            rep_frame: faulted_steps,
-        });
-    }
-    // Capacity check: after sort + dedup each resource's run holds its
-    // distinct signals (a signal re-entering a resource is fan-out, not a
-    // second occupant). On conflicts, translate the offending steps back
-    // into their representatives' frames so the caller can penalize them in
-    // the next negotiation round.
-    claims.sort_unstable();
-    claims.dedup();
-    // Oversubscribed resource ids, ascending (the claims are sorted).
-    let conflicted: Vec<u32> = claims
-        .chunk_by(|a, b| a.0 == b.0)
-        .filter(|run| run.len() > index.capacity(himap_cgra::RIdx(run[0].0)))
-        .map(|run| run[0].0)
-        .collect();
-    drop(claims);
-    if !conflicted.is_empty() {
-        let conflict_count = conflicted.len();
-        let mut rep_frame = Vec::new();
-        let t = layout.sub().t as i64;
-        for route in &routes {
-            let (_, dst) = dfg.graph().edge_endpoints(route.edge);
-            let dst_iter = dfg.graph()[dst].iter;
-            let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-            let rep_iter = dfg.iteration_at(classes.reps[class]);
-            let rep_pos = layout.position(dfg, rep_iter);
-            let member_pos = layout.position(dfg, dst_iter);
-            for &(node, abs) in &route.steps {
-                if index.index_of(node).is_some_and(|ri| conflicted.binary_search(&ri.0).is_ok()) {
-                    // Same step in the representative frame.
-                    let rep_abs = abs - (member_pos.t - rep_pos.t) as i64 * t;
-                    let dx = (member_pos.x - rep_pos.x) * layout.sub().s1 as i32;
-                    let dy = (member_pos.y - rep_pos.y) * layout.sub().s2 as i32;
-                    let rep_pe = PeId::new(
-                        (node.pe.x as i32 - dx) as usize,
-                        (node.pe.y as i32 - dy) as usize,
-                    );
-                    let cycle = rep_abs.rem_euclid(iib as i64) as u32;
-                    rep_frame.push(RNode::new(rep_pe, cycle, node.kind));
+            if let Ok(claims) = &mut op_claims {
+                match index.index_of(fu) {
+                    Some(ri) => claims.push((ri, node.index() as u32)),
+                    None => op_claims = Err(RouteError::MaskedSlot(fu)),
                 }
             }
         }
-        rep_frame.sort();
-        rep_frame.dedup();
-        return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
+        let shifts = Shift::table(layout, classes);
+        Replication { dfg, layout, classes, index, shifts, op_claims, op_faults }
     }
+
+    /// Replicates `design` over every iteration, verifying resource
+    /// capacities and memory causality. On success returns the complete
+    /// per-edge routing.
+    pub fn run(&self, design: &RoutedDesign) -> Result<Vec<FullRoute>, RouteError> {
+        let Replication { dfg, layout, classes, .. } = *self;
+        let (index, shifts) = (&*self.index, &self.shifts);
+        let iib = layout.iib() as i64;
+        let spec = layout.vsa().spec();
+        // Every key's pattern, resolved once. An edge whose key has none
+        // means the classification and the routed design disagree.
+        let pattern = |key: u32| design.patterns.get(key as usize).and_then(Option::as_deref);
+        if let Some(&key) = classes.edge_key.iter().find(|&&key| pattern(key).is_none()) {
+            let class = classes.key_class[key as usize] as usize;
+            return Err(RouteError::MissingPattern { class });
+        }
+        let op_claims = self.op_claims.as_ref().map_err(Clone::clone)?;
+        let patterns: Vec<&[(PeId, RKind, i64)]> =
+            (0..classes.key_count() as u32).map(|key| pattern(key).unwrap_or_default()).collect();
+        // An edge's member shift and pattern.
+        let edge = |e: EdgeId| {
+            let (_, dst) = dfg.graph().edge_endpoints(e);
+            let shift = shifts[dfg.linear_index(dfg.graph()[dst].iter)];
+            (shift, patterns[classes.edge_key[e.index()] as usize])
+        };
+        // Full-array occupancy. Each resource records the first signal
+        // stamped on it (`signal + 1`; 0 is free, and the zeroed table costs
+        // only the pages a stamp touches). A claim by any other signal is an
+        // overflow claim, packed `resource << 32 | signal`; only resources
+        // with overflow claims can be oversubscribed.
+        let mut first = vec![0u32; index.len()];
+        let mut overflow: Vec<u64> = Vec::new();
+        let mut stamp = |ri: RIdx, signal: u32| match &mut first[ri.index()] {
+            free @ 0 => *free = signal + 1,
+            held if *held == signal + 1 => {}
+            _ => overflow.push(u64::from(ri.0) << 32 | u64::from(signal)),
+        };
+        for &(ri, signal) in op_claims {
+            stamp(ri, signal);
+        }
+        // Steps (in the representative frame) whose translations land on
+        // faulted or capability-illegal resources; reported together so the
+        // feedback loop steers the next negotiation round around them.
+        let mut faulted_steps = self.op_faults.clone();
+        // Stamp every in-edge's translated route, recording each step's
+        // resource id (`NO_RESOURCE` off the MRRG) in edge order for the
+        // back-translation. A step whose translation lands on a faulted
+        // resource invalidates the whole pattern for that member. Endpoint
+        // FU steps belong to the ops stamped above.
+        let steps = classes.edge_key.iter().map(|&key| patterns[key as usize].len()).sum();
+        let mut step_ids: Vec<u32> = Vec::with_capacity(steps);
+        for e in dfg.graph().edge_ids() {
+            let (src, _) = dfg.graph().edge_endpoints(e);
+            let signal = dfg.graph()[e].signal(src).index() as u32;
+            let (shift, pattern) = edge(e);
+            for (i, &step) in pattern.iter().enumerate() {
+                let (node, _) = shift.place(spec, iib, step)?;
+                let ri = index.index_of(node);
+                step_ids.push(ri.map_or(NO_RESOURCE, |ri| ri.0));
+                if (i == 0 || i == pattern.len() - 1) && node.kind == RKind::Fu {
+                    continue;
+                }
+                match ri {
+                    Some(ri) => stamp(ri, signal),
+                    None if spec.faults.masks(spec, node) => {
+                        faulted_steps.push(shift.rep_node(iib, step));
+                    }
+                    None => {}
+                }
+            }
+        }
+        if !faulted_steps.is_empty() {
+            faulted_steps.sort();
+            faulted_steps.dedup();
+            return Err(RouteError::ReplicaConflicts {
+                count: faulted_steps.len(),
+                rep_frame: faulted_steps,
+            });
+        }
+        // Capacity check: after sort + dedup each resource's overflow run
+        // holds its distinct signals besides the first (a signal re-entering
+        // a resource is fan-out, not a second occupant). Oversubscribed
+        // resources are marked in a bitset.
+        drop(first);
+        overflow.sort_unstable();
+        overflow.dedup();
+        let mut conflicted = vec![0u64; index.len().div_ceil(64)];
+        let mut conflict_count = 0usize;
+        for run in overflow.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let ri = (run[0] >> 32) as usize;
+            if 1 + run.len() > index.capacity(RIdx(ri as u32)) {
+                conflicted[ri / 64] |= 1 << (ri % 64);
+                conflict_count += 1;
+            }
+        }
+        drop(overflow);
+        if conflict_count > 0 {
+            // Translate every step on a marked resource — endpoint FU steps
+            // included — back into its representative's frame, so the
+            // caller can penalize it in the next negotiation round.
+            let marked =
+                |ri: u32| ri != NO_RESOURCE && conflicted[ri as usize / 64] & (1 << (ri % 64)) != 0;
+            let mut rep_frame = Vec::new();
+            let mut ids = step_ids.iter();
+            for e in dfg.graph().edge_ids() {
+                let (shift, pattern) = edge(e);
+                for (&step, &ri) in pattern.iter().zip(ids.by_ref()) {
+                    if marked(ri) {
+                        rep_frame.push(shift.rep_node(iib, step));
+                    }
+                }
+            }
+            rep_frame.sort();
+            rep_frame.dedup();
+            return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
+        }
+        drop(step_ids);
+        // The round passes: only now materialize the per-edge routes.
+        let mut routes = Vec::with_capacity(dfg.graph().edge_count());
+        for e in dfg.graph().edge_ids() {
+            let (shift, pattern) = edge(e);
+            let mut steps = Vec::with_capacity(pattern.len());
+            for &step in pattern {
+                steps.push(shift.place(spec, iib, step)?);
+            }
+            routes.push(FullRoute { edge: e, steps });
+        }
+        check_dependences(dfg, layout, &routes)?;
+        Ok(routes)
+    }
+}
+
+/// The anti-dependence and memory-causality checks of a replicated design.
+fn check_dependences(dfg: &Dfg, layout: &Layout, routes: &[FullRoute]) -> Result<(), RouteError> {
     // Each source node's earliest and latest first-step time over its
     // out-edge routes, built once for the dependence checks below.
     let mut first_steps: Vec<Option<(i64, i64)>> = vec![None; dfg.graph().node_count()];
-    for r in &routes {
+    for r in routes {
         let (s, _) = dfg.graph().edge_endpoints(r.edge);
         let abs = r.steps[0].1;
         let span = first_steps[s.index()].get_or_insert((abs, abs));
@@ -685,7 +827,173 @@ pub fn replicate_and_verify(
             }
         }
     }
-    Ok(routes)
+    Ok(())
+}
+
+/// The full re-stamp replication that the keyed stamp pass replaced, kept
+/// as the differential tests' reference: per-edge descriptor resolution
+/// through a per-class table, `translate_step` on every step, routes
+/// materialized in every round, a sort of `(u32, u32)` claims and a
+/// binary-search back-translation.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::unique::{descriptor, Descriptor};
+
+    /// The per-class pattern table of a keyed design: each representative
+    /// in-edge's pattern under its destination-view descriptor.
+    fn class_patterns(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        design: &RoutedDesign,
+    ) -> Vec<HashMap<Descriptor, Pattern>> {
+        let mut out = vec![HashMap::new(); classes.count()];
+        for (class, &rep) in classes.reps.iter().enumerate() {
+            let rep_iter = dfg.iteration_at(rep);
+            for &node in dfg.cluster(rep_iter) {
+                for e in dfg.graph().in_edges(node) {
+                    let key = classes.edge_key[e.id.index()] as usize;
+                    if let Some(pattern) = design.patterns.get(key).and_then(Option::as_ref) {
+                        let (_, desc) = descriptor(dfg, layout, e.id, rep_iter);
+                        out[class].insert(desc, pattern.clone());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Replicates all class patterns over every iteration, verifying
+    /// resource capacities and memory causality.
+    pub(crate) fn replicate_and_verify(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        design: &RoutedDesign,
+    ) -> Result<Vec<FullRoute>, RouteError> {
+        let iib = layout.iib();
+        let spec = layout.vsa().spec();
+        // Full-array occupancy is a flat list of `(resource id, signal)` claims,
+        // one per stamped step: its size is the work stamped, not the fabric.
+        // The shared index is the same build the representative negotiation used,
+        // so replication adds no per-call graph construction.
+        let index = MrrgIndex::shared(spec.clone(), iib);
+        let mut claims: Vec<(u32, u32)> = Vec::new();
+        let mut routes = Vec::with_capacity(dfg.graph().edge_count());
+        // Steps (in the representative frame) whose translations land on
+        // faulted or capability-illegal resources; reported together so the
+        // feedback loop steers the next negotiation round around them.
+        let mut faulted_steps: Vec<RNode> = Vec::new();
+        let class_patterns = class_patterns(dfg, layout, classes, design);
+        // Stamp every op's FU slot. A member translation may land an op on a PE
+        // that computes but lacks the op's capability class (heterogeneous
+        // fabrics) — that invalidates the pattern exactly like a faulted step.
+        for (node, w) in dfg.graph().nodes() {
+            if let NodeKind::Op { stmt, op, kind } = w.kind {
+                let slot = layout.op_slot(dfg, w.iter, stmt, op);
+                let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
+                if !spec.faults.supports_op(slot.pe, kind) {
+                    let class = classes.of[dfg.linear_index(w.iter)] as usize;
+                    let rep_iter = dfg.iteration_at(classes.reps[class]);
+                    let rep_slot = layout.op_slot(dfg, rep_iter, stmt, op);
+                    faulted_steps.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
+                    continue;
+                }
+                if let Some(ri) = index.index_of(fu) {
+                    claims.push((ri.0, node.index() as u32));
+                } else {
+                    // The full re-stamp skipped the claim in release builds.
+                }
+            }
+        }
+        // Stamp every in-edge's translated route. A step whose translation
+        // lands on a faulted resource invalidates the whole pattern for that
+        // member: collect the offending steps in the representative frame so
+        // the feedback loop steers the next negotiation round around them.
+        for e in dfg.graph().edge_ids() {
+            let (src, dst) = dfg.graph().edge_endpoints(e);
+            let dst_iter = dfg.graph()[dst].iter;
+            let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+            let (_, desc) = descriptor(dfg, layout, e, dst_iter);
+            let pattern =
+                class_patterns[class].get(&desc).ok_or(RouteError::MissingPattern { class })?;
+            let rep_iter = dfg.iteration_at(classes.reps[class]);
+            let root = dfg.graph()[e].signal(src);
+            let mut steps = Vec::with_capacity(pattern.len());
+            for (i, &step) in pattern.iter().enumerate() {
+                let (node, abs) = translate_step(layout, dfg, rep_iter, dst_iter, step);
+                let endpoint = i == 0 || i == pattern.len() - 1;
+                if !(endpoint && node.kind == RKind::Fu) {
+                    if let Some(ri) = index.index_of(node) {
+                        claims.push((ri.0, root.index() as u32));
+                    } else if spec.faults.masks(spec, node) {
+                        let (rep_node, _) = translate_step(layout, dfg, rep_iter, rep_iter, step);
+                        faulted_steps.push(rep_node);
+                    }
+                }
+                steps.push((node, abs));
+            }
+            routes.push(FullRoute { edge: e, steps });
+        }
+        if !faulted_steps.is_empty() {
+            faulted_steps.sort();
+            faulted_steps.dedup();
+            return Err(RouteError::ReplicaConflicts {
+                count: faulted_steps.len(),
+                rep_frame: faulted_steps,
+            });
+        }
+        // Capacity check: after sort + dedup each resource's run holds its
+        // distinct signals (a signal re-entering a resource is fan-out, not a
+        // second occupant). On conflicts, translate the offending steps back
+        // into their representatives' frames so the caller can penalize them in
+        // the next negotiation round.
+        claims.sort_unstable();
+        claims.dedup();
+        // Oversubscribed resource ids, ascending (the claims are sorted).
+        let conflicted: Vec<u32> = claims
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.len() > index.capacity(himap_cgra::RIdx(run[0].0)))
+            .map(|run| run[0].0)
+            .collect();
+        drop(claims);
+        if !conflicted.is_empty() {
+            let conflict_count = conflicted.len();
+            let mut rep_frame = Vec::new();
+            let t = layout.sub().t as i64;
+            for route in &routes {
+                let (_, dst) = dfg.graph().edge_endpoints(route.edge);
+                let dst_iter = dfg.graph()[dst].iter;
+                let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+                let rep_iter = dfg.iteration_at(classes.reps[class]);
+                let rep_pos = layout.position(dfg, rep_iter);
+                let member_pos = layout.position(dfg, dst_iter);
+                for &(node, abs) in &route.steps {
+                    if index
+                        .index_of(node)
+                        .is_some_and(|ri| conflicted.binary_search(&ri.0).is_ok())
+                    {
+                        // Same step in the representative frame.
+                        let rep_abs = abs - (member_pos.t - rep_pos.t) as i64 * t;
+                        let dx = (member_pos.x - rep_pos.x) * layout.sub().s1 as i32;
+                        let dy = (member_pos.y - rep_pos.y) * layout.sub().s2 as i32;
+                        let rep_pe = PeId::new(
+                            (node.pe.x as i32 - dx) as usize,
+                            (node.pe.y as i32 - dy) as usize,
+                        );
+                        let cycle = rep_abs.rem_euclid(iib as i64) as u32;
+                        rep_frame.push(RNode::new(rep_pe, cycle, node.kind));
+                    }
+                }
+            }
+            rep_frame.sort();
+            rep_frame.dedup();
+            return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
+        }
+        check_dependences(dfg, layout, &routes)?;
+        Ok(routes)
+    }
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -777,11 +1085,45 @@ mod tests {
     fn representatives_cover_every_descriptor() {
         let kernel = suite::gemm();
         let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
-        // Replication fails with `MissingPattern` on any uncovered class
-        // descriptor, so a clean pass proves descriptor coverage; the route
-        // count proves every edge is implemented.
-        let (_, routes) = route_with_feedback(&dfg, &layout, &classes);
+        // Every pattern key is a (class, descriptor) pair some representative
+        // in-edge carries, so negotiation routes a pattern under each; the
+        // route count proves every edge is implemented.
+        let (design, routes) = route_with_feedback(&dfg, &layout, &classes);
+        assert_eq!(design.patterns.len(), classes.key_count());
+        assert!(design.patterns.iter().all(Option::is_some));
         assert_eq!(routes.len(), dfg.graph().edge_count());
+    }
+
+    #[test]
+    fn design_from_another_classification_is_a_missing_pattern() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
+        let (mut design, _) = route_with_feedback(&dfg, &layout, &classes);
+        let e = EdgeId::from_index(0);
+        let key = classes.edge_key[e.index()] as usize;
+        design.patterns[key] = None;
+        assert_eq!(
+            replicate_and_verify(&dfg, &layout, &classes, &design).err(),
+            Some(RouteError::MissingPattern { class: classes.key_class[key] as usize })
+        );
+    }
+
+    #[test]
+    fn step_translated_off_the_array_is_a_masked_slot() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4, 0);
+        let (mut design, _) = route_with_feedback(&dfg, &layout, &classes);
+        // Move one step of one pattern a whole array width south: every
+        // member's copy of it, the representative's included, is off the
+        // array.
+        let rows = layout.vsa().spec().rows;
+        let pattern = design.patterns.iter_mut().flatten().next().expect("a routed pattern");
+        pattern[0].0.x += rows as u16;
+        let err = replicate_and_verify(&dfg, &layout, &classes, &design).err();
+        assert!(
+            matches!(err, Some(RouteError::MaskedSlot(node)) if node.pe.x as usize >= rows),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -818,10 +1160,8 @@ mod tests {
         windows: i64,
     ) {
         let e = dfg.graph().out_edges(source).next().expect("the load feeds a consumer");
-        let dst_iter = dfg.graph()[e.dst].iter;
-        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-        let (_, desc) = descriptor(dfg, layout, e.id, dst_iter);
-        let pattern = design.patterns[class].routes.get_mut(&desc).expect("routed pattern");
+        let key = classes.edge_key[e.id.index()] as usize;
+        let pattern = design.patterns[key].as_mut().expect("routed pattern");
         pattern[0].2 += windows * layout.iib() as i64;
     }
 

@@ -28,7 +28,7 @@ pub struct StageTimes {
     pub probe: Duration,
     /// Systolic `(H, S)` search, probe-filtered and exact passes.
     pub search: Duration,
-    /// Full-block DFG unrolls.
+    /// Full-block DFG unrolls and their exact dependence distances.
     pub dfg: Duration,
     /// Space-time layouts (`Layout::new`) of the routed systolic maps, plus
     /// the winner's op-slot map and `Mapping` assembly.
@@ -42,10 +42,11 @@ pub struct StageTimes {
     /// Configuration image of the winning mapping
     /// (`ConfigImage::from_mapping`).
     pub config: Duration,
-    /// Dense MRRG index acquisition (`MrrgIndex::shared`) for the walk's
-    /// pooled routers. The first acquisition per `(spec, II)` compiles the
-    /// CSR adjacency; later ones are cache hits, so this stays near zero in
-    /// steady state. Timed outside `route`, so the stages never overlap.
+    /// Dense MRRG index acquisition (`MrrgIndex::shared`) and construction
+    /// of the walk's pooled router on it. The first acquisition per
+    /// `(spec, II)` compiles the CSR adjacency; later ones are cache hits,
+    /// so this stays near zero in steady state. Timed outside `route`, so
+    /// the stages never overlap.
     pub index: Duration,
     /// End-to-end wall time of the whole `map` call.
     pub total: Duration,
@@ -89,6 +90,10 @@ pub struct PipelineStats {
     pub pathfinder_rounds: usize,
     /// `replicate_and_verify` invocations.
     pub replication_rounds: usize,
+    /// Oversubscribed or faulted resources summed over the replication
+    /// rounds that ended in replica conflicts (each round's
+    /// `RouteError::ReplicaConflicts::count`).
+    pub replica_conflicts: usize,
     /// Dependence-probe cache hits.
     pub probe_cache_hits: usize,
     /// Dependence-probe cache misses (a probe DFG was built).
@@ -152,7 +157,8 @@ impl PipelineStats {
              \x20 MAP      {} shapes tried -> {} sub-candidates\n\
              \x20 walk     {} enumerated (+{} deduped), {} tried, {} pruned, {} abandoned\n\
              \x20 systolic {} searches, {} matrices -> {} valid maps, {} layouts routed\n\
-             \x20 route    {} attempts, {} pathfinder rounds, {} replications\n\
+             \x20 route    {} attempts, {} pathfinder rounds, {} replications \
+             ({} replica conflicts)\n\
              \x20 router   {} searches ({} cancelled), {} nodes popped, {} heap pushes, \
              {} epoch resets\n\
              \x20 probes   {} hits / {} misses ({:.0}% hit rate)",
@@ -182,6 +188,7 @@ impl PipelineStats {
             self.route_attempts,
             self.pathfinder_rounds,
             self.replication_rounds,
+            self.replica_conflicts,
             self.router_searches,
             self.router_searches_cancelled,
             self.router_nodes_popped,
@@ -249,7 +256,16 @@ mod tests {
     #[test]
     fn summary_mentions_every_counter_family() {
         let text = PipelineStats::default().summary();
-        for needle in ["MAP", "walk", "systolic", "route", "router", "epoch resets", "probes"] {
+        for needle in [
+            "MAP",
+            "walk",
+            "systolic",
+            "route",
+            "replica conflicts",
+            "router",
+            "epoch resets",
+            "probes",
+        ] {
             assert!(text.contains(needle), "summary missing {needle}: {text}");
         }
     }

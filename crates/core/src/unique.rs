@@ -56,13 +56,24 @@ pub struct Descriptor {
     pub forward: bool,
 }
 
-/// The grouping of all iterations into equivalence classes.
+/// The grouping of all iterations into equivalence classes, and of all
+/// DFG edges into pattern keys.
+///
+/// A pattern key names one routed pattern: two edges share a key iff they
+/// share the class of their destination iteration and their
+/// destination-view [`Descriptor`]. Replication resolves each edge's
+/// pattern through [`edge_key`](Self::edge_key) with one array read; no
+/// descriptor is recomputed per round.
 #[derive(Clone, Debug)]
 pub struct Classes {
     /// Class of each iteration, by linear index.
     pub of: Vec<ClassId>,
     /// Linear index of each class's representative (its first member).
     pub reps: Vec<usize>,
+    /// Pattern key of each DFG edge, by edge index.
+    pub edge_key: Vec<u32>,
+    /// Class of each pattern key, by key.
+    pub key_class: Vec<ClassId>,
 }
 
 impl Classes {
@@ -70,7 +81,16 @@ impl Classes {
     pub fn count(&self) -> usize {
         self.reps.len()
     }
+
+    /// Number of distinct pattern keys (routed patterns per design).
+    pub fn key_count(&self) -> usize {
+        self.key_class.len()
+    }
 }
+
+/// Tag of a signature entry that is not an in-edge of the iteration: a
+/// node's self-descriptor or an out-edge to another iteration.
+const NO_KEY: u32 = u32::MAX;
 
 pub(crate) fn node_class(kind: NodeKind) -> NodeClass {
     match kind {
@@ -113,19 +133,34 @@ pub(crate) fn descriptor(
     )
 }
 
-/// Groups all iterations of a laid-out DFG into equivalence classes.
+/// Groups all iterations of a laid-out DFG into equivalence classes and
+/// assigns every edge its pattern key.
+///
+/// Keys come out of the same descriptor loop as the signatures. Members of
+/// one class have equal sorted signatures, so the class's first member
+/// fixes a key for each signature position once, and every later member
+/// reads its in-edges' keys off those positions.
 pub fn classify(dfg: &Dfg, layout: &Layout) -> Classes {
     let mut table: HashMap<Vec<(EdgeDir, Descriptor)>, ClassId> = HashMap::new();
+    // Per class: the pattern key of each sorted signature entry (`NO_KEY`
+    // for entries that are not in-edges).
+    let mut entry_keys: Vec<Vec<u32>> = Vec::new();
     let mut of = Vec::with_capacity(dfg.iteration_count());
     let mut reps = Vec::new();
+    let mut edge_key = vec![NO_KEY; dfg.graph().edge_count()];
+    let mut key_class = Vec::new();
+    // Reused per iteration: the signature entries tagged with the in-edge
+    // each describes, and the untagged signature itself.
+    let mut tagged: Vec<(EdgeDir, Descriptor, u32)> = Vec::new();
+    let mut sig: Vec<(EdgeDir, Descriptor)> = Vec::new();
     for idx in 0..dfg.iteration_count() {
         let iter = dfg.iteration_at(idx);
-        let mut sig: Vec<(EdgeDir, Descriptor)> = Vec::new();
+        tagged.clear();
         for &node in dfg.cluster(iter) {
             // Node classes enter the signature via a self-descriptor so an
             // iteration with an extra load (a chain head) differs even if
             // its edges happen to match.
-            sig.push((
+            tagged.push((
                 EdgeDir::Internal,
                 Descriptor {
                     delta: (0, 0, 0),
@@ -134,25 +169,76 @@ pub fn classify(dfg: &Dfg, layout: &Layout) -> Classes {
                     slot: u8::MAX,
                     forward: false,
                 },
+                NO_KEY,
             ));
             for e in dfg.graph().out_edges(node) {
-                sig.push(descriptor(dfg, layout, e.id, iter));
+                let (dir, desc) = descriptor(dfg, layout, e.id, iter);
+                // An internal edge is also one of this iteration's in-edges.
+                let tag = if dir == EdgeDir::Internal { e.id.index() as u32 } else { NO_KEY };
+                tagged.push((dir, desc, tag));
             }
             for e in dfg.graph().in_edges(node) {
                 if dfg.graph()[e.src].iter != iter {
-                    sig.push(descriptor(dfg, layout, e.id, iter));
+                    let (dir, desc) = descriptor(dfg, layout, e.id, iter);
+                    tagged.push((dir, desc, e.id.index() as u32));
                 }
             }
         }
-        sig.sort();
-        let next = table.len() as ClassId;
-        let class = *table.entry(sig).or_insert(next);
-        if class == next {
-            reps.push(idx);
+        tagged.sort_unstable();
+        sig.clear();
+        sig.extend(tagged.iter().map(|&(dir, desc, _)| (dir, desc)));
+        let class = match table.get(sig.as_slice()) {
+            Some(&class) => class,
+            None => {
+                let class = table.len() as ClassId;
+                table.insert(sig.clone(), class);
+                reps.push(idx);
+                // One key per distinct in-edge descriptor of the new class.
+                let mut keys: HashMap<Descriptor, u32> = HashMap::new();
+                let row = tagged
+                    .iter()
+                    .map(|&(_, desc, edge)| {
+                        if edge == NO_KEY {
+                            return NO_KEY;
+                        }
+                        *keys.entry(desc).or_insert_with(|| {
+                            key_class.push(class);
+                            (key_class.len() - 1) as u32
+                        })
+                    })
+                    .collect();
+                entry_keys.push(row);
+                class
+            }
+        };
+        for (&(_, _, edge), &key) in tagged.iter().zip(&entry_keys[class as usize]) {
+            if edge != NO_KEY {
+                edge_key[edge as usize] = key;
+            }
         }
         of.push(class);
     }
-    Classes { of, reps }
+    Classes { of, reps, edge_key, key_class }
+}
+
+/// Asserts the pattern-key invariant: two edges share a key iff they share
+/// the class of their destination iteration and their destination-view
+/// descriptor, and each key records that class.
+#[cfg(test)]
+pub(crate) fn assert_keys_follow_descriptors(dfg: &Dfg, layout: &Layout, classes: &Classes) {
+    let mut key_of: HashMap<(ClassId, Descriptor), u32> = HashMap::new();
+    let mut pair_of: HashMap<u32, (ClassId, Descriptor)> = HashMap::new();
+    for e in dfg.graph().edge_ids() {
+        let (_, dst) = dfg.graph().edge_endpoints(e);
+        let dst_iter = dfg.graph()[dst].iter;
+        let class = classes.of[dfg.linear_index(dst_iter)];
+        let (_, desc) = descriptor(dfg, layout, e, dst_iter);
+        let key = classes.edge_key[e.index()];
+        assert_eq!(classes.key_class[key as usize], class, "key {key} of edge {e:?}");
+        assert_eq!(*key_of.entry((class, desc)).or_insert(key), key, "edge {e:?} splits a pair");
+        assert_eq!(*pair_of.entry(key).or_insert((class, desc)), (class, desc), "key {key} merges");
+    }
+    assert_eq!(pair_of.len(), classes.key_count(), "every key names some edge");
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -165,7 +251,14 @@ mod tests {
     use himap_kernels::suite;
     use himap_systolic::{search, SearchConfig};
 
-    fn classes_for(kernel: &himap_kernels::Kernel, c: usize, free: usize) -> Classes {
+    /// The DFG of `kernel` on a `c`×`c` array and its layouts under the
+    /// `take` top-ranked systolic maps.
+    fn layouts_for(
+        kernel: &himap_kernels::Kernel,
+        c: usize,
+        free: usize,
+        take: usize,
+    ) -> (Dfg, Vec<Layout>) {
         let spec = CgraSpec::square(c);
         let subs = map_idfg(kernel, &spec, &HiMapOptions::default());
         let sub = subs[0].clone();
@@ -189,8 +282,17 @@ mod tests {
             anti_deps: dfg.anti_dep_distances(),
         });
         assert!(!maps.is_empty(), "{} needs a systolic map", kernel.name());
-        let layout = Layout::new(&dfg, vsa, sub, &maps[0]);
-        classify(&dfg, &layout)
+        let layouts = maps
+            .iter()
+            .take(take)
+            .map(|m| Layout::new(&dfg, vsa.clone(), sub.clone(), m))
+            .collect();
+        (dfg, layouts)
+    }
+
+    fn classes_for(kernel: &himap_kernels::Kernel, c: usize, free: usize) -> Classes {
+        let (dfg, layouts) = layouts_for(kernel, c, free, 1);
+        classify(&dfg, &layouts[0])
     }
 
     #[test]
@@ -222,6 +324,16 @@ mod tests {
         // Table II: ADI (one-dimensional dependences) has at most 3.
         let classes = classes_for(&suite::adi(), 4, 4);
         assert!(classes.count() <= 3, "ADI classes = {}", classes.count());
+    }
+
+    #[test]
+    fn edges_share_a_key_iff_they_share_class_and_descriptor() {
+        for kernel in [suite::gemm(), suite::bicg(), suite::floyd_warshall(), suite::ttm()] {
+            let (dfg, layouts) = layouts_for(&kernel, 4, 4, 3);
+            for layout in &layouts {
+                assert_keys_follow_descriptors(&dfg, layout, &classify(&dfg, layout));
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,12 @@ fn gemm_32_on_32x32_maps_verifies_and_simulates_in_bounded_memory() {
     let mapping = HiMap::new(options)
         .map(&suite::gemm(), &CgraSpec::square(32))
         .unwrap_or_else(|e| panic!("GEMM b = 32 fails to map on 32x32: {e}"));
-    let t = &mapping.pipeline_stats().times;
+    let stats = mapping.pipeline_stats();
+    // Four of the five feedback rounds end in replica conflicts: 119,040
+    // oversubscribed resources over the four.
+    assert_eq!(stats.replication_rounds, 5);
+    assert_eq!(stats.replica_conflicts, 119_040);
+    let t = &stats.times;
     let stages = t.map
         + t.enumerate
         + t.probe
