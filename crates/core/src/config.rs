@@ -89,14 +89,21 @@ impl ConfigImage {
     pub fn from_mapping(mapping: &Mapping) -> ConfigImage {
         let iib = mapping.stats().iib;
         let spec = mapping.spec();
-        // Build raw per-(pe, cycle) instructions.
-        let mut raw: HashMap<(PeId, u32), Instr> = HashMap::new();
+        // Raw instructions, one per (pe, cycle), at `(x·cols + y)·iib + cycle`.
+        // A slot outside the array or the window has no instruction word.
+        let mut raw: Vec<Instr> = vec![Instr::default(); spec.pe_count() * iib];
+        let at = |pe: PeId, cycle: u32| {
+            (spec.contains(pe) && (cycle as usize) < iib)
+                .then(|| (pe.x as usize * spec.cols + pe.y as usize) * iib + cycle as usize)
+        };
         // ALU ops.
         let dfg = mapping.dfg();
         for (node, w) in dfg.graph().nodes() {
             if let NodeKind::Op { kind, .. } = w.kind {
                 let Some(slot) = mapping.op_slot(node) else { continue };
-                raw.entry((slot.pe, slot.cycle_mod)).or_default().op = Some(kind);
+                if let Some(i) = at(slot.pe, slot.cycle_mod) {
+                    raw[i].op = Some(kind);
+                }
             }
         }
         // Route moves: each consecutive step pair implies one move at one
@@ -104,11 +111,10 @@ impl ConfigImage {
         for route in mapping.routes() {
             for pair in route.steps.windows(2) {
                 let ((a, a_abs), (b, _)) = (pair[0], pair[1]);
-                if let Some((pe, cycle, mv)) = step_move(spec, a, a_abs, b, iib) {
-                    let instr = raw.entry((pe, cycle)).or_default();
-                    if !instr.moves.contains(&mv) {
-                        instr.moves.push(mv);
-                    }
+                let Some((pe, cycle, mv)) = step_move(spec, a, a_abs, b, iib) else { continue };
+                let Some(i) = at(pe, cycle) else { continue };
+                if !raw[i].moves.contains(&mv) {
+                    raw[i].moves.push(mv);
                 }
             }
         }
@@ -119,7 +125,8 @@ impl ConfigImage {
             let pe_store: &mut Vec<Instr> = store.entry(pe).or_default();
             let mut stream = Vec::with_capacity(iib);
             for cycle in 0..iib as u32 {
-                let mut instr = raw.remove(&(pe, cycle)).unwrap_or_default();
+                let mut instr =
+                    at(pe, cycle).map(|i| std::mem::take(&mut raw[i])).unwrap_or_default();
                 instr.moves.sort();
                 let idx = match pe_store.iter().position(|i| *i == instr) {
                     Some(i) => i,
@@ -315,6 +322,41 @@ mod tests {
         let (mapping, image) = image_for("gemm", 4);
         assert!((mapping.utilization() - 1.0).abs() < 1e-9);
         assert!(image.busy_fraction() >= mapping.utilization());
+    }
+
+    #[test]
+    fn footprints_match_the_recorded_images() {
+        // `(kernel, array side, max unique instructions, busy slots, all
+        // slots)` of every suite kernel's default mapping, recorded from the
+        // hash-map image this dense one replaced.
+        let recorded = [
+            ("adi", 4, 5, 80, 80),
+            ("atax", 4, 4, 64, 64),
+            ("bicg", 4, 4, 64, 64),
+            ("mvt", 4, 2, 32, 32),
+            ("gemm", 4, 8, 128, 128),
+            ("syrk", 4, 8, 128, 128),
+            ("floyd-warshall", 4, 6, 176, 192),
+            ("ttm", 4, 8, 128, 128),
+            ("adi", 8, 5, 320, 320),
+            ("atax", 8, 4, 256, 256),
+            ("bicg", 8, 4, 256, 256),
+            ("mvt", 8, 2, 128, 128),
+            ("gemm", 8, 8, 512, 512),
+            ("syrk", 8, 8, 512, 512),
+            ("floyd-warshall", 8, 6, 704, 768),
+            ("ttm", 8, 8, 2048, 2048),
+        ];
+        for (name, c, unique, busy, slots) in recorded {
+            let (_, image) = image_for(name, c);
+            assert_eq!(image.max_unique_instrs(), unique, "{name} on {c}x{c}");
+            let expected = busy as f64 / slots as f64;
+            assert!(
+                (image.busy_fraction() - expected).abs() < 1e-12,
+                "{name} on {c}x{c}: busy fraction {} != {expected}",
+                image.busy_fraction()
+            );
+        }
     }
 
     #[test]

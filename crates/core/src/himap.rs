@@ -11,8 +11,8 @@
 //! candidate costs a [`Router::reset`] (two `memset`s) instead of a full
 //! router construction.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -294,14 +294,18 @@ struct Walk<'a> {
     /// candidate. [`Router::reset`] restores the search-visible state a
     /// freshly built router would have, so the walk's deterministic counters
     /// (`tests/pipeline_stats.rs` goldens) are those of the pooled router.
-    routers: HashMap<usize, Router>,
+    /// Ordered by II, so the routers and their multi-megabyte search
+    /// scratch are freed in the same order in every process: that order
+    /// decides where the next walk's zeroed scratch lands in the heap, and
+    /// so the peak resident memory.
+    routers: BTreeMap<usize, Router>,
 }
 
 /// The pooled router for `layout`'s II, plus the time spent acquiring the
 /// index and constructing the router when this call had to build one (zero
 /// on reuse).
 fn router_for<'r>(
-    routers: &'r mut HashMap<usize, Router>,
+    routers: &'r mut BTreeMap<usize, Router>,
     layout: &Layout,
 ) -> (&'r mut Router, Duration) {
     match routers.entry(layout.iib()) {
@@ -322,7 +326,7 @@ impl<'a> Walk<'a> {
         options: &'a HiMapOptions,
         stats: &'a mut PipelineStats,
     ) -> Self {
-        Walk { kernel, cgra, options, stats, probe_cache: HashMap::new(), routers: HashMap::new() }
+        Walk { kernel, cgra, options, stats, probe_cache: HashMap::new(), routers: BTreeMap::new() }
     }
 
     /// Evaluates one candidate tuple end to end: probe-filtered systolic
@@ -434,11 +438,13 @@ impl<'a> Walk<'a> {
                     }
                 };
                 stats.replication_rounds += 1;
-                match timed(&mut stats.times.replicate, || {
+                let replicated = timed(&mut stats.times.replicate, || {
                     replication
                         .get_or_insert_with(|| Replication::new(&dfg, &layout, &classes))
                         .run(&design)
-                }) {
+                });
+                stats.replica_claims += replication.as_mut().map_or(0, Replication::take_claims);
+                match replicated {
                     Ok(routes) => {
                         routed = Some(routes);
                         break;
@@ -823,12 +829,15 @@ mod tests {
     /// per layout, as the walk sets it up) against the full re-stamp
     /// reference. Every layout's keys are checked against the
     /// descriptors too.
-    fn compare_replication(kernel: &Kernel, cgra: &CgraSpec) -> Compared {
-        let options = HiMapOptions::default();
+    fn compare_replication_with(
+        kernel: &Kernel,
+        cgra: &CgraSpec,
+        options: &HiMapOptions,
+    ) -> Compared {
         let mut stats = PipelineStats::default();
-        let subs = crate::submap::map_idfg(kernel, cgra, &options);
-        let (candidates, _) = enumerate_candidates(kernel, cgra, &subs, &options);
-        let mut routers = HashMap::new();
+        let subs = crate::submap::map_idfg(kernel, cgra, options);
+        let (candidates, _) = enumerate_candidates(kernel, cgra, &subs, options);
+        let mut routers = BTreeMap::new();
         let mut compared = Compared::default();
         for Candidate { sub, vsa, block } in &candidates {
             let Ok(dfg) = Dfg::build(kernel, block) else { continue };
@@ -837,7 +846,7 @@ mod tests {
                 let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
                 let classes = classify(&dfg, &layout);
                 crate::unique::assert_keys_follow_descriptors(&dfg, &layout, &classes);
-                let replication = Replication::new(&dfg, &layout, &classes);
+                let mut replication = Replication::new(&dfg, &layout, &classes);
                 let mut seed = Vec::new();
                 for round in 0..options.replication_feedback_rounds {
                     let (router, _) = router_for(&mut routers, &layout);
@@ -845,7 +854,7 @@ mod tests {
                         &dfg,
                         &layout,
                         &classes,
-                        &options,
+                        options,
                         &seed,
                         router,
                         Duration::ZERO,
@@ -874,6 +883,11 @@ mod tests {
             }
         }
         compared
+    }
+
+    /// [`compare_replication_with`] under the default options.
+    fn compare_replication(kernel: &Kernel, cgra: &CgraSpec) -> Compared {
+        compare_replication_with(kernel, cgra, &HiMapOptions::default())
     }
 
     #[test]
@@ -912,6 +926,40 @@ mod tests {
                 conflicted += compare_replication(&kernel, cgra).conflicted;
             }
             assert!(conflicted > 0, "no conflict round on {cgra:?}");
+        }
+    }
+
+    #[test]
+    fn keyed_replication_matches_the_full_restamp_at_fig8_scale() {
+        use himap_cgra::{CapabilityMap, PeId};
+        // Fig. 8 blocks (the free extent matched to the array), where most
+        // cells share a neighbourhood group with many others: a grouping
+        // that stood a cell for the wrong ones would miscount here.
+        let kernels = [suite::gemm(), suite::floyd_warshall(), suite::bicg()];
+        for c in [16, 24] {
+            let options = HiMapOptions { free_extents: vec![c], ..HiMapOptions::default() };
+            for kernel in &kernels {
+                let compared = compare_replication_with(kernel, &CgraSpec::square(c), &options);
+                assert_eq!(compared.passed, 1, "{} on {c}x{c}: {compared:?}", kernel.name());
+            }
+        }
+        // The benchmark's degraded 16x16 fabrics: three dead PEs each, drawn
+        // from SplitMix64 seed 1, so faulted cells form groups of their own.
+        let options = HiMapOptions { free_extents: vec![16], ..HiMapOptions::default() };
+        let fabrics = [
+            (suite::floyd_warshall(), [(12, 1), (6, 7), (5, 14)]),
+            (suite::gemm(), [(0, 11), (11, 9), (8, 0)]),
+            (suite::bicg(), [(10, 5), (7, 5), (10, 8)]),
+        ];
+        for (kernel, dead) in &fabrics {
+            let mut faults = CapabilityMap::new();
+            for &(x, y) in dead {
+                faults.kill_pe(PeId::new(x, y));
+            }
+            let cgra = CgraSpec::square(16).with_faults(faults);
+            let compared = compare_replication_with(kernel, &cgra, &options);
+            assert_eq!(compared.passed, 1, "{} on {cgra:?}: {compared:?}", kernel.name());
+            assert!(compared.conflicted > 0, "{}: no conflict round compared", kernel.name());
         }
     }
 }

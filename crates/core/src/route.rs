@@ -6,19 +6,25 @@
 //! ([`Classes::edge_key`]): an edge's pattern is one array read away, and
 //! no descriptor is recomputed after classification.
 //!
-//! A full-array stamping pass then verifies that the replicated routing
-//! oversubscribes no resource and that every memory-routed dependence loads
-//! after its store. A [`Replication`] computes what is fixed per layout
-//! once: each iteration's shift out of its representative's frame, and
-//! every op's FU claim. Each feedback round is then a flat pass. Each
-//! resource keeps the first signal stamped on it, and only claims by another
-//! signal are kept, as packed `u64`s, and sorted. Oversubscribed resources
-//! are marked in a bitset, and one more walk over the recorded step ids
-//! translates the marked steps back into representative frames. The
-//! per-edge [`FullRoute`]s are built only in the round whose capacity and
-//! fault checks pass.
+//! Replication then verifies that the replicated routing oversubscribes no
+//! resource and that every memory-routed dependence loads after its store.
+//! A [`Replication`] computes what is fixed per layout once: each
+//! iteration's shift out of its representative's frame, and every op's FU
+//! claim. The array's SPE-sized cells are grouped by an exact
+//! neighbourhood signature (their own ops and, per pattern key, the edges
+//! whose pattern reaches the cell, with relative macro times and
+//! first-seen relabelled signals, then the cell's resource states): cells
+//! with equal signatures receive the same claims up to a space-time
+//! translation, so each feedback round stamps and checks one representative
+//! cell per group and multiplies its conflicts by the group's size. Each
+//! resource keeps the first signal stamped on it, and only claims by
+//! another signal are kept, as packed `u64`s, and sorted. Oversubscribed
+//! resources are marked in a bitset, and one more walk over the recorded
+//! step ids translates the marked steps back into representative frames.
+//! The per-edge [`FullRoute`]s are built only in the round whose capacity
+//! and fault checks pass.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -585,7 +591,8 @@ impl Shift {
     }
 }
 
-/// A recorded step id for a translated step that is not in the MRRG.
+/// A recorded step id for a translated step that is not stamped: it lands
+/// on no representative cell, or on no MRRG node.
 const NO_RESOURCE: u32 = u32::MAX;
 
 /// Replicates all class patterns over every iteration, verifying resource
@@ -593,7 +600,8 @@ const NO_RESOURCE: u32 = u32::MAX;
 ///
 /// On success returns the complete per-edge routing. A feedback loop that
 /// replicates several designs of one layout sets up one [`Replication`]
-/// instead and runs it per design.
+/// instead and runs it per design: this one-shot call also builds the
+/// neighbourhood grouping every time.
 pub fn replicate_and_verify(
     dfg: &Dfg,
     layout: &Layout,
@@ -603,10 +611,10 @@ pub fn replicate_and_verify(
     Replication::new(dfg, layout, classes).run(design)
 }
 
-/// The replication of one layout: what does not depend on the routed
-/// design — each iteration's shift out of its representative's frame and
-/// every op's FU claim — is computed once, and [`run`](Self::run) stamps
-/// one design per feedback round.
+/// The replication of one layout: each iteration's shift out of its
+/// representative's frame and every op's FU claim are computed once, the
+/// cell grouping once per reach the designs need, and [`run`](Self::run)
+/// stamps one design per feedback round, on one cell per group.
 pub struct Replication<'a> {
     dfg: &'a Dfg,
     layout: &'a Layout,
@@ -623,6 +631,16 @@ pub struct Replication<'a> {
     /// lacking the op's capability class (heterogeneous fabrics): that
     /// invalidates the pattern exactly like a faulted step.
     op_faults: Vec<RNode>,
+    /// Per pattern key, the range `[dx0, dx1, dy0, dy1]` of its edges'
+    /// member shifts: with a pattern's PE extent it bounds every copy.
+    key_shifts: Vec<[i32; 4]>,
+    /// The cell groupings built so far, each with the reach it was built
+    /// for. A grouping serves any reach its own covers: its signatures
+    /// describe more claims, so equal signatures still mean equal claims,
+    /// and its edges include every edge that can land on a representative.
+    groupings: Vec<(Reach, Grouping)>,
+    /// Occupancy claims stamped since the last [`take_claims`](Self::take_claims).
+    claims: usize,
 }
 
 impl<'a> Replication<'a> {
@@ -653,15 +671,39 @@ impl<'a> Replication<'a> {
             }
         }
         let shifts = Shift::table(layout, classes);
-        Replication { dfg, layout, classes, index, shifts, op_claims, op_faults }
+        let mut key_shifts = vec![[i32::MAX, i32::MIN, i32::MAX, i32::MIN]; classes.key_count()];
+        for e in dfg.graph().edge_ids() {
+            let (_, dst) = dfg.graph().edge_endpoints(e);
+            let Shift { dx, dy, .. } = shifts[dfg.linear_index(dfg.graph()[dst].iter)];
+            let [dx0, dx1, dy0, dy1] = &mut key_shifts[classes.edge_key[e.index()] as usize];
+            (*dx0, *dx1, *dy0, *dy1) =
+                ((*dx0).min(dx), (*dx1).max(dx), (*dy0).min(dy), (*dy1).max(dy));
+        }
+        Replication {
+            dfg,
+            layout,
+            classes,
+            index,
+            shifts,
+            op_claims,
+            op_faults,
+            key_shifts,
+            groupings: Vec::new(),
+            claims: 0,
+        }
+    }
+
+    /// The occupancy claims stamped since the last call, summed over
+    /// rounds.
+    pub fn take_claims(&mut self) -> usize {
+        std::mem::take(&mut self.claims)
     }
 
     /// Replicates `design` over every iteration, verifying resource
     /// capacities and memory causality. On success returns the complete
     /// per-edge routing.
-    pub fn run(&self, design: &RoutedDesign) -> Result<Vec<FullRoute>, RouteError> {
-        let Replication { dfg, layout, classes, .. } = *self;
-        let (index, shifts) = (&*self.index, &self.shifts);
+    pub fn run(&mut self, design: &RoutedDesign) -> Result<Vec<FullRoute>, RouteError> {
+        let (dfg, layout, classes) = (self.dfg, self.layout, self.classes);
         let iib = layout.iib() as i64;
         let spec = layout.vsa().spec();
         // Every key's pattern, resolved once. An edge whose key has none
@@ -671,47 +713,84 @@ impl<'a> Replication<'a> {
             let class = classes.key_class[key as usize] as usize;
             return Err(RouteError::MissingPattern { class });
         }
-        let op_claims = self.op_claims.as_ref().map_err(Clone::clone)?;
+        let op_claims = self.op_claims.as_deref().map_err(Clone::clone)?;
         let patterns: Vec<&[(PeId, RKind, i64)]> =
             (0..classes.key_count() as u32).map(|key| pattern(key).unwrap_or_default()).collect();
+        let shifts = &self.shifts;
         // An edge's member shift and pattern.
         let edge = |e: EdgeId| {
             let (_, dst) = dfg.graph().edge_endpoints(e);
             let shift = shifts[dfg.linear_index(dfg.graph()[dst].iter)];
             (shift, patterns[classes.edge_key[e.index()] as usize])
         };
-        // Full-array occupancy. Each resource records the first signal
-        // stamped on it (`signal + 1`; 0 is free, and the zeroed table costs
-        // only the pages a stamp touches). A claim by any other signal is an
-        // overflow claim, packed `resource << 32 | signal`; only resources
-        // with overflow claims can be oversubscribed.
-        let mut first = vec![0u32; index.len()];
-        let mut overflow: Vec<u64> = Vec::new();
-        let mut stamp = |ri: RIdx, signal: u32| match &mut first[ri.index()] {
-            free @ 0 => *free = signal + 1,
-            held if *held == signal + 1 => {}
-            _ => overflow.push(u64::from(ri.0) << 32 | u64::from(signal)),
+        // A copy that leaves the array is reported as the first such step
+        // in edge order. A key's copies leave only if one of its patterns'
+        // steps leaves under the key's extreme member shifts.
+        let leaves = patterns.iter().zip(&self.key_shifts).any(|(pattern, range)| {
+            let [dx0, dx1, dy0, dy1] = range.map(i64::from);
+            pattern.iter().any(|&(pe, _, _)| {
+                let (x, y) = (i64::from(pe.x), i64::from(pe.y));
+                x + dx0 < 0
+                    || x + dx1 >= spec.rows as i64
+                    || y + dy0 < 0
+                    || y + dy1 >= spec.cols as i64
+            })
+        });
+        if leaves {
+            for e in dfg.graph().edge_ids() {
+                let (shift, pattern) = edge(e);
+                for &step in pattern {
+                    shift.place(spec, iib, step)?;
+                }
+            }
+        }
+        let cells = Cells::new(layout);
+        let reach = cells.reach(layout, classes, &patterns);
+        let covers = |wide: &Reach| reach.iter().all(|step| wide.binary_search(step).is_ok());
+        let at = match self.groupings.iter().position(|(wide, _)| covers(wide)) {
+            Some(at) => at,
+            None => {
+                let spes = SpeClaims::new(dfg, layout, classes);
+                let grouping = Grouping::new(&cells, &spes, &self.index, op_claims, &reach);
+                self.groupings.push((reach, grouping));
+                self.groupings.len() - 1
+            }
         };
-        for &(ri, signal) in op_claims {
+        let grouping = &self.groupings[at].1;
+        let index = &*self.index;
+        // Occupancy of the representative cells: one claim per stamp,
+        // packed `resource << 32 | signal`. A round stamps a few cells, so
+        // sorting its claims is cheaper than a table over the whole MRRG.
+        // Sized up front: growing these per round would leave a trail of
+        // freed buffers in the heap for no gain.
+        let steps: usize = grouping.edges.iter().map(|&e| edge(e).1.len()).sum();
+        let mut claims: Vec<u64> = Vec::with_capacity(grouping.op_claims.len() + steps);
+        let mut stamp =
+            |ri: RIdx, signal: u32| claims.push(u64::from(ri.0) << 32 | u64::from(signal));
+        for &(ri, signal) in &grouping.op_claims {
             stamp(ri, signal);
         }
         // Steps (in the representative frame) whose translations land on
         // faulted or capability-illegal resources; reported together so the
         // feedback loop steers the next negotiation round around them.
         let mut faulted_steps = self.op_faults.clone();
-        // Stamp every in-edge's translated route, recording each step's
-        // resource id (`NO_RESOURCE` off the MRRG) in edge order for the
-        // back-translation. A step whose translation lands on a faulted
-        // resource invalidates the whole pattern for that member. Endpoint
-        // FU steps belong to the ops stamped above.
-        let steps = classes.edge_key.iter().map(|&key| patterns[key as usize].len()).sum();
+        // Stamp the translated routes of the edges that reach a
+        // representative cell, recording each step's resource id
+        // (`NO_RESOURCE` off the representative cells or off the MRRG) in
+        // edge order for the back-translation. A step whose translation
+        // lands on a faulted resource invalidates the whole pattern for that
+        // member. Endpoint FU steps belong to the ops stamped above.
         let mut step_ids: Vec<u32> = Vec::with_capacity(steps);
-        for e in dfg.graph().edge_ids() {
+        for &e in &grouping.edges {
             let (src, _) = dfg.graph().edge_endpoints(e);
             let signal = dfg.graph()[e].signal(src).index() as u32;
             let (shift, pattern) = edge(e);
             for (i, &step) in pattern.iter().enumerate() {
                 let (node, _) = shift.place(spec, iib, step)?;
+                if grouping.weight(node.pe) == 0 {
+                    step_ids.push(NO_RESOURCE);
+                    continue;
+                }
                 let ri = index.index_of(node);
                 step_ids.push(ri.map_or(NO_RESOURCE, |ri| ri.0));
                 if (i == 0 || i == pattern.len() - 1) && node.kind == RKind::Fu {
@@ -726,6 +805,7 @@ impl<'a> Replication<'a> {
                 }
             }
         }
+        self.claims += claims.len();
         if !faulted_steps.is_empty() {
             faulted_steps.sort();
             faulted_steps.dedup();
@@ -734,32 +814,31 @@ impl<'a> Replication<'a> {
                 rep_frame: faulted_steps,
             });
         }
-        // Capacity check: after sort + dedup each resource's overflow run
-        // holds its distinct signals besides the first (a signal re-entering
-        // a resource is fan-out, not a second occupant). Oversubscribed
-        // resources are marked in a bitset.
-        drop(first);
-        overflow.sort_unstable();
-        overflow.dedup();
-        let mut conflicted = vec![0u64; index.len().div_ceil(64)];
+        // Capacity check: after sort + dedup each resource's run holds its
+        // distinct signals (a signal re-entering a resource is fan-out, not
+        // a second occupant). Each oversubscribed resource stands for one in
+        // every cell of its group; their ids come out ascending.
+        claims.sort_unstable();
+        claims.dedup();
+        let mut conflicted: Vec<u32> = Vec::new();
         let mut conflict_count = 0usize;
-        for run in overflow.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let ri = (run[0] >> 32) as usize;
-            if 1 + run.len() > index.capacity(RIdx(ri as u32)) {
-                conflicted[ri / 64] |= 1 << (ri % 64);
-                conflict_count += 1;
+        for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let ri = RIdx((run[0] >> 32) as u32);
+            if run.len() > index.capacity(ri) {
+                conflicted.push(ri.0);
+                conflict_count += grouping.weight(index.node(ri).pe);
             }
         }
-        drop(overflow);
+        drop(claims);
         if conflict_count > 0 {
-            // Translate every step on a marked resource — endpoint FU steps
-            // included — back into its representative's frame, so the
-            // caller can penalize it in the next negotiation round.
-            let marked =
-                |ri: u32| ri != NO_RESOURCE && conflicted[ri as usize / 64] & (1 << (ri % 64)) != 0;
+            // Translate every step on a conflicted resource — endpoint FU
+            // steps included — back into its representative's frame, so the
+            // caller can penalize it in the next negotiation round. A
+            // member cell's steps translate to the same set.
+            let marked = |ri: u32| ri != NO_RESOURCE && conflicted.binary_search(&ri).is_ok();
             let mut rep_frame = Vec::new();
             let mut ids = step_ids.iter();
-            for e in dfg.graph().edge_ids() {
+            for &e in &grouping.edges {
                 let (shift, pattern) = edge(e);
                 for (&step, &ri) in pattern.iter().zip(ids.by_ref()) {
                     if marked(ri) {
@@ -785,6 +864,370 @@ impl<'a> Replication<'a> {
         check_dependences(dfg, layout, &routes)?;
         Ok(routes)
     }
+}
+
+/// The reach of a design's patterns: every pattern key with each distinct
+/// cell offset of its pattern's steps from its destination iteration's
+/// cell, ascending. An edge of the key claims resources in exactly those
+/// cells around its destination, sources included (forwarding taps may sit
+/// outside the routing box).
+type Reach = Vec<(usize, (i32, i32))>;
+
+/// The grid of SPE-sized cells that tiles the whole array, aligned with
+/// the VSA: cell `(0, 0)` is the VSA's first SPE, and cells outside the VSA
+/// hold no iterations. Every PE lies in exactly one cell, and a pattern
+/// step translated by a member shift moves by whole cells.
+struct Cells {
+    s1: i32,
+    s2: i32,
+    /// The VSA origin.
+    ox: i32,
+    oy: i32,
+    /// First cell row and column (≤ 0 when the VSA is cropped).
+    cx0: i32,
+    cy0: i32,
+    /// Cell rows and columns.
+    rows: i32,
+    cols: i32,
+    /// Array rows and columns.
+    pe_rows: i32,
+    pe_cols: i32,
+    /// VSA rows and columns (the cells that hold iterations).
+    spe_rows: i32,
+    spe_cols: i32,
+}
+
+impl Cells {
+    fn new(layout: &Layout) -> Cells {
+        let spec = layout.vsa().spec();
+        let (s1, s2) = (layout.sub().s1 as i32, layout.sub().s2 as i32);
+        let origin = layout.vsa().origin();
+        let (ox, oy) = (i32::from(origin.x), i32::from(origin.y));
+        let (cx0, cy0) = ((-ox).div_euclid(s1), (-oy).div_euclid(s2));
+        let cx1 = (spec.rows as i32 - 1 - ox).div_euclid(s1);
+        let cy1 = (spec.cols as i32 - 1 - oy).div_euclid(s2);
+        Cells {
+            s1,
+            s2,
+            ox,
+            oy,
+            cx0,
+            cy0,
+            rows: cx1 - cx0 + 1,
+            cols: cy1 - cy0 + 1,
+            pe_rows: spec.rows as i32,
+            pe_cols: spec.cols as i32,
+            spe_rows: layout.vsa().rows() as i32,
+            spe_cols: layout.vsa().cols() as i32,
+        }
+    }
+
+    /// The cell holding an in-array PE.
+    fn of(&self, pe: PeId) -> (i32, i32) {
+        let x = (i32::from(pe.x) - self.ox).div_euclid(self.s1);
+        (x, (i32::from(pe.y) - self.oy).div_euclid(self.s2))
+    }
+
+    /// The SPE index of cell `(x, y)`, or `None` outside the VSA.
+    fn spe(&self, (x, y): (i32, i32)) -> Option<usize> {
+        ((0..self.spe_rows).contains(&x) && (0..self.spe_cols).contains(&y))
+            .then(|| (x * self.spe_cols + y) as usize)
+    }
+
+    /// The PEs of cell `(cx, cy)` in local row-major order; `None` for
+    /// positions off the array.
+    fn pes(&self, cx: i32, cy: i32) -> impl Iterator<Item = Option<PeId>> + '_ {
+        let (x0, y0) = (self.ox + cx * self.s1, self.oy + cy * self.s2);
+        (x0..x0 + self.s1).flat_map(move |x| {
+            (y0..y0 + self.s2).map(move |y| {
+                let inside = (0..self.pe_rows).contains(&x) && (0..self.pe_cols).contains(&y);
+                inside.then(|| PeId::new(x as usize, y as usize))
+            })
+        })
+    }
+
+    /// The reach of a design's patterns (every step in the array).
+    fn reach(
+        &self,
+        layout: &Layout,
+        classes: &Classes,
+        patterns: &[&[(PeId, RKind, i64)]],
+    ) -> Reach {
+        let mut reach = Vec::with_capacity(patterns.iter().map(|pattern| pattern.len()).sum());
+        for (key, pattern) in patterns.iter().enumerate() {
+            let pos = layout.position_at(classes.reps[classes.key_class[key] as usize]);
+            reach.extend(pattern.iter().map(|&(pe, _, _)| {
+                let (cx, cy) = self.of(pe);
+                (key, (cx - pos.x, cy - pos.y))
+            }));
+        }
+        reach.sort_unstable();
+        reach.dedup();
+        reach
+    }
+}
+
+/// What each SPE's iterations claim, independent of the routed design and
+/// of where the SPE sits: the signature material of the cell grouping.
+struct SpeClaims {
+    /// Pattern keys.
+    keys: usize,
+    /// Every edge as `(macro time of its destination, signal, edge)`,
+    /// grouped by (destination SPE, key) and ordered by time.
+    edges: Vec<(u32, u32, EdgeId)>,
+    /// Start of each `(SPE, key)` group in `edges`, plus an end sentinel.
+    edge_at: Vec<usize>,
+    /// Every op as `(macro time, stmt << 8 | op, node)`, grouped by SPE and
+    /// ordered by time: `(stmt, op)` fixes the op's slot in its SPE.
+    ops: Vec<(u32, u32, u32)>,
+    /// Start of each SPE's group in `ops`, plus an end sentinel.
+    op_at: Vec<usize>,
+    /// Per SPE, the earliest macro time of its iterations (`u32::MAX` for
+    /// none).
+    earliest: Vec<u32>,
+}
+
+impl SpeClaims {
+    fn new(dfg: &Dfg, layout: &Layout, classes: &Classes) -> SpeClaims {
+        let vcols = layout.vsa().cols();
+        let spe_count = layout.vsa().rows() * vcols;
+        // An iteration's SPE and macro time.
+        let place = |iter: Iter4| {
+            let pos = layout.position(dfg, iter);
+            (pos.x as usize * vcols + pos.y as usize, pos.t as u32)
+        };
+        let mut earliest = vec![u32::MAX; spe_count];
+        for idx in 0..dfg.iteration_count() {
+            let pos = layout.position_at(idx);
+            let spe = &mut earliest[pos.x as usize * vcols + pos.y as usize];
+            *spe = (*spe).min(pos.t as u32);
+        }
+        // Edges by destination SPE, then key and time; then the start of
+        // each `(SPE, key)` run.
+        let keys = classes.key_count();
+        let edges = dfg.graph().edge_ids().map(|e| {
+            let (src, dst) = dfg.graph().edge_endpoints(e);
+            let (spe, time) = place(dfg.graph()[dst].iter);
+            let signal = dfg.graph()[e].signal(src).index() as u32;
+            (spe, (classes.edge_key[e.index()], time, signal, e))
+        });
+        let (edges, spe_at) = bucket_sort(spe_count, edges);
+        let mut edge_at = vec![0usize; spe_count * keys + 1];
+        for (spe, run) in spe_at.windows(2).enumerate() {
+            for &(key, ..) in &edges[run[0]..run[1]] {
+                edge_at[spe * keys + key as usize + 1] += 1;
+            }
+        }
+        for i in 1..edge_at.len() {
+            edge_at[i] += edge_at[i - 1];
+        }
+        let edges = edges.into_iter().map(|(_, time, signal, e)| (time, signal, e)).collect();
+        let ops = dfg.graph().nodes().filter_map(|(node, w)| {
+            let NodeKind::Op { stmt, op, .. } = w.kind else { return None };
+            let (spe, time) = place(w.iter);
+            Some((spe, (time, u32::from(stmt) << 8 | u32::from(op), node.index() as u32)))
+        });
+        let (ops, op_at) = bucket_sort(spe_count, ops);
+        SpeClaims { keys, edges, edge_at, ops, op_at, earliest }
+    }
+
+    /// The edges of `key` into SPE `spe`, ordered by time.
+    fn edges(&self, spe: usize, key: usize) -> &[(u32, u32, EdgeId)] {
+        let group = spe * self.keys + key;
+        &self.edges[self.edge_at[group]..self.edge_at[group + 1]]
+    }
+
+    /// The ops of SPE `spe`, ordered by time.
+    fn ops(&self, spe: usize) -> &[(u32, u32, u32)] {
+        &self.ops[self.op_at[spe]..self.op_at[spe + 1]]
+    }
+}
+
+/// Sorts `(bucket, value)` items, buckets below `buckets`, into one run per
+/// bucket, each run in value order; returns the values and the start of
+/// each run, plus an end sentinel.
+fn bucket_sort<T: Ord>(
+    buckets: usize,
+    items: impl Iterator<Item = (usize, T)>,
+) -> (Vec<T>, Vec<usize>) {
+    let mut runs: Vec<Vec<T>> = (0..buckets).map(|_| Vec::new()).collect();
+    for (bucket, value) in items {
+        runs[bucket].push(value);
+    }
+    let mut sorted = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut at = Vec::with_capacity(buckets + 1);
+    for mut run in runs {
+        at.push(sorted.len());
+        run.sort_unstable();
+        sorted.append(&mut run);
+    }
+    at.push(sorted.len());
+    (sorted, at)
+}
+
+/// The array's cells grouped by neighbourhood signature, for one reach.
+///
+/// A cell's signature describes every claim that can land on it: the ops
+/// of its own iterations (their count, then each one's macro time,
+/// `(stmt, op)` and signal) and, per pattern key and cell offset in the
+/// reach, the edges of that key into the SPE that offset away (their
+/// count, then each one's macro time and signal). Macro times are taken
+/// relative to the earliest iteration among the SPEs in reach. Signals are
+/// relabelled first-seen within the signature, since a forwarded edge
+/// carries its chain's root, which sits at no fixed offset. Last come, for
+/// each of the cell's own PEs, whether each resource has an MRRG node, is
+/// masked or is absent, and which op classes the PE supports.
+///
+/// Two cells with equal signatures receive the same claims translated by
+/// whole cells in space and by a whole number of macro steps in time (a
+/// cyclic shift modulo `IIB`), with equal signals exactly where the
+/// other's are equal, on resources of the same states: their conflicts,
+/// faults and back-translated steps are the same. A faulted cell thus
+/// forms a group of its own unless an equal fault pattern sits in an equal
+/// neighbourhood.
+struct Grouping {
+    /// Array columns, for [`weight`](Self::weight).
+    cols: usize,
+    /// Per PE (`x·cols + y`): the size of its cell's group when the cell
+    /// represents that group, else 0.
+    weights: Vec<u32>,
+    /// The edges whose steps can land on a representative cell,
+    /// ascending.
+    edges: Vec<EdgeId>,
+    /// The op claims on representative cells.
+    op_claims: Vec<(RIdx, u32)>,
+}
+
+impl Grouping {
+    fn new(
+        cells: &Cells,
+        spes: &SpeClaims,
+        index: &MrrgIndex,
+        op_claims: &[(RIdx, u32)],
+        reach: &Reach,
+    ) -> Grouping {
+        // Every offset some key reaches, and the cell itself.
+        let mut around: Vec<(i32, i32)> = reach.iter().map(|&(_, offset)| offset).collect();
+        around.push((0, 0));
+        around.sort_unstable();
+        around.dedup();
+        // Signals relabelled first-seen per signature: node `n`'s label is
+        // `labels[n].1` while `labels[n].0` holds the current cell's number.
+        let signals = spes.edges.iter().map(|&(_, signal, _)| signal);
+        let nodes = signals.chain(spes.ops.iter().map(|&(_, _, node)| node));
+        let mut labels = vec![(0u32, 0u32); nodes.max().map_or(0, |n| n as usize + 1)];
+        // Ordered, so the signatures are freed in the same order in every
+        // process (a hash map's order is random, and moves the heap layout).
+        let mut groups: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+        let mut reps: Vec<(i32, i32)> = Vec::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut sig: Vec<u32> = Vec::new();
+        let mut number = 0u32;
+        for cx in cells.cx0..cells.cx0 + cells.rows {
+            for cy in cells.cy0..cells.cy0 + cells.cols {
+                sig.clear();
+                number += 1;
+                let mut next = 0u32;
+                let mut relabel = |n: u32| {
+                    let label = &mut labels[n as usize];
+                    if label.0 != number {
+                        *label = (number, next);
+                        next += 1;
+                    }
+                    label.1
+                };
+                let spe_at = |(dx, dy): (i32, i32)| cells.spe((cx - dx, cy - dy));
+                let base = around.iter().filter_map(|&o| spe_at(o)).map(|s| spes.earliest[s]).min();
+                let base = base.unwrap_or(0);
+                let ops = spe_at((0, 0)).map_or(&[][..], |s| spes.ops(s));
+                sig.push(ops.len() as u32);
+                for &(time, slot, node) in ops {
+                    sig.extend([time.wrapping_sub(base), slot, relabel(node)]);
+                }
+                for &(key, offset) in reach {
+                    let edges = spe_at(offset).map_or(&[][..], |s| spes.edges(s, key));
+                    sig.push(edges.len() as u32);
+                    for &(time, signal, _) in edges {
+                        sig.extend([time.wrapping_sub(base), relabel(signal)]);
+                    }
+                }
+                for pe in cells.pes(cx, cy) {
+                    match pe {
+                        Some(pe) => push_pe_state(&mut sig, index, pe),
+                        None => sig.push(u32::MAX),
+                    }
+                }
+                let group = match groups.get(sig.as_slice()) {
+                    Some(&group) => group,
+                    None => {
+                        groups.insert(sig.clone(), reps.len());
+                        reps.push((cx, cy));
+                        sizes.push(0);
+                        reps.len() - 1
+                    }
+                };
+                sizes[group] += 1;
+            }
+        }
+        drop(groups);
+        // Representative cells carry their group's size; the edges whose
+        // steps can land on one are the edges to stamp.
+        let cols = cells.pe_cols as usize;
+        let mut weights = vec![0u32; cells.pe_rows as usize * cols];
+        let mut edges = Vec::new();
+        for (&(cx, cy), &size) in reps.iter().zip(&sizes) {
+            for pe in cells.pes(cx, cy).flatten() {
+                weights[pe.x as usize * cols + pe.y as usize] = size;
+            }
+            for &(key, (dx, dy)) in reach {
+                if let Some(s) = cells.spe((cx - dx, cy - dy)) {
+                    edges.extend(spes.edges(s, key).iter().map(|&(_, _, e)| e));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut grouping = Grouping { cols, weights, edges, op_claims: Vec::new() };
+        grouping.op_claims = op_claims
+            .iter()
+            .copied()
+            .filter(|&(ri, _)| grouping.weight(index.node(ri).pe) > 0)
+            .collect();
+        grouping
+    }
+
+    /// The number of cells an in-array PE's claims stand for: its cell's
+    /// group size when the cell represents the group, else 0.
+    #[inline]
+    fn weight(&self, pe: PeId) -> usize {
+        self.weights[pe.x as usize * self.cols + pe.y as usize] as usize
+    }
+}
+
+/// Appends what a translated step finds on `pe`: per resource kind, an
+/// MRRG node (1), a mask (2) or nothing (0) — the same at every cycle —
+/// and then which op classes the PE supports.
+fn push_pe_state(sig: &mut Vec<u32>, index: &MrrgIndex, pe: PeId) {
+    let spec = index.spec();
+    let kinds = [RKind::Fu, RKind::Out]
+        .into_iter()
+        .chain(himap_cgra::ALL_DIRS.into_iter().map(RKind::Wire))
+        .chain((0..spec.rf_size).map(|r| RKind::Reg(r as u8)))
+        .chain([RKind::RegWr, RKind::RegRd, RKind::Mem]);
+    for kind in kinds {
+        let node = RNode::new(pe, 0, kind);
+        sig.push(if index.contains(node) {
+            1
+        } else {
+            u32::from(spec.faults.masks(spec, node)) * 2
+        });
+    }
+    let supported = himap_cgra::ALL_OP_CLASSES
+        .iter()
+        .enumerate()
+        .map(|(bit, &class)| u32::from(spec.faults.supports(pe, class)) << bit)
+        .sum();
+    sig.push(supported);
 }
 
 /// The anti-dependence and memory-causality checks of a replicated design.

@@ -94,6 +94,9 @@ pub struct PipelineStats {
     /// rounds that ended in replica conflicts (each round's
     /// `RouteError::ReplicaConflicts::count`).
     pub replica_conflicts: usize,
+    /// Occupancy claims replication stamped, summed over its rounds: one
+    /// per op slot and route step it stamped on a representative cell.
+    pub replica_claims: usize,
     /// Dependence-probe cache hits.
     pub probe_cache_hits: usize,
     /// Dependence-probe cache misses (a probe DFG was built).
@@ -158,7 +161,7 @@ impl PipelineStats {
              \x20 walk     {} enumerated (+{} deduped), {} tried, {} pruned, {} abandoned\n\
              \x20 systolic {} searches, {} matrices -> {} valid maps, {} layouts routed\n\
              \x20 route    {} attempts, {} pathfinder rounds, {} replications \
-             ({} replica conflicts)\n\
+             ({} replica conflicts, {} replica claims)\n\
              \x20 router   {} searches ({} cancelled), {} nodes popped, {} heap pushes, \
              {} epoch resets\n\
              \x20 probes   {} hits / {} misses ({:.0}% hit rate)",
@@ -189,6 +192,7 @@ impl PipelineStats {
             self.pathfinder_rounds,
             self.replication_rounds,
             self.replica_conflicts,
+            self.replica_claims,
             self.router_searches,
             self.router_searches_cancelled,
             self.router_nodes_popped,
@@ -262,6 +266,7 @@ mod tests {
             "systolic",
             "route",
             "replica conflicts",
+            "replica claims",
             "router",
             "epoch resets",
             "probes",

@@ -40,6 +40,13 @@ fn gemm_32_on_32x32_maps_verifies_and_simulates_in_bounded_memory() {
     // oversubscribed resources over the four.
     assert_eq!(stats.replication_rounds, 5);
     assert_eq!(stats.replica_conflicts, 119_040);
+    // Each round stamps one cell per neighbourhood group, not the whole
+    // array: a full stamp claims 611,296 route steps per round.
+    assert!(
+        stats.replica_claims < 5 * 611_296 / 10,
+        "replication stamped {} claims over five rounds",
+        stats.replica_claims
+    );
     let t = &stats.times;
     let stages = t.map
         + t.enumerate
