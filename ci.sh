@@ -95,9 +95,10 @@ stage "cargo doc (-D warnings)" \
   env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Static verification smoke: lint + map + re-derive legality from scratch.
-# The binary exits non-zero on any Error-severity diagnostic.
+# The binary exits non-zero on any Error-severity diagnostic. The SPR stage
+# runs V001–V007 on SPR's placement together with the routes SPR committed.
 stage "himap-verify smoke (gemm)" target/release/himap-verify gemm --size 4
-stage "himap-verify smoke (floyd-warshall/spr)" \
+stage "himap-verify smoke (floyd-warshall/spr routes, V001-V007)" \
   target/release/himap-verify floyd-warshall --size 4 --baseline spr
 
 # Pre-mapping static analysis smoke: certified bounds + A-code diagnostics

@@ -10,8 +10,13 @@
 //!   the *whole* unrolled DFG on the full-CGRA MRRG with PathFinder
 //!   congestion negotiation (SPR's scheme);
 //! * [`SaMapper`] — simulated-annealing placement with a wire-length/
-//!   latency cost, followed by detailed routing validation (CGRA-ME's
-//!   heuristic mode).
+//!   latency cost, whose placement is then routed in detail by
+//!   [`route_pinned`] (CGRA-ME's heuristic mode).
+//!
+//! Both return the routes they committed along with the placement
+//! ([`BaselineMapping::routes`]), so a baseline result is a complete
+//! mapping: `himap_core` wraps it without routing it again, and the
+//! independent verifier checks the real routes.
 //!
 //! Both treat the DFG as an opaque graph — no iteration-level abstraction —
 //! so they exhibit the scalability cliff the paper reports: compile time
@@ -37,18 +42,27 @@
 #![forbid(unsafe_code)]
 
 mod bhc;
+mod route;
 mod sa;
 mod spr;
 
 pub use bhc::{baseline_block, bhc, BhcResult};
+pub use route::{route_pinned, LowerError};
 pub use sa::SaMapper;
 pub use spr::{anti_deps_ok, mem_aware_topo_order, SprMapper, STORE_LATENCY};
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use himap_cgra::PeId;
-use himap_graph::NodeId;
+use himap_cgra::{PeId, RNode};
+use himap_graph::{EdgeId, NodeId};
+
+/// A placement: PE and absolute schedule cycle of every compute op.
+pub(crate) type OpSlots = HashMap<NodeId, (PeId, i64)>;
+
+/// A routed dependence: the DFG edge and its steps `(resource, absolute
+/// cycle)` from the source to the consuming FU.
+pub type TimedRoute = (EdgeId, Vec<(RNode, i64)>);
 
 /// Options shared by the baseline mappers.
 #[derive(Clone, Debug)]
@@ -88,6 +102,8 @@ pub struct BaselineMapping {
     pub ii: usize,
     /// Per-op slot: PE and absolute schedule cycle.
     pub op_slots: HashMap<NodeId, (PeId, i64)>,
+    /// The route of every DFG edge, as the mapper committed it.
+    pub routes: Vec<TimedRoute>,
     /// CGRA utilization `|V_D| / (#PEs · II)`.
     pub utilization: f64,
     /// Which mapper produced it.

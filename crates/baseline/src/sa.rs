@@ -1,20 +1,23 @@
-//! CGRA-ME-style simulated-annealing placement with routing validation.
+//! CGRA-ME-style simulated-annealing placement, routed by the
+//! fixed-placement router.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use himap_cgra::{CgraSpec, Mrrg, OpClass, PeId, RKind, RNode};
-use himap_dfg::{Dfg, EdgeKind, NodeKind};
+use himap_cgra::{CgraSpec, OpClass, PeId};
+use himap_dfg::{Dfg, NodeKind};
 use himap_graph::{topological_sort, NodeId};
 use himap_kernels::OpKind;
-use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, SignalId};
+use himap_mapper::CancelToken;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions};
+use crate::route::route_pinned;
+use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots};
 
 /// The simulated-annealing mapper: anneal `(PE, cycle)` placements under a
-/// wire-length/latency cost, then validate with detailed PathFinder routing.
+/// wire-length/latency cost, then route the placement in detail with
+/// [`route_pinned`] and keep its routes.
 #[derive(Clone, Debug)]
 pub struct SaMapper;
 
@@ -38,21 +41,25 @@ impl SaMapper {
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(options.seed);
         let mii = dfg.op_count().div_ceil(spec.pe_count()).max(1);
+        // The deadline also arms every Dijkstra search of the routing pass.
+        let cancel = CancelToken::until(started + options.timeout);
         for ii in mii..=mii + options.max_ii_slack {
             if started.elapsed() > options.timeout {
                 return Err(BaselineFailure::Timeout);
             }
-            if let Some(slots) = anneal(dfg, spec, ii, options, &mut rng, &started) {
-                if crate::spr::anti_deps_ok(dfg, &slots)
-                    && validate_routing(dfg, spec, ii, &slots, options, &started)
-                {
-                    return Ok(BaselineMapping {
-                        ii,
-                        utilization: dfg.op_count() as f64 / (spec.pe_count() * ii) as f64,
-                        op_slots: slots,
-                        algorithm: Algorithm::SimulatedAnnealing,
-                    });
-                }
+            let Some(op_slots) = anneal(dfg, spec, ii, options, &mut rng, &started) else {
+                continue;
+            };
+            if let Ok(routes) =
+                route_pinned(dfg, spec, ii, &op_slots, options.pathfinder_rounds, Some(&cancel))
+            {
+                return Ok(BaselineMapping {
+                    ii,
+                    utilization: dfg.op_count() as f64 / (spec.pe_count() * ii) as f64,
+                    op_slots,
+                    routes,
+                    algorithm: Algorithm::SimulatedAnnealing,
+                });
             }
         }
         if started.elapsed() > options.timeout {
@@ -62,8 +69,6 @@ impl SaMapper {
         }
     }
 }
-
-type OpSlots = HashMap<NodeId, (PeId, i64)>;
 
 /// Anneals op placements; returns a violation-free placement or `None`.
 fn anneal(
@@ -220,122 +225,6 @@ fn has_violations(dfg: &Dfg, ii: usize, slots: &OpSlots) -> bool {
     false
 }
 
-/// Detailed-routes every dependence of an annealed placement.
-fn validate_routing(
-    dfg: &Dfg,
-    spec: &CgraSpec,
-    ii: usize,
-    slots: &OpSlots,
-    options: &BaselineOptions,
-    started: &Instant,
-) -> bool {
-    let mut router = Router::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
-    // Arm the deadline on every Dijkstra search: route_all's inner searches
-    // then respect the budget, not just the per-round check below.
-    router.set_cancel_token(Some(CancelToken::until(*started + options.timeout)));
-    for _round in 0..options.pathfinder_rounds {
-        if started.elapsed() > options.timeout {
-            return false;
-        }
-        router.clear_present();
-        for (&v, &(pe, abs)) in slots {
-            router.place(
-                RNode::new(pe, abs.rem_euclid(ii as i64) as u32, RKind::Fu),
-                SignalId(v.index() as u32),
-            );
-        }
-        if route_all(dfg, spec, ii, slots, &mut router) && router.oversubscribed().is_empty() {
-            return true;
-        }
-        router.bump_history();
-    }
-    false
-}
-
-fn route_all(dfg: &Dfg, spec: &CgraSpec, ii: usize, slots: &OpSlots, router: &mut Router) -> bool {
-    let Ok(order) = topological_sort(dfg.graph()) else { return false };
-    let mut deliveries: HashMap<(NodeId, NodeId), (RNode, i64)> = HashMap::new();
-    let mut mem_producers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &(producer, input) in dfg.mem_deps() {
-        mem_producers.entry(input).or_default().push(producer);
-    }
-    let all_mem: Vec<RNode> = spec
-        .pes()
-        .filter(|&pe| spec.healthy(pe) && !spec.faults.mem_disabled(pe))
-        .flat_map(|pe| (0..ii as u32).map(move |t| RNode::new(pe, t, RKind::Mem)))
-        .collect();
-    for &v in &order {
-        if !dfg.graph()[v].kind.is_op() {
-            continue;
-        }
-        let Some(&(pe, abs)) = slots.get(&v) else { return false };
-        let target = RNode::new(pe, abs.rem_euclid(ii as i64) as u32, RKind::Fu);
-        for e in dfg.graph().in_edges(v) {
-            let weight = dfg.graph()[e.id];
-            let root = weight.signal(e.src);
-            let signal = SignalId(root.index() as u32);
-            let path = match (weight.kind, dfg.graph()[e.src].kind) {
-                (EdgeKind::Flow, NodeKind::Op { .. }) => {
-                    let Some(&(ppe, pabs)) = slots.get(&e.src) else { return false };
-                    let src = RNode::new(ppe, pabs.rem_euclid(ii as i64) as u32, RKind::Fu);
-                    router.route(
-                        signal,
-                        &[src],
-                        target,
-                        Elapsed::Exact((abs - pabs) as u32),
-                        |_| true,
-                    )
-                }
-                (EdgeKind::Forward { .. }, _) => {
-                    let Some(&(node, pabs)) = deliveries.get(&(e.src, root)) else {
-                        return false;
-                    };
-                    router.route(
-                        signal,
-                        &[node],
-                        target,
-                        Elapsed::Exact((abs - pabs) as u32),
-                        |_| true,
-                    )
-                }
-                (EdgeKind::Flow, NodeKind::Input { .. }) => {
-                    // Loads may not issue before their producing stores are
-                    // visible.
-                    let mem_lo = mem_producers.get(&e.src).map_or(0, |producers| {
-                        producers
-                            .iter()
-                            .filter_map(|p| slots.get(p))
-                            .map(|&(_, pabs)| pabs + crate::spr::STORE_LATENCY)
-                            .max()
-                            .unwrap_or(0)
-                    });
-                    router.route(
-                        signal,
-                        &all_mem,
-                        target,
-                        Elapsed::AtMost(
-                            ((abs - mem_lo).max(0) as u32).min(router.config().default_elapsed_cap),
-                        ),
-                        |_| true,
-                    )
-                }
-                (EdgeKind::Flow, NodeKind::Route) => return false,
-            };
-            let Some(path) = path else { return false };
-            let gap = if path.nodes.len() < 2 {
-                0
-            } else {
-                let last = path.nodes[path.nodes.len() - 1];
-                let prev = path.nodes[path.nodes.len() - 2];
-                (last.t as i64 + ii as i64 - prev.t as i64) % ii as i64
-            };
-            deliveries.insert((v, root), (path.delivery(), abs - gap));
-            router.commit(&path);
-        }
-    }
-    true
-}
-
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 #[cfg(test)]
 mod tests {
@@ -361,6 +250,7 @@ mod tests {
             (Ok(x), Ok(y)) => {
                 assert_eq!(x.ii, y.ii);
                 assert_eq!(x.op_slots, y.op_slots);
+                assert_eq!(x.routes, y.routes);
             }
             (Err(x), Err(y)) => assert_eq!(x, y),
             other => panic!("non-deterministic outcome: {other:?}"),

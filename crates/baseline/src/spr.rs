@@ -5,14 +5,16 @@ use std::time::Instant;
 
 use himap_cgra::{CgraSpec, Mrrg, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, NodeKind};
-use himap_graph::NodeId;
+use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, SignalId};
 
-use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions};
+use crate::route::timed_steps;
+use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots, TimedRoute};
 
 /// The SPR-style mapper: place each operation at the FU slot minimizing the
 /// accumulated routing cost from its already-placed parents, rip-up and
 /// re-negotiate on congestion, increase the initiation interval on failure.
+/// The routes of the round that converges are returned with the placement.
 #[derive(Clone, Debug)]
 pub struct SprMapper;
 
@@ -54,13 +56,14 @@ impl SprMapper {
                 }
                 router.clear_present();
                 match place_round(dfg, spec, ii, &order, &mut router, options, &started) {
-                    Some(op_slots)
+                    Some((op_slots, routes))
                         if router.oversubscribed().is_empty() && anti_deps_ok(dfg, &op_slots) =>
                     {
                         return Ok(BaselineMapping {
                             ii,
                             utilization: dfg.op_count() as f64 / (spec.pe_count() * ii) as f64,
                             op_slots,
+                            routes,
                             algorithm: Algorithm::Spr,
                         });
                     }
@@ -77,8 +80,6 @@ impl SprMapper {
         }
     }
 }
-
-type OpSlots = HashMap<NodeId, (himap_cgra::PeId, i64)>;
 
 /// Topological order over DFG edges *plus* memory-routed store → load
 /// dependences, so that every pivot producer is scheduled before the ops
@@ -142,6 +143,8 @@ pub fn anti_deps_ok(dfg: &Dfg, slots: &OpSlots) -> bool {
     true
 }
 
+/// One placement round: places every op in `order` and commits the routes
+/// from its parents, returning the placement and those routes.
 fn place_round(
     dfg: &Dfg,
     spec: &CgraSpec,
@@ -150,8 +153,9 @@ fn place_round(
     router: &mut Router,
     options: &BaselineOptions,
     started: &Instant,
-) -> Option<OpSlots> {
+) -> Option<(OpSlots, Vec<TimedRoute>)> {
     let mut slots: OpSlots = HashMap::new();
+    let mut routes: Vec<TimedRoute> = Vec::with_capacity(dfg.graph().edge_count());
     // Delivery point and absolute time of (consumer, root signal).
     let mut deliveries: HashMap<(NodeId, NodeId), (RNode, i64)> = HashMap::new();
     // Chosen memory port of each Input node.
@@ -176,6 +180,7 @@ fn place_round(
         let signal_of = |n: NodeId| SignalId(n.index() as u32);
         // Gather parent sources.
         struct Parent {
+            edge: EdgeId,
             source: Vec<RNode>,
             abs: Option<i64>,
             root: NodeId,
@@ -193,6 +198,7 @@ fn place_round(
                     let &(pe, abs) = slots.get(&e.src)?;
                     lo = lo.max(abs + 1);
                     parents.push(Parent {
+                        edge: e.id,
                         source: vec![RNode::new(pe, (abs % ii as i64) as u32, RKind::Fu)],
                         abs: Some(abs),
                         root,
@@ -204,6 +210,7 @@ fn place_round(
                     let &(node, abs) = deliveries.get(&(e.src, root))?;
                     lo = lo.max(abs + 1);
                     parents.push(Parent {
+                        edge: e.id,
                         source: vec![node],
                         abs: Some(abs),
                         root,
@@ -224,7 +231,14 @@ fn place_round(
                         Some(&(node, abs)) => (vec![node], Some(abs)),
                         None => (all_mem.clone(), None),
                     };
-                    parents.push(Parent { source, abs, root, input: Some(e.src), mem_lo });
+                    parents.push(Parent {
+                        edge: e.id,
+                        source,
+                        abs,
+                        root,
+                        input: Some(e.src),
+                        mem_lo,
+                    });
                 }
                 (EdgeKind::Flow, NodeKind::Route) => return None,
             }
@@ -308,30 +322,19 @@ fn place_round(
                     |_| true,
                 )?,
             };
-            let delivery = path.delivery();
-            let delivery_abs = abs - delivery_gap(router.mrrg(), &path.nodes);
+            let steps = timed_steps(router.index(), &path, abs)?;
             if let Some(input) = p.input {
-                let src_abs = abs - path.elapsed as i64;
-                load_ports.entry(input).or_insert((path.nodes[0], src_abs));
+                load_ports.entry(input).or_insert(steps[0]);
             }
-            deliveries.insert((v, p.root), (delivery, delivery_abs));
+            // Forwarding taps the step that feeds the FU (`path.delivery()`).
+            deliveries.insert((v, p.root), steps[steps.len().saturating_sub(2)]);
             router.commit(&path);
+            routes.push((p.edge, steps));
         }
         router.place(target, signal_of(v));
         slots.insert(v, (pe, abs));
     }
-    Some(slots)
-}
-
-/// Cycles between the delivery node (second-to-last) and the target.
-fn delivery_gap(mrrg: &Mrrg, nodes: &[RNode]) -> i64 {
-    if nodes.len() < 2 {
-        return 0;
-    }
-    let ii = mrrg.ii() as i64;
-    let last = nodes[nodes.len() - 1];
-    let prev = nodes[nodes.len() - 2];
-    (last.t as i64 + ii - prev.t as i64) % ii
+    Some((slots, routes))
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -354,6 +357,24 @@ mod tests {
             if let (Some(&(_, a)), Some(&(_, b))) = (m.op_slots.get(&src), m.op_slots.get(&dst)) {
                 assert!(b > a, "edge {e:?} violates precedence");
             }
+        }
+    }
+
+    #[test]
+    fn deterministic_including_routes() {
+        let dfg = Dfg::build(&suite::bicg(), &[3, 3]).unwrap();
+        let spec = CgraSpec::square(4);
+        let a = SprMapper::run(&dfg, &spec, &BaselineOptions::default()).expect("maps");
+        let b = SprMapper::run(&dfg, &spec, &BaselineOptions::default()).expect("maps");
+        assert_eq!(a.ii, b.ii);
+        assert_eq!(a.op_slots, b.op_slots);
+        assert_eq!(a.routes, b.routes);
+        // One route per DFG edge, ending on its consumer's FU slot.
+        assert_eq!(a.routes.len(), dfg.graph().edge_count());
+        for (edge, steps) in &a.routes {
+            let (_, dst) = dfg.graph().edge_endpoints(*edge);
+            let &(pe, abs) = a.op_slots.get(&dst).expect("consumer placed");
+            assert_eq!(steps.last().map(|&(n, t)| (n.pe, t)), Some((pe, abs)));
         }
     }
 

@@ -32,9 +32,8 @@ use himap_baseline::{
 use himap_cgra::CgraSpec;
 use himap_dfg::Dfg;
 use himap_kernels::Kernel;
-use himap_mapper::CancelToken;
 
-use crate::lower::{route_placement, LowerError};
+use crate::lower::routed_mapping;
 use crate::mapping::Mapping;
 use crate::options::{HiMapError, HiMapOptions, MapReport};
 use crate::HiMap;
@@ -184,30 +183,22 @@ impl Backend for HiMapBackend {
 }
 
 /// The whole-DFG BHC baseline (best of the SPR-style and simulated-annealing
-/// mappers) as a [`Backend`], with the winning placement lowered to a fully
-/// routed [`Mapping`] via [`route_placement`] so its output obeys the same
-/// contract as every other backend.
-#[derive(Clone, Debug)]
+/// mappers) as a [`Backend`]. The winner's own placement and routes are
+/// wrapped as a [`Mapping`] with [`routed_mapping`], so its output obeys the
+/// same contract as every other backend.
+#[derive(Clone, Debug, Default)]
 pub struct BhcBackend {
     /// Baseline mapper options (node limit, timeout, II slack, seeds).
     pub options: BaselineOptions,
     /// Block to unroll. `None` picks the largest uniform block under the
     /// node limit ([`baseline_block`]); tests pin small blocks explicitly.
     pub block: Option<Vec<usize>>,
-    /// PathFinder rounds for lowering the winning placement to routes.
-    pub lower_rounds: usize,
-}
-
-impl Default for BhcBackend {
-    fn default() -> Self {
-        BhcBackend { options: BaselineOptions::default(), block: None, lower_rounds: 12 }
-    }
 }
 
 impl BhcBackend {
     /// A backend over the given baseline options.
     pub fn new(options: BaselineOptions) -> Self {
-        BhcBackend { options, ..BhcBackend::default() }
+        BhcBackend { options, block: None }
     }
 
     /// This backend with the unroll block pinned.
@@ -248,20 +239,7 @@ impl Backend for BhcBackend {
                 other => BackendError::Infeasible(other.to_string()),
             }
         })?;
-        let cancel = req.deadline.map(|budget| CancelToken::until(started + budget));
-        route_placement(
-            &dfg,
-            &req.spec,
-            best.ii,
-            &best.op_slots,
-            &block,
-            self.lower_rounds,
-            cancel.as_ref(),
-        )
-        .map_err(|e| match e {
-            LowerError::Cancelled => BackendError::Deadline("lowering cut by deadline".into()),
-            other => BackendError::Infeasible(format!("placement does not lower: {other}")),
-        })
+        Ok(routed_mapping(&dfg, &req.spec, best.ii, &best.op_slots, best.routes.clone(), &block))
     }
 }
 

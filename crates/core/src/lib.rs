@@ -59,7 +59,7 @@ pub use backend::{
 pub use config::{ConfigImage, DstPort, Instr, Move, SrcPort};
 pub use himap::HiMap;
 pub use layout::{Layout, Slot};
-pub use lower::{route_placement, LowerError};
+pub use lower::{route_placement, routed_mapping, LowerError};
 pub use mapping::{Mapping, MappingParts, MappingStats, RouteInstance};
 pub use options::{HiMapError, HiMapOptions, MapReport};
 pub use stats::{PipelineStats, StageTimes};

@@ -1,11 +1,12 @@
-//! Lowering a fixed placement into a fully routed [`Mapping`].
+//! Turning a routed fixed placement into a [`Mapping`].
 //!
-//! The baseline mappers and the exact backend both produce *placements* —
-//! an FU slot per compute op — without detailed routes. This module routes
-//! such a placement on the real MRRG with PathFinder congestion negotiation
-//! (the SPR routing scheme, but with every placement pinned), producing a
-//! [`Mapping`] whose routes carry exact hop timing and therefore satisfy
-//! the independent verifier's rules V001–V006.
+//! The baseline mappers return their placements together with the routes
+//! they committed; [`routed_mapping`] wraps such a result as a [`Mapping`]
+//! without routing anything again. The exact backend produces *placements*
+//! only: [`route_placement`] routes them with the one fixed-placement router,
+//! [`route_pinned`], and wraps the result the same way. Either way the
+//! routes carry exact hop timing, so the mapping is held to the independent
+//! verifier's full rule set.
 //!
 //! Unlike HiMap's own pipeline the result is a whole-DFG modulo schedule:
 //! `sub_shape = (1, 1, II)` with one "iteration per SPE", i.e. no
@@ -13,72 +14,22 @@
 
 use std::collections::HashMap;
 
-use himap_baseline::{anti_deps_ok, mem_aware_topo_order, STORE_LATENCY};
-use himap_cgra::{CgraSpec, MrrgIndex, PeId, RKind, RNode};
-use himap_dfg::{Dfg, EdgeKind, NodeKind};
-use himap_graph::{EdgeId, NodeId};
-use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, SignalId};
+pub use himap_baseline::LowerError;
+use himap_baseline::{route_pinned, TimedRoute};
+use himap_cgra::{CgraSpec, PeId};
+use himap_dfg::Dfg;
+use himap_graph::NodeId;
+use himap_mapper::CancelToken;
 
 use crate::config::ConfigImage;
 use crate::layout::Slot;
 use crate::mapping::{Mapping, MappingParts, MappingStats, RouteInstance};
 use crate::stats::PipelineStats;
 
-/// Why a fixed placement could not be lowered to a routed mapping.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LowerError {
-    /// A compute op has no slot in the placement.
-    MissingSlot(NodeId),
-    /// A slot sits on a dead PE or outside the array.
-    BadSlot(NodeId),
-    /// A dependence does not advance time (producer at or after consumer).
-    NonCausal(EdgeId),
-    /// A memory-routed load is scheduled before its producing store lands.
-    MemCausality(EdgeId),
-    /// An anti-dependence is violated by the schedule.
-    AntiDependence,
-    /// The DFG contains a node kind this lowering cannot route.
-    Unsupported(NodeId),
-    /// An edge stayed unroutable after every negotiation round.
-    Unroutable(EdgeId),
-    /// Negotiation ended with oversubscribed resources.
-    Congested(usize),
-    /// The cancel token fired mid-lowering.
-    Cancelled,
-}
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerError::MissingSlot(n) => write!(f, "op {n:?} has no slot in the placement"),
-            LowerError::BadSlot(n) => write!(f, "op {n:?} is placed on a dead or absent PE"),
-            LowerError::NonCausal(e) => write!(f, "edge {e:?} does not advance time"),
-            LowerError::MemCausality(e) => {
-                write!(f, "edge {e:?} loads before its producing store is visible")
-            }
-            LowerError::AntiDependence => {
-                write!(f, "an element is overwritten before a pending load reads it")
-            }
-            LowerError::Unsupported(n) => write!(f, "node {n:?} has an unroutable kind"),
-            LowerError::Unroutable(e) => write!(f, "edge {e:?} is unroutable at this placement"),
-            LowerError::Congested(n) => write!(f, "{n} resources oversubscribed after routing"),
-            LowerError::Cancelled => write!(f, "lowering cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
-
-/// Outcome of one negotiation round: either a full route set or the reason
-/// this round failed (feeding the history bump).
-enum Round {
-    Done(Vec<RouteInstance>, HashMap<NodeId, Slot>),
-    Retry(LowerError),
-}
-
 /// Routes the fixed placement `op_slots` (PE + absolute cycle per compute
-/// op) of `dfg` on `spec` at initiation interval `ii`, negotiating
-/// congestion for up to `rounds` PathFinder rounds.
+/// op) of `dfg` on `spec` at initiation interval `ii` with [`route_pinned`],
+/// negotiating congestion for up to `rounds` PathFinder rounds, and wraps
+/// the result with [`routed_mapping`].
 ///
 /// # Errors
 ///
@@ -94,222 +45,43 @@ pub fn route_placement(
     rounds: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Mapping, LowerError> {
-    let index = MrrgIndex::shared(spec.clone(), ii);
-    // Fail fast on structural defects before any routing work.
-    for (node, w) in dfg.graph().nodes() {
-        match w.kind {
-            NodeKind::Op { .. } => {
-                let &(pe, abs) = op_slots.get(&node).ok_or(LowerError::MissingSlot(node))?;
-                let fu = RNode::new(pe, (abs.rem_euclid(ii as i64)) as u32, RKind::Fu);
-                if abs < 0 || !index.contains(fu) {
-                    return Err(LowerError::BadSlot(node));
-                }
-            }
-            NodeKind::Input { .. } => {}
-            NodeKind::Route => return Err(LowerError::Unsupported(node)),
-        }
-    }
-    for e in dfg.graph().edge_ids() {
-        let (_, dst) = dfg.graph().edge_endpoints(e);
-        if !dfg.graph()[dst].kind.is_op() {
-            return Err(LowerError::Unsupported(dst));
-        }
-    }
-    if !anti_deps_ok(dfg, op_slots) {
-        return Err(LowerError::AntiDependence);
-    }
-
-    let order: Vec<NodeId> =
-        mem_aware_topo_order(dfg).into_iter().filter(|&n| dfg.graph()[n].kind.is_op()).collect();
-    let mut router = Router::with_index(index.clone(), RouterConfig::default());
-    router.set_cancel_token(cancel.cloned());
-
-    let mut verdict = LowerError::Congested(0);
-    for _ in 0..rounds.max(1) {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(LowerError::Cancelled);
-        }
-        router.clear_present();
-        match route_round(dfg, spec, ii, &order, op_slots, &mut router, cancel)? {
-            Round::Done(routes, slots) => {
-                let over = router.oversubscribed();
-                if over.is_empty() {
-                    let stats = MappingStats {
-                        sub_shape: (1, 1, ii),
-                        unique_iterations: dfg.iteration_count(),
-                        iterations_per_spe: 1,
-                        iib: ii,
-                        max_config_slots: 0,
-                        block: block.to_vec(),
-                        pipeline: PipelineStats::default(),
-                    };
-                    let mut mapping = Mapping::from_parts(MappingParts {
-                        spec: spec.clone(),
-                        dfg: dfg.clone(),
-                        op_slots: slots,
-                        routes,
-                        stats,
-                    });
-                    let image = ConfigImage::from_mapping(&mapping);
-                    mapping.set_max_config_slots(image.max_unique_instrs());
-                    return Ok(mapping);
-                }
-                verdict = LowerError::Congested(over.len());
-            }
-            Round::Retry(why) => verdict = why,
-        }
-        router.bump_history();
-    }
-    Err(verdict)
+    let routes = route_pinned(dfg, spec, ii, op_slots, rounds, cancel)?;
+    Ok(routed_mapping(dfg, spec, ii, op_slots, routes, block))
 }
 
-/// One negotiation round: route every in-edge of every op, in mem-aware
-/// topological order, against the pinned FU slots.
-#[allow(clippy::too_many_lines)]
-fn route_round(
+/// Wraps a routed placement of the whole `dfg` — a baseline mapper's
+/// result, or [`route_pinned`]'s output — as a [`Mapping`] of `block` at
+/// initiation interval `ii`, with its configuration footprint computed.
+pub fn routed_mapping(
     dfg: &Dfg,
     spec: &CgraSpec,
     ii: usize,
-    order: &[NodeId],
     op_slots: &HashMap<NodeId, (PeId, i64)>,
-    router: &mut Router,
-    cancel: Option<&CancelToken>,
-) -> Result<Round, LowerError> {
-    let signal_of = |n: NodeId| SignalId(n.index() as u32);
-    let index = std::sync::Arc::clone(router.index());
-    // Delivery point and absolute time of (consumer, root signal).
-    let mut deliveries: HashMap<(NodeId, NodeId), (RNode, i64)> = HashMap::new();
-    // Chosen memory port of each Input node (pinned by the first route).
-    let mut load_ports: HashMap<NodeId, (RNode, i64)> = HashMap::new();
-    let mut mem_producers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &(producer, input) in dfg.mem_deps() {
-        mem_producers.entry(input).or_default().push(producer);
-    }
-    let all_mem: Vec<RNode> = spec
-        .pes()
-        .filter(|&pe| spec.healthy(pe) && !spec.faults.mem_disabled(pe))
-        .flat_map(|pe| (0..ii as u32).map(move |t| RNode::new(pe, t, RKind::Mem)))
+    routes: Vec<TimedRoute>,
+    block: &[usize],
+) -> Mapping {
+    let op_slots = op_slots
+        .iter()
+        .map(|(&v, &(pe, abs))| (v, Slot { pe, cycle_mod: abs.rem_euclid(ii as i64) as u32, abs }))
         .collect();
-    let mut routes: Vec<RouteInstance> = Vec::with_capacity(dfg.graph().edge_count());
-    let mut slots: HashMap<NodeId, Slot> = HashMap::with_capacity(order.len());
-    for &v in order {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(LowerError::Cancelled);
-        }
-        let &(pe, abs) = op_slots.get(&v).ok_or(LowerError::MissingSlot(v))?;
-        let tmod = (abs.rem_euclid(ii as i64)) as u32;
-        let target = RNode::new(pe, tmod, RKind::Fu);
-        for e in dfg.graph().in_edges(v) {
-            let weight = dfg.graph()[e.id];
-            let root = weight.signal(e.src);
-            let path = match (weight.kind, dfg.graph()[e.src].kind) {
-                (EdgeKind::Flow, NodeKind::Op { .. }) => {
-                    let &(ppe, pabs) =
-                        op_slots.get(&e.src).ok_or(LowerError::MissingSlot(e.src))?;
-                    let elapsed = abs - pabs;
-                    if elapsed < 1 {
-                        return Err(LowerError::NonCausal(e.id));
-                    }
-                    let src = RNode::new(ppe, (pabs.rem_euclid(ii as i64)) as u32, RKind::Fu);
-                    router.route(
-                        signal_of(root),
-                        &[src],
-                        target,
-                        Elapsed::Exact(elapsed as u32),
-                        |_| true,
-                    )
-                }
-                (EdgeKind::Forward { .. }, _) => {
-                    // Topological order guarantees the forwarding op routed
-                    // its own inputs first, so the delivery is recorded.
-                    let &(node, dabs) =
-                        deliveries.get(&(e.src, root)).ok_or(LowerError::Unroutable(e.id))?;
-                    let elapsed = abs - dabs;
-                    if elapsed < 1 {
-                        return Err(LowerError::NonCausal(e.id));
-                    }
-                    router.route(
-                        signal_of(root),
-                        &[node],
-                        target,
-                        Elapsed::Exact(elapsed as u32),
-                        |_| true,
-                    )
-                }
-                (EdgeKind::Flow, NodeKind::Input { .. }) => {
-                    let mut mem_lo = 0i64;
-                    for producer in mem_producers.get(&e.src).map_or(&[][..], |v| v.as_slice()) {
-                        let &(_, pabs) =
-                            op_slots.get(producer).ok_or(LowerError::MissingSlot(*producer))?;
-                        mem_lo = mem_lo.max(pabs + STORE_LATENCY);
-                    }
-                    if abs < mem_lo {
-                        return Err(LowerError::MemCausality(e.id));
-                    }
-                    match load_ports.get(&e.src) {
-                        Some(&(port, src_abs)) => {
-                            let elapsed = abs - src_abs;
-                            if elapsed < 0 {
-                                return Err(LowerError::MemCausality(e.id));
-                            }
-                            router.route(
-                                signal_of(root),
-                                &[port],
-                                target,
-                                Elapsed::Exact(elapsed as u32),
-                                |_| true,
-                            )
-                        }
-                        None => router.route(
-                            signal_of(root),
-                            &all_mem,
-                            target,
-                            Elapsed::AtMost(
-                                ((abs - mem_lo).max(0) as u32)
-                                    .min(router.config().default_elapsed_cap),
-                            ),
-                            |_| true,
-                        ),
-                    }
-                }
-                (EdgeKind::Flow, NodeKind::Route) => {
-                    return Err(LowerError::Unsupported(e.src));
-                }
-            };
-            let Some(path) = path else {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return Err(LowerError::Cancelled);
-                }
-                return Ok(Round::Retry(LowerError::Unroutable(e.id)));
-            };
-            // Exact absolute time per step, walking the path forward with the
-            // CSR latency of each hop — the `(Δt mod II)` shortcut is
-            // ambiguous at II = 1, where 0- and 1-cycle hops coincide.
-            let mut steps: Vec<(RNode, i64)> = Vec::with_capacity(path.nodes.len());
-            let mut at = abs - i64::from(path.elapsed);
-            for (i, &node) in path.nodes.iter().enumerate() {
-                if i > 0 {
-                    let lat = index
-                        .edge_latency(path.nodes[i - 1], node)
-                        .ok_or(LowerError::Unroutable(e.id))?;
-                    at += i64::from(lat);
-                }
-                steps.push((node, at));
-            }
-            if let (Some(&(_, first_abs)), true) =
-                (steps.first(), matches!(dfg.graph()[e.src].kind, NodeKind::Input { .. }))
-            {
-                load_ports.entry(e.src).or_insert((path.nodes[0], first_abs));
-            }
-            if steps.len() >= 2 {
-                let (dn, da) = steps[steps.len() - 2];
-                deliveries.insert((v, root), (dn, da));
-            }
-            router.commit(&path);
-            routes.push(RouteInstance { edge: e.id, steps });
-        }
-        router.place(target, signal_of(v));
-        slots.insert(v, Slot { pe, cycle_mod: tmod, abs });
-    }
-    Ok(Round::Done(routes, slots))
+    let routes = routes.into_iter().map(|(edge, steps)| RouteInstance { edge, steps }).collect();
+    let stats = MappingStats {
+        sub_shape: (1, 1, ii),
+        unique_iterations: dfg.iteration_count(),
+        iterations_per_spe: 1,
+        iib: ii,
+        max_config_slots: 0,
+        block: block.to_vec(),
+        pipeline: PipelineStats::default(),
+    };
+    let mut mapping = Mapping::from_parts(MappingParts {
+        spec: spec.clone(),
+        dfg: dfg.clone(),
+        op_slots,
+        routes,
+        stats,
+    });
+    let image = ConfigImage::from_mapping(&mapping);
+    mapping.set_max_config_slots(image.max_unique_instrs());
+    mapping
 }

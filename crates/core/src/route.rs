@@ -16,13 +16,13 @@
 //! first-seen relabelled signals, then the cell's resource states): cells
 //! with equal signatures receive the same claims up to a space-time
 //! translation, so each feedback round stamps and checks one representative
-//! cell per group and multiplies its conflicts by the group's size. Each
-//! resource keeps the first signal stamped on it, and only claims by
-//! another signal are kept, as packed `u64`s, and sorted. Oversubscribed
-//! resources are marked in a bitset, and one more walk over the recorded
-//! step ids translates the marked steps back into representative frames.
-//! The per-edge [`FullRoute`]s are built only in the round whose capacity
-//! and fault checks pass.
+//! cell per group and multiplies its conflicts by the group's size.
+//! Occupancy is one vector of packed `resource << 32 | signal` claims,
+//! sorted and deduplicated, so each resource's run holds its distinct
+//! signals; the ids of oversubscribed resources come out ascending, and
+//! one more walk over the recorded step ids translates the steps on them
+//! back into representative frames. The per-edge [`FullRoute`]s are built
+//! only in the round whose capacity and fault checks pass.
 
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -30,7 +30,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use himap_cgra::{CgraSpec, Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode};
+use himap_cgra::{CgraSpec, MrrgIndex, PeId, RIdx, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{Elapsed, Router, RouterConfig, RouterStats, SignalId};
@@ -129,14 +129,15 @@ impl fmt::Display for RouteError {
 impl Error for RouteError {}
 
 /// Instrumentation of one [`route_representatives_pooled`] call: the
-/// router's search-effort counters plus the time spent acquiring the shared
-/// dense MRRG index (a cache hit after the first build, so ~zero in steady
-/// state).
+/// router's search-effort counters plus the time the caller spent setting
+/// up the pooled router (zero when it was reused).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouteCounters {
     /// Dijkstra search effort across every `route*` call of the attempt.
     pub router: RouterStats,
-    /// Wall time of the `MrrgIndex::shared` acquisition.
+    /// Wall time the caller passed in for acquiring the shared index and
+    /// building the router over it (`MrrgIndex::shared` plus
+    /// `Router::with_index`); zero when a pooled router was reused.
     pub index_build: Duration,
 }
 
@@ -312,7 +313,8 @@ fn route_round(
                 }
             };
             // Record the net and the pattern.
-            let abs_nodes = absolute_times(router.mrrg(), &path.nodes, dslot.abs);
+            let abs_nodes = absolute_times(router.index(), &path.nodes, dslot.abs)
+                .ok_or(RouteError::Unroutable(e))?;
             let net: Vec<(RNode, i64)> =
                 path.nodes.iter().zip(&abs_nodes).map(|(&n, &(_, _, abs))| (n, abs)).collect();
             deliveries.entry((dst, root)).or_default().extend(net_sources(&net));
@@ -334,20 +336,23 @@ fn route_round(
 }
 
 /// Recovers the absolute time of each path node from the target's absolute
-/// cycle by walking backwards.
-fn absolute_times(mrrg: &Mrrg, nodes: &[RNode], target_abs: i64) -> Vec<(PeId, RKind, i64)> {
-    let ii = mrrg.ii() as i64;
+/// cycle by walking backwards with the CSR latency of each hop (the
+/// `(Δt mod II)` shortcut is ambiguous at II = 1, where 0- and 1-cycle hops
+/// coincide). `None` when two consecutive nodes share no MRRG edge.
+fn absolute_times(
+    index: &MrrgIndex,
+    nodes: &[RNode],
+    target_abs: i64,
+) -> Option<Vec<(PeId, RKind, i64)>> {
     let mut out = vec![(PeId::new(0, 0), RKind::Fu, 0i64); nodes.len()];
     let mut abs = target_abs;
     for (i, &node) in nodes.iter().enumerate().rev() {
         out[i] = (node.pe, node.kind, abs);
         if i > 0 {
-            let prev = nodes[i - 1];
-            let dt = (node.t as i64 + ii - prev.t as i64) % ii;
-            abs -= dt;
+            abs -= i64::from(index.edge_latency(nodes[i - 1], node)?);
         }
     }
-    out
+    Some(out)
 }
 
 enum EdgeSource {

@@ -60,8 +60,8 @@ pub struct ExactOptions {
     /// SAT models to try per II before declaring the II undecided
     /// (each routing/verification failure costs one model).
     pub model_budget: usize,
-    /// PathFinder rounds when lowering a model to routes.
-    pub lower_rounds: usize,
+    /// PathFinder rounds when routing a model's placement.
+    pub route_rounds: usize,
     /// Refuse DFGs with more compute ops than this (the encoding is
     /// exponential in the limit; the oracle targets small blocks).
     pub max_ops: usize,
@@ -75,7 +75,7 @@ impl Default for ExactOptions {
             max_ii_span: 6,
             horizon_slack: 2,
             model_budget: 64,
-            lower_rounds: 24,
+            route_rounds: 24,
             max_ops: 64,
             block: None,
         }
@@ -301,7 +301,7 @@ fn lower(
     cancel: Option<&CancelToken>,
 ) -> Result<Mapping, LowerError> {
     let mapping =
-        route_placement(dfg, spec, ii, placement, dfg.block(), options.lower_rounds, cancel)?;
+        route_placement(dfg, spec, ii, placement, dfg.block(), options.route_rounds, cancel)?;
     let sink = himap_verify::verify_mapping(&mapping);
     if sink.has_errors() {
         // Treated like a routing failure: the caller blocks this model.

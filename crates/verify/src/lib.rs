@@ -2,9 +2,10 @@
 //!
 //! HiMap's own soundness argument lives inside the mapper
 //! (`replicate_and_verify`): the prover audits itself. This crate is the
-//! external auditor. It takes any [`Mapping`] — produced by HiMap or, in
-//! placement-only form, by the `himap-baseline` mappers — together with the
-//! [`CgraSpec`](himap_cgra::CgraSpec) and [`Dfg`](himap_dfg::Dfg), and
+//! external auditor. It takes any [`Mapping`] — produced by HiMap, by the
+//! exact backend, or wrapped from a `himap-baseline` mapper's routed result
+//! with `himap_core::routed_mapping`, each carrying its
+//! [`CgraSpec`](himap_cgra::CgraSpec) and [`Dfg`](himap_dfg::Dfg) — and
 //! re-derives legality from first principles:
 //!
 //! | code | severity | proves |
@@ -15,6 +16,7 @@
 //! | V004 | error    | register-file size and port limits |
 //! | V005 | error    | per-PE unique instructions fit the config memory |
 //! | V006 | error    | no placement or route touches a faulted resource |
+//! | V007 | error    | every op sits on a PE that provides its op class |
 //! | W101 | warning  | no avoidable wire detours |
 //! | W102 | warning  | no route dwells longer than one modulo window |
 //! | W103 | warning  | mapper statistics match recomputed values |
@@ -43,11 +45,9 @@
 
 #![forbid(unsafe_code)]
 
-mod baseline;
 mod tiled;
 mod verify;
 
-pub use baseline::verify_baseline;
 pub use tiled::verify_tiled;
 // The diagnostic vocabulary (codes, sink, rendering) lives in
 // `himap-analyze`, the bottom-most diagnostics producer; re-exported here

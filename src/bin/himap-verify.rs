@@ -6,18 +6,19 @@
 //! ```
 //!
 //! Lints the kernel IR (K001–K003), maps it (HiMap by default, or a
-//! baseline mapper with `--baseline`), then re-derives the mapping's
-//! legality from scratch (V001–V005, W101+). Exits non-zero on any
-//! Error-severity diagnostic — the CI smoke gate.
+//! baseline mapper with `--baseline`, whose placement and routes are
+//! wrapped as a mapping), then re-derives the mapping's legality from
+//! scratch (V001–V007, W101+). Exits non-zero on any Error-severity
+//! diagnostic — the CI smoke gate.
 
 use std::process::ExitCode;
 
 use himap_repro::baseline::{baseline_block, BaselineOptions, SaMapper, SprMapper};
 use himap_repro::cgra::CgraSpec;
-use himap_repro::core::{HiMap, HiMapOptions};
+use himap_repro::core::{routed_mapping, HiMap, HiMapOptions};
 use himap_repro::dfg::Dfg;
 use himap_repro::kernels::{parse_kernel, suite, Kernel, LintOptions};
-use himap_repro::verify::{verify_baseline, verify_kernel, verify_mapping, DiagnosticSink};
+use himap_repro::verify::{verify_kernel, verify_mapping, DiagnosticSink};
 
 struct Args {
     kernel: Option<String>,
@@ -86,13 +87,15 @@ fn verify_mapped(args: &Args, kernel: &Kernel) -> Result<DiagnosticSink, String>
             let options = BaselineOptions::default();
             let block = baseline_block(kernel, &options);
             let dfg = Dfg::build(kernel, &block).map_err(|e| e.to_string())?;
-            let mapping = match which {
+            let result = match which {
                 "spr" => SprMapper::run(&dfg, &spec, &options),
                 "sa" => SaMapper::run(&dfg, &spec, &options),
                 other => return Err(format!("unknown baseline `{other}` (use spr or sa)")),
             }
             .map_err(|e| format!("baseline {which}: {e}"))?;
-            Ok(verify_baseline(&mapping, &dfg, &spec))
+            let mapping =
+                routed_mapping(&dfg, &spec, result.ii, &result.op_slots, result.routes, &block);
+            Ok(verify_mapping(&mapping))
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use himap_repro::baseline::BaselineOptions;
+use himap_repro::baseline::{bhc, BaselineOptions};
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::backend::{Backend, BackendError, BhcBackend, HiMapBackend, MapRequest};
 use himap_repro::dfg::Dfg;
@@ -21,6 +21,32 @@ fn bhc_maps_small_blocks() {
     assert!(mapping.stats().iib >= 1);
     let sink = verify_mapping(&mapping);
     assert!(!sink.has_errors(), "{}", sink.render_pretty());
+}
+
+#[test]
+fn bhc_backend_keeps_the_winning_baseline_routes() {
+    // The backend wraps the better baseline result as it was mapped: the
+    // same placement and the routes its mapper committed, with no second
+    // negotiation, and the result passes the full rule set. SA wins the
+    // GEMM block and SPR the MVT one, whose placement a fresh negotiation
+    // would route differently.
+    let spec = CgraSpec::square(4);
+    for (kernel, block) in [(suite::gemm(), vec![2, 2, 2]), (suite::mvt(), vec![3, 3])] {
+        let backend = BhcBackend::default().with_block(block.clone());
+        let mapping = backend.map(&MapRequest::new(kernel.clone(), spec.clone())).expect("maps");
+        let dfg = Dfg::build(&kernel, &block).expect("builds");
+        let result = bhc(&dfg, &spec, &backend.options);
+        let best = result.best().expect("small block maps");
+        assert_eq!(mapping.stats().iib, best.ii);
+        assert_eq!(mapping.op_slots().len(), best.op_slots.len());
+        for (v, slot) in mapping.op_slots() {
+            assert_eq!(Some(&(slot.pe, slot.abs)), best.op_slots.get(v));
+        }
+        let routes: Vec<_> = mapping.routes().iter().map(|r| (r.edge, r.steps.clone())).collect();
+        assert_eq!(routes, best.routes, "{}: routes differ from the winner's", kernel.name());
+        let sink = verify_mapping(&mapping);
+        assert!(!sink.has_errors(), "{}", sink.render_pretty());
+    }
 }
 
 #[test]

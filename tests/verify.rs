@@ -8,10 +8,10 @@
 
 use himap_repro::baseline::{bhc, BaselineOptions};
 use himap_repro::cgra::CgraSpec;
-use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping, MappingParts};
+use himap_repro::core::{routed_mapping, HiMap, HiMapError, HiMapOptions, Mapping, MappingParts};
 use himap_repro::dfg::Dfg;
 use himap_repro::kernels::suite;
-use himap_repro::verify::{verify_baseline, verify_mapping, Code, Severity};
+use himap_repro::verify::{verify_mapping, Code, Severity};
 
 fn map(kernel: &himap_repro::kernels::Kernel, c: usize) -> Mapping {
     HiMap::new(HiMapOptions::default())
@@ -53,24 +53,28 @@ fn himap_mappings_verify_clean_for_every_suite_kernel() {
 fn baseline_mappings_verify_clean_for_every_suite_kernel() {
     // Small uniform blocks keep every kernel inside the baselines' DFG
     // node budget; mapper failures are allowed (BHC is not complete), but
-    // every mapping that is produced must verify clean.
+    // every mapping that is produced — placement and the mapper's own
+    // routes — must pass the full rule set.
     let options = BaselineOptions::default();
-    let spec = CgraSpec::square(4);
     let mut verified = 0usize;
-    for kernel in suite::all() {
-        let block = vec![2usize; kernel.dims()];
-        let dfg = Dfg::build(&kernel, &block).expect("small blocks build");
-        let result = bhc(&dfg, &spec, &options);
-        for (name, outcome) in [("spr", &result.spr), ("sa", &result.sa)] {
-            if let Ok(mapping) = outcome {
-                let report = verify_baseline(mapping, &dfg, &spec);
-                assert!(
-                    !report.has_errors(),
-                    "{} ({name}) fails verification:\n{}",
-                    kernel.name(),
-                    report.render_pretty()
-                );
-                verified += 1;
+    for c in [4, 8] {
+        let spec = CgraSpec::square(c);
+        for kernel in suite::all() {
+            let block = vec![2usize; kernel.dims()];
+            let dfg = Dfg::build(&kernel, &block).expect("small blocks build");
+            let result = bhc(&dfg, &spec, &options);
+            for (name, outcome) in [("spr", result.spr), ("sa", result.sa)] {
+                if let Ok(m) = outcome {
+                    let mapping = routed_mapping(&dfg, &spec, m.ii, &m.op_slots, m.routes, &block);
+                    let report = verify_mapping(&mapping);
+                    assert!(
+                        !report.has_errors(),
+                        "{} ({name}, {c}x{c}) fails verification:\n{}",
+                        kernel.name(),
+                        report.render_pretty()
+                    );
+                    verified += 1;
+                }
             }
         }
     }
