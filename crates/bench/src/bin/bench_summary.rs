@@ -21,7 +21,7 @@ use himap_bench::check::{
     het_rows, limit_ms, parse, race_rows, scale_rows, scaling_rows, HetRow, RaceRow, ScaleRow,
     ScalingRow,
 };
-use himap_bench::run_himap_tiled;
+use himap_bench::{peak_rss_kb, run_himap_tiled};
 use himap_cgra::{CapabilityMap, CgraSpec, MrrgIndex};
 use himap_core::backend::{race, Backend, BhcBackend, HiMapBackend, MapRequest, RaceMode};
 use himap_core::{HiMap, HiMapOptions};
@@ -94,13 +94,6 @@ fn sample(mut f: impl FnMut()) -> Duration {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-/// Peak resident set size in kilobytes from `/proc/self/status` (`VmHWM`).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn kernel(name: &str) -> Result<himap_kernels::Kernel, String> {

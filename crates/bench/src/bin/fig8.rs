@@ -5,6 +5,11 @@
 //! `--max <b>` to cap the sweep. The paper sweeps to 64; the 4-D TTM sweep
 //! is capped by default (the fully unrolled 64^4 block does not fit in
 //! memory — see EXPERIMENTS.md).
+//!
+//! Every HiMap mapping is then checked by the independent verifier and the
+//! cycle-accurate simulator. The table reports what the checks cost: their
+//! wall times, and the process's peak resident set (`VmHWM`) right after
+//! the map and again after the checks.
 
 // Bench drivers fail loudly on setup errors, like tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -12,11 +17,13 @@
 use std::time::{Duration, Instant};
 
 use himap_baseline::{bhc, BaselineOptions};
-use himap_bench::markdown_table;
+use himap_bench::{markdown_table, peak_rss_kb};
 use himap_cgra::CgraSpec;
-use himap_core::{HiMap, HiMapOptions};
+use himap_core::{HiMap, HiMapOptions, Mapping};
 use himap_dfg::Dfg;
 use himap_kernels::suite;
+use himap_sim::simulate;
+use himap_verify::verify_mapping;
 
 /// The paper's block-size sweep (Fig. 8 x-axis).
 const SWEEP: [usize; 12] = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 32, 64];
@@ -40,6 +47,10 @@ fn main() {
                     format!("{:.2}s (U={:.0}%)", himap_time.as_secs_f64(), m.utilization() * 100.0)
                 }
                 Err(e) => format!("failed: {e}"),
+            };
+            let checks = match &himap {
+                Ok(m) => check_cost(m),
+                Err(_) => ["-".to_string(), "-".to_string(), "-".to_string(), "-".to_string()],
             };
             // BHC on the same whole block.
             let block = vec![b; kernel.dims()];
@@ -71,11 +82,23 @@ fn main() {
                 kernel.name(),
                 pipeline.summary()
             );
-            rows.push(vec![kernel.name().to_string(), b.to_string(), bhc_cell, himap_cell]);
+            let mut row = vec![kernel.name().to_string(), b.to_string(), bhc_cell, himap_cell];
+            row.extend(checks);
+            rows.push(row);
         }
     }
     println!("# Fig. 8 — compilation time vs block size (c = b)\n");
-    print!("{}", markdown_table(&["kernel", "block/CGRA size b", "BHC", "HiMap"], &rows));
+    let header = [
+        "kernel",
+        "block/CGRA size b",
+        "BHC",
+        "HiMap",
+        "verify",
+        "simulate",
+        "VmHWM map",
+        "VmHWM checks",
+    ];
+    print!("{}", markdown_table(&header, &rows));
     println!();
     println!(
         "HiMap compile time stays within seconds across the sweep because \
@@ -83,6 +106,29 @@ fn main() {
          fails past the 400-node DFG limit (the paper: beyond block sizes \
          8/5/4 for MVT/GEMM/TTM, after days of compile time)."
     );
+}
+
+/// Verifies and simulates a mapping: the cells `verify`, `simulate`,
+/// `VmHWM map` and `VmHWM checks`. A check that fails says so in its cell.
+fn check_cost(mapping: &Mapping) -> [String; 4] {
+    let mib = |kb: Option<u64>| kb.map_or("n/a".to_string(), |kb| format!("{} MiB", kb / 1024));
+    let hwm_map = peak_rss_kb();
+    let start = Instant::now();
+    let errors = verify_mapping(mapping).error_count();
+    let verify_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let simulated = simulate(mapping, 1);
+    let simulate_s = start.elapsed().as_secs_f64();
+    let hwm_checks = peak_rss_kb();
+    let verify = match errors {
+        0 => format!("{verify_s:.2}s"),
+        n => format!("{verify_s:.2}s ({n} errors)"),
+    };
+    let simulate = match simulated {
+        Ok(_) => format!("{simulate_s:.2}s"),
+        Err(e) => format!("{simulate_s:.2}s (failed: {e})"),
+    };
+    [verify, simulate, mib(hwm_map), mib(hwm_checks)]
 }
 
 fn parse_max() -> Option<usize> {

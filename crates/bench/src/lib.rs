@@ -7,7 +7,7 @@
 //! | Table I  | `table1` | kernel categorization by dimensionality × deps |
 //! | Table II | `table2` | kernel characteristics + measured unique iterations |
 //! | Fig. 7   | `fig7`   | utilization / MOPS / MOPS-per-mW, BHC vs HiMap, per CGRA size |
-//! | Fig. 8   | `fig8`   | compilation time vs block size, BHC vs HiMap |
+//! | Fig. 8   | `fig8`   | compilation time vs block size, BHC vs HiMap; checker cost per HiMap point |
 //!
 //! Run with `cargo run -p himap-bench --release --bin <name>`. All runs are
 //! deterministic (fixed seeds). `EXPERIMENTS.md` records the outputs next to
@@ -140,6 +140,13 @@ pub fn compare(
         bhc_util: bhc_result.best_utilization(),
         bhc_time,
     }
+}
+
+/// The process's peak resident set (`VmHWM`) in KiB, where procfs has it.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Renders rows as a markdown table with right-aligned numeric columns.

@@ -119,6 +119,44 @@ impl RNode {
     pub fn new(pe: PeId, t: u32, kind: RKind) -> Self {
         RNode { pe, t, kind }
     }
+
+    /// This node packed losslessly into one integer whose order equals the
+    /// derived `Ord`: `x` in bits 64..80, `y` in 48..64, `t` in 16..48 and
+    /// the kind's rank (see [`RNode::from_packed_key`]) in 0..16. Checkers
+    /// sort millions of claims by it: one integer compare instead of a
+    /// field-by-field walk through the `RKind` enum.
+    pub fn packed_key(self) -> u128 {
+        let rank: u16 = match self.kind {
+            RKind::Fu => 0,
+            RKind::Out => 1,
+            RKind::Wire(d) => 2 + d.index() as u16,
+            RKind::Reg(r) => 6 + r as u16,
+            RKind::RegWr => 262,
+            RKind::RegRd => 263,
+            RKind::Mem => 264,
+        };
+        (self.pe.x as u128) << 64
+            | (self.pe.y as u128) << 48
+            | (self.t as u128) << 16
+            | rank as u128
+    }
+
+    /// The node [`RNode::packed_key`] packed into `key`. Kind ranks run
+    /// `Fu`, `Out`, `Wire` N/E/S/W, `Reg(0..=255)`, `RegWr`, `RegRd`,
+    /// `Mem`; a rank past `Mem` (no packed node has one) decodes as `Mem`.
+    pub fn from_packed_key(key: u128) -> Self {
+        let kind = match key as u16 {
+            0 => RKind::Fu,
+            1 => RKind::Out,
+            r @ 2..=5 => RKind::Wire(ALL_DIRS[r as usize - 2]),
+            r @ 6..=261 => RKind::Reg((r - 6) as u8),
+            262 => RKind::RegWr,
+            263 => RKind::RegRd,
+            _ => RKind::Mem,
+        };
+        let pe = PeId { x: (key >> 64) as u16, y: (key >> 48) as u16 };
+        RNode { pe, t: (key >> 16) as u32, kind }
+    }
 }
 
 impl fmt::Debug for RNode {
@@ -835,6 +873,38 @@ mod tests {
 
     fn mrrg(c: usize, ii: usize) -> Mrrg {
         Mrrg::new(CgraSpec::square(c), ii)
+    }
+
+    #[test]
+    fn packed_key_is_lossless_and_keeps_the_derived_order() {
+        // Every kind, direction and register, over the boundary values of
+        // each coordinate's full width.
+        let mut kinds = vec![RKind::Fu, RKind::Out];
+        kinds.extend(ALL_DIRS.map(RKind::Wire));
+        kinds.extend((0..=u8::MAX).map(RKind::Reg));
+        kinds.extend([RKind::RegWr, RKind::RegRd, RKind::Mem]);
+        let coords = [0u16, 1, 255, 256, u16::MAX - 1, u16::MAX];
+        let times = [0u32, 1, u16::MAX as u32, u16::MAX as u32 + 1, u32::MAX - 1, u32::MAX];
+        let mut nodes = Vec::new();
+        for &x in &coords {
+            for &y in &coords {
+                for &t in &times {
+                    for &kind in &kinds {
+                        nodes.push(RNode { pe: PeId { x, y }, t, kind });
+                    }
+                }
+            }
+        }
+        for &n in &nodes {
+            assert_eq!(RNode::from_packed_key(n.packed_key()), n, "{n:?}");
+        }
+        let mut by_ord = nodes.clone();
+        by_ord.sort();
+        let mut by_key = nodes;
+        by_key.sort_by_key(|n| n.packed_key());
+        assert_eq!(by_ord, by_key);
+        // Distinct nodes, distinct keys: the order is strict, not a tie.
+        assert!(by_key.windows(2).all(|w| w[0].packed_key() < w[1].packed_key()));
     }
 
     #[test]

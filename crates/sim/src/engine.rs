@@ -4,18 +4,15 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use himap_cgra::{PowerModel, RNode};
+use himap_cgra::{PowerModel, RKind, RNode};
 use himap_core::Mapping;
-use himap_dfg::{NodeKind, OperandSrc};
+use himap_dfg::{from_iter4, NodeKind, OperandSrc};
 use himap_graph::{EdgeId, NodeId};
-use himap_kernels::{interpret, ArrayId, ArrayStore};
+use himap_kernels::{interpret, ArrayId, ArrayStore, StmtId};
 
 /// Latency in cycles between an op producing a value and that value being
 /// readable from data memory (register the result, then write).
 const STORE_LATENCY: i64 = 2;
-
-/// Per-element store timeline: `(visible-from cycle, value)` entries.
-type MemTimeline = HashMap<(ArrayId, Vec<i64>), Vec<(i64, i64)>>;
 
 /// Result of a successful simulation.
 #[derive(Clone, Debug)]
@@ -35,7 +32,9 @@ pub struct SimReport {
 /// A functional or timing violation found by the simulator.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
-    /// Two different values occupy one resource in one cycle.
+    /// More distinct values occupy one resource in one cycle than it has
+    /// capacity for (`CgraSpec::capacity`: one for most resources, the
+    /// port count for `Mem`, `RegWr` and `RegRd`).
     ResourceConflict {
         /// The contested resource.
         node: RNode,
@@ -116,38 +115,67 @@ impl Error for SimError {}
 /// executed every operation at its scheduled cycle with values that
 /// physically traversed its routes, and reproduced the interpreter's
 /// results exactly.
+///
+/// Errors come in phase order: placement (in node order), then execution
+/// (in schedule order), then the routes (in route and step order, a fault
+/// before a capacity overflow at the same step), then the final memory.
 pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
     let dfg = mapping.dfg();
     let graph = dfg.graph();
+    let spec = mapping.spec();
     // Reference execution.
     let mut expected = ArrayStore::new(seed);
     interpret(dfg.kernel(), dfg.block(), &mut expected).map_err(|_| SimError::BlockMismatch)?;
-    // Route lookup per edge.
-    let route_of: HashMap<EdgeId, &himap_core::RouteInstance> =
-        mapping.routes().iter().map(|r| (r.edge, r)).collect();
-    // Memory timeline: per element, stores sorted by visibility time.
     let live_ins = ArrayStore::new(seed);
-    let mut memory: MemTimeline = HashMap::new();
-    // Results per op node; load values per (input node, edge).
-    let mut results: HashMap<NodeId, i64> = HashMap::new();
-
-    // Execute ops in absolute schedule order. Executing on a faulted PE is
-    // a hard error: the silicon is not there.
-    let spec = mapping.spec();
-    let mut ops: Vec<(i64, NodeId)> = Vec::new();
-    for (n, w) in graph.nodes() {
-        if w.kind.is_op() {
-            let slot = mapping.op_slot(n).ok_or(SimError::OpUnplaced { node: n })?;
-            let fu = RNode::new(slot.pe, slot.cycle_mod, himap_cgra::RKind::Fu);
-            if spec.faults.masks(spec, fu) {
-                return Err(SimError::FaultedResource { node: fu, abs: slot.abs });
-            }
-            ops.push((slot.abs, n));
+    // The route of each edge; of duplicate routes, the last one wins.
+    let mut route_of = vec![NONE; graph.edge_count()];
+    for (i, route) in mapping.routes().iter().enumerate() {
+        if let Some(r) = route_of.get_mut(route.edge.index()) {
+            *r = i as u32;
         }
     }
-    ops.sort();
+
+    // Place the ops. Executing on a faulted PE is a hard error: the silicon
+    // is not there. Root ops store their statement's target element,
+    // interned here once to a dense element id.
     let schemas = dfg.schemas();
-    for &(abs, node) in &ops {
+    let mut elements: HashMap<(ArrayId, Vec<i64>), u32> = HashMap::new();
+    let mut ops: Vec<(i64, NodeId, u32)> = Vec::new();
+    for (n, w) in graph.nodes() {
+        let NodeKind::Op { stmt, op, .. } = w.kind else { continue };
+        let slot = mapping.op_slot(n).ok_or(SimError::OpUnplaced { node: n })?;
+        let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
+        if spec.faults.masks(spec, fu) {
+            return Err(SimError::FaultedResource { node: fu, abs: slot.abs });
+        }
+        let mut target = NONE;
+        if op == schemas[stmt as usize].root_op() {
+            let stmt_ir = dfg.kernel().stmt(StmtId::from_index(stmt as usize));
+            let element = stmt_ir.target.element_at(&from_iter4(w.iter, dfg.dims()));
+            let next = elements.len() as u32;
+            target = *elements.entry((stmt_ir.target.array, element)).or_insert(next);
+        }
+        ops.push((slot.abs, n, target));
+    }
+    ops.sort_unstable();
+    // Every input node's element id (`NONE` when no op stores it, so it
+    // always reads its live-in) and seeded live-in value.
+    let mut inputs = vec![(NONE, 0i64); graph.node_count()];
+    for (n, _) in graph.nodes() {
+        if let Some((array, element)) = dfg.input_element(n) {
+            let live_in = live_ins.live_in(array, &element);
+            let id = elements.get(&(array, element)).copied().unwrap_or(NONE);
+            inputs[n.index()] = (id, live_in);
+        }
+    }
+
+    // Execute the ops in absolute schedule order. The data memories hold,
+    // per stored element id, its stores as `(visible-from cycle, value)`;
+    // ops execute in schedule order, so each list is sorted by visibility,
+    // and of equal visibilities the last store executed comes last.
+    let mut memory: Vec<Vec<(i64, i64)>> = vec![Vec::new(); elements.len()];
+    let mut results: Vec<Option<i64>> = vec![None; graph.node_count()];
+    for &(abs, node, target) in &ops {
         let NodeKind::Op { stmt, op, kind } = graph[node].kind else { unreachable!() };
         let schema = &schemas[stmt as usize].ops[op as usize];
         let mut operands = [0i64; 2];
@@ -162,99 +190,55 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
                 .find(|e| graph[e.id].slot == slot)
                 .ok_or(SimError::OperandUnavailable { node, slot })?;
             let root = graph[edge.id].signal(edge.src);
-            let value = match graph[root].kind {
+            operands[slot as usize] = match graph[root].kind {
                 NodeKind::Op { .. } => {
-                    *results.get(&root).ok_or(SimError::OperandUnavailable { node, slot })?
+                    results[root.index()].ok_or(SimError::OperandUnavailable { node, slot })?
                 }
                 NodeKind::Input { .. } => {
                     // Load at the route's first step time.
-                    let route =
-                        route_of.get(&edge.id).ok_or(SimError::RouteCorrupted { edge: edge.id })?;
-                    let load_abs = route.steps[0].1;
-                    let (array, element) = dfg
-                        .input_element(root)
-                        .ok_or(SimError::RouteCorrupted { edge: edge.id })?;
-                    memory_read(&memory, &live_ins, array, &element, load_abs)
+                    let corrupted = SimError::RouteCorrupted { edge: edge.id };
+                    let route = mapping.routes().get(route_of[edge.id.index()] as usize);
+                    let &(_, load_abs) = route.and_then(|r| r.steps.first()).ok_or(corrupted)?;
+                    let (id, live_in) = inputs[root.index()];
+                    memory_read(&memory, id, live_in, load_abs)
                 }
-                NodeKind::Route => {
-                    return Err(SimError::OperandUnavailable { node, slot });
-                }
+                NodeKind::Route => return Err(SimError::OperandUnavailable { node, slot }),
             };
-            operands[slot as usize] = value;
         }
         let value = kind.apply(operands[0], operands[1]);
-        results.insert(node, value);
-        // Root ops store their statement's target element.
-        if op == schemas[stmt as usize].root_op() {
-            let stmt_ir = dfg.kernel().stmt(himap_kernels::StmtId::from_index(stmt as usize));
-            let iter = himap_dfg::from_iter4(graph[node].iter, dfg.dims());
-            let element = stmt_ir.target.element_at(&iter);
-            memory
-                .entry((stmt_ir.target.array, element))
-                .or_default()
-                .push((abs + STORE_LATENCY, value));
+        results[node.index()] = Some(value);
+        if target != NONE {
+            memory[target as usize].push((abs + STORE_LATENCY, value));
         }
     }
 
-    // Stamp every route's value over its resource steps; more distinct
-    // values on one (resource, cycle) than the resource has capacity for
-    // exposes routing/replication bugs.
-    let mut occupancy: HashMap<(RNode, i64), Vec<i64>> = HashMap::new();
-    for route in mapping.routes() {
-        let (src, _) = graph.edge_endpoints(route.edge);
-        let root = graph[route.edge].signal(src);
-        let value = match graph[root].kind {
-            NodeKind::Op { .. } => results[&root],
-            NodeKind::Input { .. } => {
-                let (array, element) =
-                    dfg.input_element(root).ok_or(SimError::RouteCorrupted { edge: route.edge })?;
-                memory_read(&memory, &live_ins, array, &element, route.steps[0].1)
-            }
-            NodeKind::Route => return Err(SimError::RouteCorrupted { edge: route.edge }),
-        };
-        for &(node, abs) in &route.steps {
-            if spec.faults.masks(spec, node) {
-                return Err(SimError::FaultedResource { node, abs });
-            }
-            if node.kind == himap_cgra::RKind::Fu {
-                // FU endpoints hold op results, accounted separately.
-                continue;
-            }
-            let values = occupancy.entry((node, abs)).or_default();
-            if !values.contains(&value) {
-                values.push(value);
-                if values.len() > mapping.spec().capacity(node.kind) {
-                    return Err(SimError::ResourceConflict { node, abs });
-                }
-            }
-        }
-    }
+    check_occupancy(mapping, &results, &inputs, &memory)?;
 
     // Compare final memory state with the interpreter.
     let mut elements_checked = 0usize;
-    for ((array, element), expected_value) in expected.iter() {
-        let actual = memory
-            .get(&(*array, element.clone()))
-            .and_then(|stores| stores.iter().max_by_key(|(t, _)| *t))
+    for (key, &expected_value) in expected.iter() {
+        let actual = elements
+            .get(key)
+            .and_then(|&id| memory[id as usize].last())
             .map(|&(_, v)| v)
-            .unwrap_or_else(|| live_ins.live_in(*array, element));
-        if actual != *expected_value {
+            .unwrap_or_else(|| live_ins.live_in(key.0, &key.1));
+        if actual != expected_value {
             return Err(SimError::ResultMismatch {
-                array: *array,
-                element: element.clone(),
-                expected: *expected_value,
+                array: key.0,
+                element: key.1.clone(),
+                expected: expected_value,
                 actual,
             });
         }
         elements_checked += 1;
     }
 
-    let cycles = ops.iter().map(|&(abs, _)| abs).max().unwrap_or(0) + 1;
-    let pe_count = mapping.spec().pe_count();
+    let cycles = ops.iter().map(|&(abs, ..)| abs).max().unwrap_or(0) + 1;
+    let pe_count = spec.pe_count();
     let measured_utilization = ops.len() as f64 / (pe_count as f64 * cycles as f64);
     let model = PowerModel::cmos40nm();
-    let power_mw = model.array_power_mw(mapping.spec(), measured_utilization.min(1.0));
-    let seconds = cycles as f64 / (mapping.spec().freq_mhz * 1e6);
+    let power_mw = model.array_power_mw(spec, measured_utilization.min(1.0));
+    let seconds = cycles as f64 / (spec.freq_mhz * 1e6);
     let energy_uj = power_mw * 1e-3 * seconds * 1e6;
     Ok(SimReport {
         cycles,
@@ -265,25 +249,104 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
     })
 }
 
-/// Reads an element at an absolute cycle: the latest store visible by then,
-/// falling back to the seeded live-in value.
-fn memory_read(
-    memory: &MemTimeline,
-    live_ins: &ArrayStore,
-    array: ArrayId,
-    element: &[i64],
-    abs: i64,
-) -> i64 {
-    memory
-        .get(&(array, element.to_vec()))
-        .and_then(|stores| {
-            stores
-                .iter()
-                .filter(|&&(visible, _)| visible <= abs)
-                .max_by_key(|&&(visible, _)| visible)
-        })
-        .map(|&(_, v)| v)
-        .unwrap_or_else(|| live_ins.live_in(array, element))
+/// "No id": an edge without a route, an op storing nothing, an input whose
+/// element no op stores.
+const NONE: u32 = u32::MAX;
+
+/// Reads element `id` at an absolute cycle: the latest store visible by
+/// then, falling back to the seeded live-in value.
+fn memory_read(memory: &[Vec<(i64, i64)>], id: u32, live_in: i64, abs: i64) -> i64 {
+    let Some(stores) = memory.get(id as usize) else { return live_in };
+    match stores.partition_point(|&(visible, _)| visible <= abs) {
+        0 => live_in,
+        n => stores[n - 1].1,
+    }
+}
+
+/// Stamps every route's value over its resource steps; more distinct
+/// values on one `(resource, cycle)` than the resource has capacity for
+/// exposes routing/replication bugs.
+///
+/// Claims are one flat `(resource key, cycle, claim order, route)` list,
+/// sorted once and scanned run by run. A run's overflow is found at the
+/// claim that brings its distinct values past capacity, and the earliest
+/// such claim over all runs is reported. Stamping stops at the first
+/// faulted step or unresolvable route: only claims before it can overflow
+/// earlier.
+fn check_occupancy(
+    mapping: &Mapping,
+    results: &[Option<i64>],
+    inputs: &[(u32, i64)],
+    memory: &[Vec<(i64, i64)>],
+) -> Result<(), SimError> {
+    let dfg = mapping.dfg();
+    let graph = dfg.graph();
+    let spec = mapping.spec();
+    let mut values: Vec<i64> = Vec::with_capacity(mapping.routes().len());
+    // Sized for every step up front: growing by doubling would copy the
+    // largest allocation of the check.
+    let steps = mapping.routes().iter().map(|r| r.steps.len()).sum();
+    let mut claims: Vec<(u128, i64, u32, u32)> = Vec::with_capacity(steps);
+    let mut stop = None;
+    'stamp: for (i, route) in mapping.routes().iter().enumerate() {
+        let (src, _) = graph.edge_endpoints(route.edge);
+        let root = graph[route.edge].signal(src);
+        let value = match graph[root].kind {
+            // Every op has executed by now.
+            NodeKind::Op { .. } => results[root.index()].unwrap_or_default(),
+            NodeKind::Input { .. } => {
+                let (id, live_in) = inputs[root.index()];
+                route
+                    .steps
+                    .first()
+                    .map_or(live_in, |&(_, abs)| memory_read(memory, id, live_in, abs))
+            }
+            NodeKind::Route => {
+                stop = Some(SimError::RouteCorrupted { edge: route.edge });
+                break;
+            }
+        };
+        values.push(value);
+        for &(node, abs) in &route.steps {
+            if spec.faults.masks(spec, node) {
+                stop = Some(SimError::FaultedResource { node, abs });
+                break 'stamp;
+            }
+            // FU endpoints hold op results, accounted separately.
+            if node.kind != RKind::Fu {
+                claims.push((node.packed_key(), abs, claims.len() as u32, i as u32));
+            }
+        }
+    }
+    claims.sort_unstable();
+    let mut first: Option<(u32, RNode, i64)> = None;
+    let mut distinct: Vec<i64> = Vec::new();
+    for run in claims.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let node = RNode::from_packed_key(run[0].0);
+        let capacity = spec.capacity(node.kind);
+        if run.len() <= capacity {
+            continue;
+        }
+        distinct.clear();
+        for &(_, abs, order, route) in run {
+            if first.is_some_and(|(earliest, ..)| earliest < order) {
+                break;
+            }
+            let value = values[route as usize];
+            if !distinct.contains(&value) {
+                distinct.push(value);
+                if distinct.len() > capacity {
+                    first = Some((order, node, abs));
+                    break;
+                }
+            }
+        }
+    }
+    match (first, stop) {
+        (Some((_, node, abs)), _) => Err(SimError::ResourceConflict { node, abs }),
+        (None, Some(error)) => Err(error),
+        (None, None) => Ok(()),
+    }
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]

@@ -9,9 +9,12 @@
 //!   operand values that must have physically travelled the routed resource
 //!   sequence (wire, register-file and output-register steps, one cycle per
 //!   hop);
-//! * every `(resource, cycle)` pair may carry exactly one value — two
-//!   different values on one wire or register in the same cycle is a
-//!   [`SimError::ResourceConflict`] (a routing or replication bug);
+//! * every `(resource, cycle)` pair may carry at most as many distinct
+//!   values as the resource has capacity (`CgraSpec::capacity`): one on a
+//!   wire, register or output register, the port count on the memory port
+//!   and the register file's write and read ports. One more is a
+//!   [`SimError::ResourceConflict`] (a routing or replication bug); one
+//!   value fanned out to several consumers is a single value;
 //! * the per-PE data memories are modelled with store-to-load visibility
 //!   latency, so memory-routed dependences (Floyd–Warshall's pivots) are
 //!   genuinely checked, not assumed;

@@ -9,12 +9,9 @@
 //! anywhere in placement, routing, replication or statistics surfaces as a
 //! diagnostic instead of a miscompiled accelerator image.
 
-use std::collections::{HashMap, HashSet};
-
 use himap_cgra::{Mrrg, MrrgIndex, RKind, RNode};
-use himap_core::{ConfigImage, Mapping};
+use himap_core::{ConfigImage, Mapping, Slot};
 use himap_dfg::{EdgeKind, NodeKind};
-use himap_graph::{EdgeId, NodeId};
 
 use himap_analyze::{Code, Diagnostic, DiagnosticSink};
 
@@ -36,13 +33,14 @@ pub fn verify_mapping(mapping: &Mapping) -> DiagnosticSink {
     let index = MrrgIndex::shared(mapping.spec().clone(), iib);
     let mrrg = index.mrrg();
 
-    let placements_ok = check_placement(mapping, mrrg, &mut sink);
+    let slots = slot_table(mapping);
+    let placements_ok = check_placement(mapping, &slots, mrrg, &mut sink);
     check_route_coverage(mapping, &mut sink);
     for route in mapping.routes() {
         check_route_path(mapping, &index, route, &mut sink);
     }
-    check_schedule(mapping, &mut sink);
-    check_exclusivity(mapping, &mut sink);
+    check_schedule(mapping, &slots, &mut sink);
+    check_exclusivity(mapping, &slots, &mut sink);
     if placements_ok && !sink.has_errors() {
         // `ConfigImage` trusts placements; only decode an image the checks
         // above found structurally sound.
@@ -52,16 +50,33 @@ pub fn verify_mapping(mapping: &Mapping) -> DiagnosticSink {
     sink
 }
 
+/// The FU slot of every DFG node, indexed by node id: the mapping's slot
+/// map read once into the dense table every check below indexes.
+fn slot_table(mapping: &Mapping) -> Vec<Option<Slot>> {
+    let mut slots = vec![None; mapping.dfg().graph().node_count()];
+    for (node, &slot) in mapping.op_slots() {
+        if let Some(entry) = slots.get_mut(node.index()) {
+            *entry = Some(slot);
+        }
+    }
+    slots
+}
+
 /// Every compute op must own an in-bounds FU slot whose modulo cycle agrees
 /// with its absolute time. Returns `false` when any op is unplaced.
-fn check_placement(mapping: &Mapping, mrrg: &Mrrg, sink: &mut DiagnosticSink) -> bool {
+fn check_placement(
+    mapping: &Mapping,
+    slots: &[Option<Slot>],
+    mrrg: &Mrrg,
+    sink: &mut DiagnosticSink,
+) -> bool {
     let iib = mrrg.ii() as i64;
     let mut complete = true;
     for (node, w) in mapping.dfg().graph().nodes() {
         let NodeKind::Op { kind: op_kind, .. } = w.kind else {
             continue;
         };
-        let Some(slot) = mapping.op_slot(node) else {
+        let Some(slot) = slots[node.index()] else {
             complete = false;
             sink.push(
                 Diagnostic::error(
@@ -128,12 +143,15 @@ fn check_placement(mapping: &Mapping, mrrg: &Mrrg, sink: &mut DiagnosticSink) ->
 
 /// Every DFG edge must be implemented by exactly one route.
 fn check_route_coverage(mapping: &Mapping, sink: &mut DiagnosticSink) {
-    let mut seen: HashMap<EdgeId, usize> = HashMap::new();
+    let graph = mapping.dfg().graph();
+    let mut seen = vec![0usize; graph.edge_count()];
     for route in mapping.routes() {
-        *seen.entry(route.edge).or_insert(0) += 1;
+        if let Some(count) = seen.get_mut(route.edge.index()) {
+            *count += 1;
+        }
     }
-    for e in mapping.dfg().graph().edge_ids() {
-        match seen.get(&e).copied().unwrap_or(0) {
+    for e in graph.edge_ids() {
+        match seen[e.index()] {
             0 => sink.push(
                 Diagnostic::error(Code::V002, format!("edge e{} has no route", e.index()))
                     .at_edge(e),
@@ -257,22 +275,38 @@ fn check_route_path(
 /// its consumer's FU at the consumer's cycle, originate at its true source
 /// (producer FU, a memory port, or the forwarded root's net), and respect
 /// memory causality and anti-dependences.
-fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
+fn check_schedule(mapping: &Mapping, slots: &[Option<Slot>], sink: &mut DiagnosticSink) {
     let dfg = mapping.dfg();
-    // The net of every root signal: all (resource, abs) its routes occupy,
-    // excluding trailing consumer FUs (an op input is not re-drivable).
-    let mut nets: HashMap<NodeId, HashSet<(RNode, i64)>> = HashMap::new();
-    for route in mapping.routes() {
-        let (src, _) = dfg.graph().edge_endpoints(route.edge);
-        let root = dfg.graph()[route.edge].signal(src);
-        let net = nets.entry(root).or_default();
-        for (i, &(node, abs)) in route.steps.iter().enumerate() {
-            let trailing_fu = i + 1 == route.steps.len() && node.kind == RKind::Fu;
-            if !trailing_fu {
-                net.insert((node, abs));
+    let graph = dfg.graph();
+    // The net of every root signal some forward edge taps: all
+    // `(root, resource, abs)` its routes occupy, excluding trailing consumer
+    // FUs (an op input is not re-drivable). One sorted vector holds them
+    // all; a tap is a binary search.
+    let mut tapped = vec![false; graph.node_count()];
+    for e in graph.edge_ids() {
+        if let EdgeKind::Forward { root } = graph[e].kind {
+            if let Some(t) = tapped.get_mut(root.index()) {
+                *t = true;
             }
         }
     }
+    let steps = mapping.routes().iter().map(|r| r.steps.len()).sum();
+    let mut nets: Vec<(u32, u128, i64)> = Vec::with_capacity(steps);
+    for route in mapping.routes() {
+        let (src, _) = graph.edge_endpoints(route.edge);
+        let root = graph[route.edge].signal(src);
+        if !tapped.get(root.index()).is_some_and(|&t| t) {
+            continue;
+        }
+        for (i, &(node, abs)) in route.steps.iter().enumerate() {
+            let trailing_fu = i + 1 == route.steps.len() && node.kind == RKind::Fu;
+            if !trailing_fu {
+                nets.push((root.index() as u32, node.packed_key(), abs));
+            }
+        }
+    }
+    nets.sort_unstable();
+    nets.dedup();
 
     for route in mapping.routes() {
         let e = route.edge;
@@ -281,9 +315,9 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
         else {
             continue; // empty routes already reported by V002
         };
-        let (src, dst) = dfg.graph().edge_endpoints(e);
+        let (src, dst) = graph.edge_endpoints(e);
         // Delivery: the consuming FU at the consumer's exact cycle.
-        if let Some(dslot) = mapping.op_slot(dst) {
+        if let Some(dslot) = slots[dst.index()] {
             if last.kind != RKind::Fu || last.pe != dslot.pe || last_abs != dslot.abs {
                 sink.push(
                     Diagnostic::error(
@@ -305,9 +339,9 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
             }
         }
         // Origin: the route must start where the signal really is.
-        match (dfg.graph()[e].kind, dfg.graph()[src].kind) {
+        match (graph[e].kind, graph[src].kind) {
             (EdgeKind::Flow, NodeKind::Op { .. }) => {
-                if let Some(sslot) = mapping.op_slot(src) {
+                if let Some(sslot) = slots[src.index()] {
                     let at_producer =
                         first.kind == RKind::Fu && first.pe == sslot.pe && first_abs == sslot.abs;
                     if !at_producer {
@@ -350,7 +384,8 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
                 }
             }
             (EdgeKind::Forward { root }, _) => {
-                let on_net = nets.get(&root).is_some_and(|net| net.contains(&(first, first_abs)));
+                let tap = (root.index() as u32, first.packed_key(), first_abs);
+                let on_net = nets.binary_search(&tap).is_ok();
                 if !on_net {
                     sink.push(
                         Diagnostic::error(
@@ -375,10 +410,10 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
 
     // Each node's earliest and latest first-step time over the routes
     // leaving it, indexed once for the dependence checks below.
-    let mut source_times: Vec<Option<(i64, i64)>> = vec![None; dfg.graph().node_count()];
+    let mut source_times: Vec<Option<(i64, i64)>> = vec![None; graph.node_count()];
     for route in mapping.routes() {
         let Some(&(_, abs)) = route.steps.first() else { continue };
-        let (src, _) = dfg.graph().edge_endpoints(route.edge);
+        let (src, _) = graph.edge_endpoints(route.edge);
         let (lo, hi) = source_times[src.index()].get_or_insert((abs, abs));
         *lo = (*lo).min(abs);
         *hi = (*hi).max(abs);
@@ -388,7 +423,7 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
     // readable two cycles after the producer executes (result registered,
     // then written to memory).
     for &(producer, input) in dfg.mem_deps() {
-        let Some(p_abs) = mapping.op_slot(producer).map(|s| s.abs) else { continue };
+        let Some(p_abs) = slots[producer.index()].map(|s| s.abs) else { continue };
         if let Some((load_abs, _)) = source_times[input.index()] {
             if load_abs < p_abs + 2 {
                 sink.push(
@@ -412,7 +447,7 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
     // store becomes visible (readable from writer_abs + 2, so the last
     // legal load cycle is writer_abs + 1).
     for &(reader, writer) in dfg.anti_deps() {
-        let Some(w_abs) = mapping.op_slot(writer).map(|s| s.abs) else { continue };
+        let Some(w_abs) = slots[writer.index()].map(|s| s.abs) else { continue };
         if let Some((_, load_abs)) = source_times[reader.index()] {
             if load_abs > w_abs + 1 {
                 sink.push(
@@ -438,19 +473,20 @@ fn check_schedule(mapping: &Mapping, sink: &mut DiagnosticSink) {
 /// uses, but derived here from the final artifact instead of the mapper's
 /// intermediate state. Register-file resources report as V004.
 ///
-/// Claims are one flat `(resource, signal)` list in stamping order. A stable
-/// sort by resource groups each resource's claims while keeping them in
-/// claim order, so diagnostics come out in `RNode` order and list each
-/// resource's distinct signals in first-claim order.
-fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {
+/// Claims are one flat `(resource key, claim order, signal)` list, keyed by
+/// [`RNode::packed_key`]. Sorting it groups each resource's claims in claim
+/// order, so diagnostics come out in `RNode` order and list each resource's
+/// distinct signals in first-claim order.
+fn check_exclusivity(mapping: &Mapping, slots: &[Option<Slot>], sink: &mut DiagnosticSink) {
     let dfg = mapping.dfg();
     let spec = mapping.spec();
-    let mut claims: Vec<(RNode, u32)> = Vec::new();
+    let steps: usize = mapping.routes().iter().map(|r| r.steps.len()).sum();
+    let mut claims: Vec<(u128, u32, u32)> = Vec::with_capacity(slots.len() + steps);
     for (node, w) in dfg.graph().nodes() {
         if matches!(w.kind, NodeKind::Op { .. }) {
-            if let Some(slot) = mapping.op_slot(node) {
+            if let Some(slot) = slots[node.index()] {
                 let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
-                claims.push((fu, node.index() as u32));
+                claims.push((fu.packed_key(), claims.len() as u32, node.index() as u32));
             }
         }
     }
@@ -463,20 +499,20 @@ fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {
             if endpoint && node.kind == RKind::Fu {
                 continue;
             }
-            claims.push((node, root.index() as u32));
+            claims.push((node.packed_key(), claims.len() as u32, root.index() as u32));
         }
     }
-    claims.sort_by_key(|&(node, _)| node);
+    claims.sort_unstable();
     let mut signals: Vec<u32> = Vec::new();
     for run in claims.chunk_by(|a, b| a.0 == b.0) {
-        let node = run[0].0;
+        let node = RNode::from_packed_key(run[0].0);
         let capacity = spec.capacity(node.kind);
         // A run no longer than capacity cannot oversubscribe: skip the dedup.
         if run.len() <= capacity {
             continue;
         }
         signals.clear();
-        for &(_, signal) in run {
+        for &(_, _, signal) in run {
             if !signals.contains(&signal) {
                 signals.push(signal);
             }
