@@ -128,6 +128,12 @@ stage "bound consistency vs exact oracle" \
 stage "fault-injection sweep" \
   cargo test --release -q --test fault_injection -- --ignored
 
+# Paper-scale endpoint: GEMM b = 64 on a 64x64 CGRA (Fig. 8's largest
+# point) maps, verifies with no errors and simulates within 500 MiB of
+# peak RSS, with routing work and window equal to b = 16's (≈ 10 s).
+stage "fig8 endpoint b = 64" \
+  cargo test --release -q --test fig8_endpoint_64 -- --ignored
+
 # Capability-model gates: a kernel needing an op-class no live PE provides
 # must be rejected with A010 (exit 1), and a heterogeneous fabric request
 # with capable PEs must stay clean (exit 0). `--only-mul-pes 0,0` leaves

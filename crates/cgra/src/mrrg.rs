@@ -13,8 +13,9 @@
 //! *implicit*: [`Mrrg::successors`] and [`Mrrg::predecessors`] enumerate
 //! adjacent resources on demand.
 //!
-//! For hot paths the implicit graph is compiled once into an [`MrrgIndex`]:
-//! every node gets a dense [`RIdx`] id and the full adjacency (with per-edge
+//! For hot paths the implicit graph is compiled into an [`MrrgIndex`] over
+//! a set of PEs (a window, or the whole array): every node of those PEs gets
+//! a dense [`RIdx`] id and the adjacency inside the window (with per-edge
 //! latencies) is laid out in CSR form, so routers index flat arrays instead
 //! of hashing [`RNode`] keys. The implicit enumeration stays as the
 //! reference implementation the index is differentially tested against.
@@ -171,6 +172,35 @@ impl fmt::Display for RNode {
     }
 }
 
+/// The slot of a resource kind within its `(pe, t)` in the padded resource
+/// layouts ([`Mrrg::position`] and the [`MrrgIndex`] id table): the kind
+/// order of [`RNode`], so padded positions ascend in node order.
+#[inline]
+fn slot_of(kind: RKind, rf: usize) -> usize {
+    match kind {
+        RKind::Fu => 0,
+        RKind::Out => 1,
+        RKind::Wire(d) => 2 + d.index(),
+        RKind::Reg(r) => 6 + r as usize,
+        RKind::RegWr => 6 + rf,
+        RKind::RegRd => 7 + rf,
+        RKind::Mem => 8 + rf,
+    }
+}
+
+/// The resource kind in `slot` (the inverse of [`slot_of`]).
+fn kind_of_slot(slot: usize, rf: usize) -> RKind {
+    match slot {
+        0 => RKind::Fu,
+        1 => RKind::Out,
+        2..=5 => RKind::Wire(ALL_DIRS[slot - 2]),
+        s if s < 6 + rf => RKind::Reg((s - 6) as u8),
+        s if s == 6 + rf => RKind::RegWr,
+        s if s == 7 + rf => RKind::RegRd,
+        _ => RKind::Mem,
+    }
+}
+
 /// `true` when the MRRG edge `from → to` completes within one cycle (a
 /// crossbar feed), `false` for a clocked hop. Shared by
 /// [`Mrrg::edge_latency`] and the [`MrrgIndex`] CSR builder so the two can
@@ -200,7 +230,7 @@ fn same_cycle(from: RKind, to: RKind) -> bool {
 /// let fu1 = RNode::new(PeId::new(0, 0), 1, RKind::Fu);
 /// assert!(mrrg.successors(fu1).contains(&RNode::new(PeId::new(0, 0), 0, RKind::Out)));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mrrg {
     spec: CgraSpec,
     ii: u32,
@@ -290,26 +320,63 @@ impl Mrrg {
     /// Iterates all resource nodes in ascending [`RNode`] order without
     /// materializing them — the allocation-free form of [`Mrrg::nodes`].
     pub fn nodes_iter(&self) -> impl Iterator<Item = RNode> + '_ {
-        let ii = self.ii;
+        self.spec.pes().flat_map(move |pe| self.pe_nodes(pe))
+    }
+
+    /// The resource nodes of one in-array PE, in ascending [`RNode`] order.
+    fn pe_nodes(&self, pe: PeId) -> impl Iterator<Item = RNode> + '_ {
         let rf = self.spec.rf_size;
-        self.spec
-            .pes()
-            .flat_map(move |pe| {
-                (0..ii).flat_map(move |t| {
-                    [RKind::Fu, RKind::Out]
-                        .into_iter()
-                        .chain(
-                            ALL_DIRS
-                                .into_iter()
-                                .filter(move |&d| self.spec.neighbor(pe, d).is_some())
-                                .map(RKind::Wire),
-                        )
-                        .chain((0..rf).map(|r| RKind::Reg(r as u8)))
-                        .chain([RKind::RegWr, RKind::RegRd, RKind::Mem])
-                        .map(move |kind| RNode::new(pe, t, kind))
-                })
+        (0..self.ii)
+            .flat_map(move |t| {
+                [RKind::Fu, RKind::Out]
+                    .into_iter()
+                    .chain(
+                        ALL_DIRS
+                            .into_iter()
+                            .filter(move |&d| self.spec.neighbor(pe, d).is_some())
+                            .map(RKind::Wire),
+                    )
+                    .chain((0..rf).map(|r| RKind::Reg(r as u8)))
+                    .chain([RKind::RegWr, RKind::RegRd, RKind::Mem])
+                    .map(move |kind| RNode::new(pe, t, kind))
             })
             .filter(move |&n| !self.masked(n))
+    }
+
+    /// Resource slots per `(pe, t)` in the padded layouts: `9 + rf_size`.
+    #[inline]
+    fn slot_count(&self) -> usize {
+        9 + self.spec.rf_size
+    }
+
+    /// `node`'s position in the array-wide padded resource layout,
+    /// `((x · cols + y) · II + t) · (9 + rf_size) + slot` with the slots in
+    /// the kind order of [`RNode`], or `None` when `node` is not part of
+    /// this MRRG. Positions ascend in `RNode` order, as the ids of an
+    /// every-PE [`MrrgIndex`] do, but come from arithmetic alone: keying
+    /// claims by position needs no index.
+    #[inline]
+    pub fn position(&self, node: RNode) -> Option<usize> {
+        if !self.contains(node) {
+            return None;
+        }
+        let pe = node.pe.x as usize * self.spec.cols + node.pe.y as usize;
+        let slot = slot_of(node.kind, self.spec.rf_size);
+        Some((pe * self.ii() + node.t as usize) * self.slot_count() + slot)
+    }
+
+    /// The node at padded `position` (the inverse of [`Mrrg::position`]).
+    pub fn node_at(&self, position: usize) -> RNode {
+        let slots = self.slot_count();
+        let (cell, slot) = (position / slots, position % slots);
+        let (pe, t) = (cell / self.ii(), cell % self.ii());
+        let pe = PeId::new(pe / self.spec.cols, pe % self.spec.cols);
+        RNode::new(pe, t as u32, kind_of_slot(slot, self.spec.rf_size))
+    }
+
+    /// One past the largest padded position.
+    pub fn position_count(&self) -> usize {
+        self.spec.pe_count() * self.ii() * self.slot_count()
     }
 
     /// Enumerates all resource nodes (for tests and small explicit uses;
@@ -330,11 +397,16 @@ impl Mrrg {
         debug_assert!(self.contains(node), "{node:?} outside MRRG");
         // Filter faulted endpoints at the emission point, so every consumer
         // (routers, the CSR builder, the verifier) sees only live resources.
-        let mut f = |n: RNode| {
+        self.each_unmasked_successor(node, |n| {
             if !self.masked(n) {
                 f(n);
             }
-        };
+        });
+    }
+
+    /// The successors of `node` by the architecture rules alone, masked
+    /// resources included, in [`Mrrg::for_each_successor`]'s order.
+    fn each_unmasked_successor(&self, node: RNode, mut f: impl FnMut(RNode)) {
         let pe = node.pe;
         let t1 = self.t_next(node.t);
         match node.kind {
@@ -497,12 +569,19 @@ impl Mrrg {
         if !self.contains(from) || !self.contains(to) {
             return None;
         }
+        self.live_edge_latency(from, to)
+    }
+
+    /// [`Mrrg::edge_latency`] for two nodes the caller already knows to be
+    /// part of this MRRG ([`Mrrg::contains`]): the architecture rules alone
+    /// decide whether the edge exists, so no resource's mask is consulted.
+    /// A checker that has validated every step of a path first pays no
+    /// mask lookups per hop.
+    pub fn live_edge_latency(&self, from: RNode, to: RNode) -> Option<u32> {
+        debug_assert!(self.contains(from) && self.contains(to), "{from:?} -> {to:?} not live");
         let mut found = false;
-        self.for_each_successor(from, |s| found |= s == to);
-        if !found {
-            return None;
-        }
-        Some(if same_cycle(from.kind, to.kind) { 0 } else { 1 })
+        self.each_unmasked_successor(from, |s| found |= s == to);
+        found.then_some(if same_cycle(from.kind, to.kind) { 0 } else { 1 })
     }
 
     fn each_wire(&self, pe: PeId, t: u32, f: &mut impl FnMut(RNode)) {
@@ -562,8 +641,8 @@ pub struct MemoryStats {
     /// Directed MRRG edges (forward CSR length; the backward CSR mirrors
     /// the same edges).
     pub edges: usize,
-    /// Bytes held by the index's dense tables (padded id table,
-    /// capacities, both CSR halves and the node list).
+    /// Bytes held by the index's dense tables (PE rank table, padded id
+    /// table, capacities, both CSR halves and the node list).
     pub bytes: usize,
 }
 
@@ -578,24 +657,31 @@ impl MemoryStats {
     }
 }
 
-/// The [`Mrrg`] compiled to dense ids and CSR adjacency.
+/// The [`Mrrg`] compiled to dense ids and CSR adjacency, over a window of
+/// PEs.
 ///
-/// Built once per `(spec, II)` — see [`MrrgIndex::shared`] — and then
-/// shared by every router, the replication pass and the verifier that
-/// need the graph. Per edge the CSR stores the target id plus the
-/// architectural latency (one bit: crossbar feed or clocked hop), so
-/// routing and hop-timing checks never re-enumerate neighbour sets.
+/// [`MrrgIndex::window`] indexes every node of the given PEs and keeps the
+/// edges between them; [`MrrgIndex::new`] is the window of every PE. Nodes
+/// keep their global coordinates, so a router over a window routes in array
+/// coordinates: HiMap's walk indexes only the PEs a layout's negotiation can
+/// touch, and its search state shrinks with the index. Per edge the CSR
+/// stores the target id plus the architectural latency (one bit: crossbar
+/// feed or clocked hop), so routing never re-enumerates neighbour sets.
 ///
 /// The dense order is the ascending [`RNode`] order of [`Mrrg::nodes`];
 /// adjacency rows preserve the enumeration order of [`Mrrg::successors`] /
-/// [`Mrrg::predecessors`] exactly. Both properties are what make an indexed
-/// search bit-identical to one over the implicit graph (same tie-breaks,
-/// same relaxation order) — and they are locked in by differential tests.
-#[derive(Debug)]
+/// [`Mrrg::predecessors`] exactly, minus the edges that leave the window.
+/// Both properties are what make an indexed search bit-identical to one
+/// over the implicit graph (same tie-breaks, same relaxation order), and
+/// they are locked in by differential tests.
+#[derive(Debug, PartialEq)]
 pub struct MrrgIndex {
     mrrg: Mrrg,
-    /// Padded `(pe, t, slot) → dense id` table; `INVALID` where no node
-    /// exists (mesh-border wire slots).
+    /// Row-major PE number → the PE's rank among the window's PEs;
+    /// `INVALID` outside the window.
+    rank_of: Vec<u32>,
+    /// Padded `(rank, t, slot) → dense id` table; `INVALID` where no node
+    /// exists (mesh-border wire slots, masked resources).
     idx_of: Vec<u32>,
     /// Dense id → node.
     node_of: Vec<RNode>,
@@ -614,26 +700,46 @@ pub struct MrrgIndex {
 }
 
 impl MrrgIndex {
-    /// Builds the index of `spec` time-extended to `ii` cycles. Prefer
-    /// [`MrrgIndex::shared`], which memoizes builds process-wide.
+    /// Builds the index of `spec` time-extended to `ii` cycles over every
+    /// PE: the every-PE [`MrrgIndex::window`].
     ///
     /// # Panics
     ///
-    /// Panics if `ii == 0`, if `rf_size > 256` (the `Reg(u8)` id space), or
-    /// if the graph exceeds `2^31` nodes (the packed-edge id space).
+    /// As [`MrrgIndex::window`].
     pub fn new(spec: CgraSpec, ii: usize) -> Self {
+        let pes: Vec<PeId> = spec.pes().collect();
+        MrrgIndex::window(spec, ii, pes)
+    }
+
+    /// Builds the index of `spec` time-extended to `ii` cycles over the
+    /// PEs `pes`, which must be in-array and strictly ascending. It holds
+    /// every node of those PEs and the edges between them; an edge to or
+    /// from a PE outside the window is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii == 0`, if `rf_size > 256` (the `Reg(u8)` id space), if
+    /// the graph exceeds `2^31` nodes (the packed-edge id space), or if
+    /// `pes` is not strictly ascending within the array.
+    pub fn window(spec: CgraSpec, ii: usize, pes: impl IntoIterator<Item = PeId>) -> Self {
         assert!(spec.rf_size <= 256, "register file exceeds the Reg(u8) id space");
         let mrrg = Mrrg::new(spec, ii);
-        let slot_count = 9 + mrrg.spec().rf_size;
-        let padded = mrrg.spec().pe_count() * ii * slot_count;
-        let node_count = mrrg.node_count();
-        assert!((node_count as u64) < LAT_BIT as u64, "MRRG exceeds the 2^31 packed-edge id space");
-        let mut idx_of = vec![INVALID; padded];
-        let mut node_of = Vec::with_capacity(node_count);
-        let mut cap_of = Vec::with_capacity(node_count);
+        let spec = mrrg.spec();
+        let pes: Vec<PeId> = pes.into_iter().collect();
+        assert!(
+            pes.windows(2).all(|w| w[0] < w[1]) && pes.iter().all(|&pe| spec.contains(pe)),
+            "window PEs must be in-array and strictly ascending"
+        );
+        let mut rank_of = vec![INVALID; spec.pe_count()];
+        for (rank, pe) in pes.iter().enumerate() {
+            rank_of[pe.x as usize * spec.cols + pe.y as usize] = rank as u32;
+        }
+        let slot_count = mrrg.slot_count();
+        let padded = pes.len() * ii * slot_count;
         let mut index = MrrgIndex {
             mrrg,
-            idx_of: Vec::new(),
+            rank_of,
+            idx_of: vec![INVALID; padded],
             node_of: Vec::new(),
             cap_of: Vec::new(),
             fwd_off: Vec::new(),
@@ -642,14 +748,22 @@ impl MrrgIndex {
             bwd: Vec::new(),
             slot_count,
         };
-        // `nodes_iter` yields ascending RNode order, which is exactly the
-        // padded (pe, t, slot) order — dense ids inherit the node order.
-        for node in index.mrrg.nodes_iter() {
-            idx_of[index.padded_index(node)] = node_of.len() as u32;
-            cap_of.push(index.mrrg.spec().capacity(node.kind) as u32);
-            node_of.push(node);
+        // PEs ascend, and each PE's nodes ascend in (t, kind): dense ids
+        // inherit the node order.
+        let mut node_of = Vec::with_capacity(padded);
+        let mut cap_of = Vec::with_capacity(padded);
+        for &pe in &pes {
+            for node in index.mrrg.pe_nodes(pe) {
+                let at = index.padded_index(node);
+                index.idx_of[at] = node_of.len() as u32;
+                cap_of.push(index.mrrg.spec().capacity(node.kind) as u32);
+                node_of.push(node);
+            }
         }
-        index.idx_of = idx_of;
+        assert!(
+            (node_of.len() as u64) < LAT_BIT as u64,
+            "MRRG exceeds the 2^31 packed-edge id space"
+        );
         index.node_of = node_of;
         index.cap_of = cap_of;
         let (fwd_off, fwd) = index.build_csr(true);
@@ -662,8 +776,9 @@ impl MrrgIndex {
     }
 
     /// Rows of packed edges in legacy enumeration order, forward or
-    /// backward. Latency is derived from the kind pair (`same_cycle`), the
-    /// same rule [`Mrrg::edge_latency`] applies.
+    /// backward, keeping only the edges inside the window. Latency is
+    /// derived from the kind pair (`same_cycle`), the same rule
+    /// [`Mrrg::edge_latency`] applies.
     ///
     /// One pass writes every row straight into the final `off`/`edges`
     /// vectors, on the calling thread.
@@ -681,8 +796,10 @@ impl MrrgIndex {
         off.push(0u32);
         for &node in &self.node_of {
             let mut push = |other: RNode| {
-                let padded = self.padded_index(other);
-                let id = self.idx_of[padded];
+                if self.rank(other.pe) == INVALID {
+                    return; // the edge leaves the window
+                }
+                let id = self.idx_of[self.padded_index(other)];
                 debug_assert_ne!(id, INVALID, "{node:?} edge to unindexed {other:?}");
                 debug_assert!(id < LAT_BIT, "dense id {id} collides with the latency bit");
                 let (from, to) = if forward { (node, other) } else { (other, node) };
@@ -703,9 +820,12 @@ impl MrrgIndex {
         (off, edges)
     }
 
-    /// The process-wide shared index for `(spec, ii)`, building it on first
-    /// use. The candidate walk's routers, the replication pass and the
-    /// verifier end up borrowing one build through this cache.
+    /// The process-wide shared every-PE index for `(spec, ii)`, building it
+    /// on first use; an LRU of 32 builds. Neither the mapper's walk nor the
+    /// verifier reads it: the walk builds a window index per layout, and
+    /// the verifier and replication work on the implicit [`Mrrg`]. It
+    /// serves callers that route on the whole fabric (the baselines, the
+    /// exact encoder, full-fabric reference routers in tests).
     pub fn shared(spec: CgraSpec, ii: usize) -> Arc<MrrgIndex> {
         // `CgraSpec` holds an `f64`, so no `Hash`/`Eq`: the cache is a small
         // LRU vector scanned linearly. Builds happen under the lock so
@@ -746,14 +866,16 @@ impl MrrgIndex {
         self.mrrg.ii()
     }
 
-    /// Number of indexed nodes (equals [`Mrrg::node_count`]).
+    /// Number of indexed nodes (equals [`Mrrg::node_count`] for the
+    /// every-PE index).
     pub fn len(&self) -> usize {
         self.node_of.len()
     }
 
     /// Memory footprint of the compiled tables.
     pub fn memory_stats(&self) -> MemoryStats {
-        let u32s = self.idx_of.len()
+        let u32s = self.rank_of.len()
+            + self.idx_of.len()
             + self.cap_of.len()
             + self.fwd_off.len()
             + self.fwd.len()
@@ -772,38 +894,34 @@ impl MrrgIndex {
         self.node_of.is_empty()
     }
 
+    /// An in-array PE's rank among the window's PEs; `INVALID` outside it.
     #[inline]
-    fn slot(&self, kind: RKind) -> usize {
-        let rf = self.mrrg.spec().rf_size;
-        match kind {
-            RKind::Fu => 0,
-            RKind::Out => 1,
-            RKind::Wire(d) => 2 + d.index(),
-            RKind::Reg(r) => 6 + r as usize,
-            RKind::RegWr => 6 + rf,
-            RKind::RegRd => 7 + rf,
-            RKind::Mem => 8 + rf,
-        }
+    fn rank(&self, pe: PeId) -> u32 {
+        self.rank_of[pe.x as usize * self.mrrg.spec().cols + pe.y as usize]
     }
 
-    /// Padded table position of a node known to lie inside the array.
+    /// Padded table position of a node on a window PE.
     #[inline]
     fn padded_index(&self, node: RNode) -> usize {
-        let spec = self.mrrg.spec();
-        let pe = node.pe.x as usize * spec.cols + node.pe.y as usize;
-        (pe * self.mrrg.ii() + node.t as usize) * self.slot_count + self.slot(node.kind)
+        let slot = slot_of(node.kind, self.mrrg.spec().rf_size);
+        (self.rank(node.pe) as usize * self.mrrg.ii() + node.t as usize) * self.slot_count + slot
     }
 
-    /// The dense id of `node`, or `None` when it is not part of the graph.
+    /// The dense id of `node`, or `None` when it is not part of the graph
+    /// or lies outside the window.
     #[inline]
     pub fn index_of(&self, node: RNode) -> Option<RIdx> {
-        if !self.mrrg.spec().contains(node.pe) || node.t as usize >= self.mrrg.ii() {
+        let spec = self.mrrg.spec();
+        if !spec.contains(node.pe) || node.t as usize >= self.mrrg.ii() {
             return None;
         }
         if let RKind::Reg(r) = node.kind {
-            if r as usize >= self.mrrg.spec().rf_size {
+            if r as usize >= spec.rf_size {
                 return None;
             }
+        }
+        if self.rank(node.pe) == INVALID {
+            return None;
         }
         match self.idx_of[self.padded_index(node)] {
             INVALID => None,
@@ -811,7 +929,8 @@ impl MrrgIndex {
         }
     }
 
-    /// `true` if `node` is part of the graph (equals [`Mrrg::contains`]).
+    /// `true` if `node` is part of the graph and of the window (equals
+    /// [`Mrrg::contains`] for the every-PE index).
     #[inline]
     pub fn contains(&self, node: RNode) -> bool {
         self.index_of(node).is_some()
@@ -1054,6 +1173,24 @@ mod tests {
                 m.node_count()
             );
         }
+    }
+
+    #[test]
+    fn positions_ascend_in_node_order_and_invert() {
+        let mut faults = crate::CapabilityMap::new();
+        faults.kill_pe(PeId::new(1, 1)).sever_link(PeId::new(0, 0), Dir::East);
+        let m = Mrrg::new(CgraSpec::mesh(3, 4).unwrap().with_faults(faults), 3);
+        let nodes = m.nodes();
+        let positions: Vec<usize> = nodes.iter().map(|&n| m.position(n).unwrap()).collect();
+        assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        assert!(positions.iter().all(|&p| p < m.position_count()));
+        for (&node, &p) in nodes.iter().zip(&positions) {
+            assert_eq!(m.node_at(p), node);
+        }
+        assert_eq!(m.position(RNode::new(PeId::new(1, 1), 0, RKind::Fu)), None, "dead PE");
+        assert_eq!(m.position(RNode::new(PeId::new(0, 0), 0, RKind::Wire(Dir::East))), None);
+        assert_eq!(m.position(RNode::new(PeId::new(3, 0), 0, RKind::Fu)), None, "off the array");
+        assert_eq!(m.position(RNode::new(PeId::new(0, 0), 3, RKind::Fu)), None, "t beyond II");
     }
 
     #[test]

@@ -5,15 +5,41 @@
 //! per-edge latencies. These properties drive random `(rows, cols, II)`
 //! triples through both representations and require exact agreement, so any
 //! drift between the on-the-fly enumeration and the CSR build fails here
-//! before it can corrupt a routed mapping.
+//! before it can corrupt a routed mapping. A window index over a subset of
+//! the PEs must in turn be the every-PE index cut down to that subset.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod support;
 
-use himap_cgra::{CapabilityMap, CgraSpec, Mrrg, MrrgIndex, RIdx, RNode};
+use himap_cgra::{CapabilityMap, CgraSpec, Mrrg, MrrgIndex, OpClass, PeId, RIdx, RNode};
 use proptest::prelude::*;
 use support::{arb_dims, arb_faulted};
+
+/// A random fabric (pristine, faulted or heterogeneous) with an II and a
+/// random PE subset, given as a bit mask over row-major PE numbers.
+fn arb_window() -> impl Strategy<Value = (CgraSpec, usize, u64)> {
+    (arb_faulted(), 0usize..3, any::<u64>()).prop_map(|((rows, cols, ii, faults), fabric, mask)| {
+        let spec = CgraSpec::mesh(rows, cols).expect("non-empty mesh");
+        let spec = match fabric {
+            0 => spec,
+            1 => spec.with_faults(faults),
+            _ => {
+                // Multipliers on the corners only, and one route-only PE.
+                let mut caps = CapabilityMap::corner_multipliers(rows, cols);
+                let pe = (mask % (rows * cols) as u64) as usize;
+                caps.set_classes(PeId::new(pe / cols, pe % cols), &[OpClass::Route]);
+                spec.with_faults(caps)
+            }
+        };
+        (spec, ii, mask)
+    })
+}
+
+/// `(node, latency)` of each edge in a CSR row.
+fn row(index: &MrrgIndex, edges: impl Iterator<Item = (RIdx, u32)>) -> Vec<(RNode, u32)> {
+    edges.map(|(j, lat)| (index.node(j), lat)).collect()
+}
 
 fn build(rows: usize, cols: usize, ii: usize) -> (Mrrg, MrrgIndex) {
     let spec = CgraSpec::mesh(rows, cols).expect("non-empty mesh");
@@ -102,6 +128,10 @@ proptest! {
             let pred: Vec<RNode> =
                 index.predecessors(RIdx(i as u32)).map(|(j, _)| index.node(j)).collect();
             prop_assert_eq!(pred, mrrg.predecessors(node), "predecessors of {:?}", node);
+            // The mask-free latency lookup agrees on every live pair.
+            for (j, lat) in index.successors(RIdx(i as u32)) {
+                prop_assert_eq!(mrrg.live_edge_latency(node, index.node(j)), Some(lat));
+            }
         }
     }
 
@@ -140,5 +170,38 @@ proptest! {
         fwd.sort_unstable();
         bwd.sort_unstable();
         prop_assert_eq!(fwd, bwd);
+    }
+
+    #[test]
+    fn window_rows_are_the_full_rows_cut_to_the_window((spec, ii, mask) in arb_window()) {
+        let full = MrrgIndex::new(spec.clone(), ii);
+        let cols = spec.cols;
+        let pes: Vec<PeId> =
+            spec.pes().filter(|pe| mask >> (pe.x as usize * cols + pe.y as usize) & 1 == 1).collect();
+        let window = MrrgIndex::window(spec.clone(), ii, pes.iter().copied());
+        let inside = |node: &RNode| pes.contains(&node.pe);
+        let kept: Vec<RNode> = full.nodes().iter().copied().filter(inside).collect();
+        prop_assert_eq!(window.nodes(), kept.as_slice());
+        prop_assert!(window.nodes().windows(2).all(|w| w[0] < w[1]), "ids ascend in RNode order");
+        for (i, &node) in window.nodes().iter().enumerate() {
+            let (wi, fi) = (RIdx(i as u32), full.index_of(node).expect("a full-index node"));
+            prop_assert_eq!(window.index_of(node), Some(wi));
+            prop_assert_eq!(window.capacity(wi), full.capacity(fi));
+            let mut succ = row(&full, full.successors(fi));
+            succ.retain(|(n, _)| inside(n));
+            prop_assert_eq!(row(&window, window.successors(wi)), succ, "successors of {:?}", node);
+            let mut pred = row(&full, full.predecessors(fi));
+            pred.retain(|(n, _)| inside(n));
+            prop_assert_eq!(row(&window, window.predecessors(wi)), pred, "predecessors of {:?}", node);
+        }
+        for node in full.nodes().iter().filter(|n| !inside(n)) {
+            prop_assert_eq!(window.index_of(*node), None, "{:?} is outside the window", node);
+        }
+    }
+
+    #[test]
+    fn every_pe_window_is_the_full_index((spec, ii, _) in arb_window()) {
+        let window = MrrgIndex::window(spec.clone(), ii, spec.pes());
+        prop_assert!(window == MrrgIndex::new(spec, ii), "field-for-field equality");
     }
 }

@@ -6,14 +6,17 @@
 //! and stops at the first terminal verdict — the literal Algorithm-1 loop.
 //! A deadline stops it between candidates, between phases and mid-route.
 //!
-//! The walk keeps one long-lived [`Router`] per initiation interval, holding
-//! a cloned `Arc<MrrgIndex>` and epoch-reset search scratch, so routing a
-//! candidate costs a [`Router::reset`] (two `memset`s) instead of a full
-//! router construction.
+//! Each layout's representatives are routed over an [`MrrgIndex`] of just
+//! the PEs their negotiation can touch ([`negotiation_window`]), so the
+//! router's congestion state and search scratch are sized by the minimal
+//! DFG, not the fabric. The walk keeps one [`Router`] per initiation
+//! interval and re-points it at each layout's window ([`Router::rebind`]);
+//! the layout's feedback rounds reuse it through [`Router::reset`].
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use himap_cgra::{CgraSpec, MrrgIndex, Vsa};
@@ -25,7 +28,7 @@ use himap_systolic::{search_counted, RankedMap, SearchConfig};
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
 use crate::options::{HiMapError, HiMapOptions, MapReport};
-use crate::route::{route_representatives_pooled, Replication};
+use crate::route::{negotiation_window, route_representatives_pooled, Replication};
 use crate::stats::{timed, PipelineStats};
 use crate::submap::{map_idfg_counted, SubMapping};
 use crate::unique::classify;
@@ -278,7 +281,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The evaluation state of one walk, reused from candidate to candidate:
-/// the run's stats record, the dependence-probe cache and the router pool.
+/// the run's stats record, the dependence-probe cache and the routers.
 struct Walk<'a> {
     kernel: &'a Kernel,
     cgra: &'a CgraSpec,
@@ -288,35 +291,38 @@ struct Walk<'a> {
     /// probe-block shape to pre-filter space-dimension assignments without
     /// unrolling full blocks.
     probe_cache: HashMap<Vec<usize>, Deps>,
-    /// One long-lived router per initiation interval. The dense `MrrgIndex`
-    /// behind each comes from the process-wide share cache; the congestion
-    /// vectors and epoch-stamped search scratch survive from candidate to
-    /// candidate. [`Router::reset`] restores the search-visible state a
-    /// freshly built router would have, so the walk's deterministic counters
-    /// (`tests/pipeline_stats.rs` goldens) are those of the pooled router.
-    /// Ordered by II, so the routers and their multi-megabyte search
-    /// scratch are freed in the same order in every process: that order
-    /// decides where the next walk's zeroed scratch lands in the heap, and
-    /// so the peak resident memory.
+    /// One router per initiation interval, re-pointed at each layout's
+    /// window index ([`Router::rebind`]), so its search scratch is
+    /// allocated once per II rather than once per layout. Ordered by II,
+    /// so the routers are freed in the same order in every process: that
+    /// order decides where the next walk's zeroed scratch lands in the
+    /// heap, and so the peak resident memory.
     routers: BTreeMap<usize, Router>,
 }
 
-/// The pooled router for `layout`'s II, plus the time spent acquiring the
-/// index and constructing the router when this call had to build one (zero
-/// on reuse).
-fn router_for<'r>(
+/// Points the router of `layout`'s II at an index of the layout's
+/// [`negotiation_window`] only, setting the router up on the II's first
+/// layout: it searches exactly as a full-fabric router would while its
+/// congestion vectors and search scratch cover a few PEs. Returns the
+/// router and the time spent.
+fn bind_router<'r>(
     routers: &'r mut BTreeMap<usize, Router>,
+    dfg: &Dfg,
     layout: &Layout,
+    classes: &crate::unique::Classes,
 ) -> (&'r mut Router, Duration) {
-    match routers.entry(layout.iib()) {
-        Entry::Occupied(e) => (e.into_mut(), Duration::ZERO),
-        Entry::Vacant(v) => {
-            let start = Instant::now();
-            let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-            let router = Router::with_index(index, RouterConfig::default());
-            (v.insert(router), start.elapsed())
+    let start = Instant::now();
+    let window = negotiation_window(dfg, layout, classes);
+    let index = Arc::new(MrrgIndex::window(layout.vsa().spec().clone(), layout.iib(), window));
+    let router = match routers.entry(layout.iib()) {
+        Entry::Occupied(e) => {
+            let router = e.into_mut();
+            router.rebind(index);
+            router
         }
-    }
+        Entry::Vacant(v) => v.insert(Router::with_index(index, RouterConfig::default())),
+    };
+    (router, start.elapsed())
 }
 
 impl<'a> Walk<'a> {
@@ -335,7 +341,7 @@ impl<'a> Walk<'a> {
     /// map.
     ///
     /// `cancel` (the deadline, when present) is polled between the expensive
-    /// phases *and* armed on the pooled router during negotiation; once it
+    /// phases *and* armed on the layout's router during negotiation; once it
     /// reports cancelled the evaluation stops early with [`Verdict::Abandoned`] —
     /// mid-route via the Dijkstra loop's poll, mid-phase via the boundary
     /// checks.
@@ -397,14 +403,16 @@ impl<'a> Walk<'a> {
             let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
             let mut routed = None;
             // Set up on the first design to replicate, then reused by every
-            // feedback round of this layout.
+            // feedback round of this layout, as is the router bound here.
             let mut replication = None;
+            let (router, index_build) = bind_router(&mut self.routers, &dfg, &layout, &classes);
+            stats.times.index += index_build;
+            stats.memory = stats.memory.max(router.index().memory_stats());
             for _attempt in 0..options.replication_feedback_rounds {
                 if abandon() {
                     return Verdict::Abandoned;
                 }
                 stats.route_attempts += 1;
-                let (router, index_build) = router_for(&mut self.routers, &layout);
                 router.set_cancel_token(cancel.cloned());
                 let (design, counters) = timed(&mut stats.times.route, || {
                     route_representatives_pooled(
@@ -413,14 +421,12 @@ impl<'a> Walk<'a> {
                         &classes,
                         options,
                         &seed_history,
-                        &mut *router,
-                        index_build,
+                        router,
+                        Duration::ZERO,
                     )
                 });
                 router.set_cancel_token(None);
                 stats.add_router(counters.router);
-                stats.times.index += counters.index_build;
-                stats.memory = stats.memory.max(router.index().memory_stats());
                 if abandon() {
                     // A cancelled negotiation surfaces as a route failure;
                     // don't let it masquerade as one in the walk's error.
@@ -750,8 +756,8 @@ mod tests {
             let Some(st) = ranked.first() else { continue };
             let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
             let classes = classify(&dfg, &layout);
-            let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-            let mut router = Router::with_index(index, RouterConfig::default());
+            let mut routers = BTreeMap::new();
+            let (router, _) = bind_router(&mut routers, &dfg, &layout, &classes);
             // Baseline: the live negotiation performs real search work.
             let (_, live) = route_representatives_pooled(
                 &dfg,
@@ -759,7 +765,7 @@ mod tests {
                 &classes,
                 &options,
                 &[],
-                &mut router,
+                router,
                 Duration::ZERO,
             );
             assert!(live.router.searches > 0);
@@ -772,7 +778,7 @@ mod tests {
                 &classes,
                 &options,
                 &[],
-                &mut router,
+                router,
                 Duration::ZERO,
             );
             assert!(result.is_err(), "cancelled negotiation cannot produce a design");
@@ -786,6 +792,27 @@ mod tests {
             return;
         }
         panic!("no routable gemm candidate found");
+    }
+
+    /// Asserts that two negotiations of the same inputs agree: the same
+    /// patterns and rounds, or the same error, after the same search work.
+    fn assert_same_negotiation(
+        window: &(Result<crate::route::RoutedDesign, RouteError>, crate::route::RouteCounters),
+        full: &(Result<crate::route::RoutedDesign, RouteError>, crate::route::RouteCounters),
+        what: &str,
+    ) {
+        match (&window.0, &full.0) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.patterns, b.patterns, "{what}: patterns differ");
+                assert_eq!(a.rounds, b.rounds, "{what}: rounds differ");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}: errors differ"),
+            (a, b) => panic!("{what}: window router {a:?} but full router {b:?}"),
+        }
+        let (mut a, mut b) = (window.1.router, full.1.router);
+        // Scratch allocations follow each router's own history.
+        (a.epoch_resets, b.epoch_resets) = (0, 0);
+        assert_eq!(a, b, "{what}: search counters differ");
     }
 
     /// Outcomes of the replication rounds one differential walk compared.
@@ -824,20 +851,22 @@ mod tests {
     }
 
     /// Runs the walk's route/replicate feedback loop over the candidates
-    /// and top-ranked layouts the walk evaluates, up to the first that maps,
-    /// and in every round compares the keyed stamp pass (one `Replication`
-    /// per layout, as the walk sets it up) against the full re-stamp
-    /// reference. Every layout's keys are checked against the
-    /// descriptors too.
-    fn compare_replication_with(
+    /// and top-ranked layouts the walk evaluates, up to the first that maps.
+    /// In every round the walk's window router and a router over the
+    /// every-PE index negotiate the same inputs and must agree, and, with
+    /// `restamp`, the keyed stamp pass (one `Replication` per layout, as the
+    /// walk sets it up) must agree with the full re-stamp reference. Every
+    /// layout's keys are checked against the descriptors too.
+    fn compare_walk(
         kernel: &Kernel,
         cgra: &CgraSpec,
         options: &HiMapOptions,
+        restamp: bool,
     ) -> Compared {
         let mut stats = PipelineStats::default();
         let subs = crate::submap::map_idfg(kernel, cgra, options);
         let (candidates, _) = enumerate_candidates(kernel, cgra, &subs, options);
-        let mut routers = BTreeMap::new();
+        let (mut routers, mut full_routers) = (BTreeMap::new(), BTreeMap::new());
         let mut compared = Compared::default();
         for Candidate { sub, vsa, block } in &candidates {
             let Ok(dfg) = Dfg::build(kernel, block) else { continue };
@@ -847,24 +876,35 @@ mod tests {
                 let classes = classify(&dfg, &layout);
                 crate::unique::assert_keys_follow_descriptors(&dfg, &layout, &classes);
                 let mut replication = Replication::new(&dfg, &layout, &classes);
+                let (router, _) = bind_router(&mut routers, &dfg, &layout, &classes);
+                let full_router = full_routers.entry(layout.iib()).or_insert_with(|| {
+                    let index = MrrgIndex::shared(cgra.clone(), layout.iib());
+                    Router::with_index(index, RouterConfig::default())
+                });
                 let mut seed = Vec::new();
                 for round in 0..options.replication_feedback_rounds {
-                    let (router, _) = router_for(&mut routers, &layout);
-                    let (design, _) = route_representatives_pooled(
-                        &dfg,
-                        &layout,
-                        &classes,
-                        options,
-                        &seed,
-                        router,
-                        Duration::ZERO,
-                    );
-                    let Ok(design) = design else { break };
-                    let keyed = replication.run(&design);
-                    let full = reference::replicate_and_verify(&dfg, &layout, &classes, &design);
                     let what =
                         format!("{} on {cgra:?}, block {block:?}, round {round}", kernel.name());
-                    assert_same_replication(&keyed, &full, &what);
+                    let negotiate = |router: &mut Router| {
+                        route_representatives_pooled(
+                            &dfg,
+                            &layout,
+                            &classes,
+                            options,
+                            &seed,
+                            router,
+                            Duration::ZERO,
+                        )
+                    };
+                    let windowed = negotiate(router);
+                    assert_same_negotiation(&windowed, &negotiate(full_router), &what);
+                    let Ok(design) = windowed.0 else { break };
+                    let keyed = replication.run(&design);
+                    if restamp {
+                        let full =
+                            reference::replicate_and_verify(&dfg, &layout, &classes, &design);
+                        assert_same_replication(&keyed, &full, &what);
+                    }
                     match keyed {
                         Ok(_) => {
                             compared.passed += 1;
@@ -885,14 +925,14 @@ mod tests {
         compared
     }
 
-    /// [`compare_replication_with`] under the default options.
+    /// [`compare_walk`] under the default options, with the re-stamp.
     fn compare_replication(kernel: &Kernel, cgra: &CgraSpec) -> Compared {
-        compare_replication_with(kernel, cgra, &HiMapOptions::default())
+        compare_walk(kernel, cgra, &HiMapOptions::default(), true)
     }
 
     #[test]
     fn keyed_replication_matches_the_full_restamp_on_the_suite() {
-        for size in [8, 16] {
+        for size in [4, 8, 16] {
             for kernel in suite::all() {
                 let compared = compare_replication(&kernel, &CgraSpec::square(size));
                 assert_eq!(compared.passed, 1, "{} on {size}x{size}: {compared:?}", kernel.name());
@@ -939,7 +979,7 @@ mod tests {
         for c in [16, 24] {
             let options = HiMapOptions { free_extents: vec![c], ..HiMapOptions::default() };
             for kernel in &kernels {
-                let compared = compare_replication_with(kernel, &CgraSpec::square(c), &options);
+                let compared = compare_walk(kernel, &CgraSpec::square(c), &options, true);
                 assert_eq!(compared.passed, 1, "{} on {c}x{c}: {compared:?}", kernel.name());
             }
         }
@@ -957,9 +997,21 @@ mod tests {
                 faults.kill_pe(PeId::new(x, y));
             }
             let cgra = CgraSpec::square(16).with_faults(faults);
-            let compared = compare_replication_with(kernel, &cgra, &options);
+            let compared = compare_walk(kernel, &cgra, &options, true);
             assert_eq!(compared.passed, 1, "{} on {cgra:?}: {compared:?}", kernel.name());
             assert!(compared.conflicted > 0, "{}: no conflict round compared", kernel.name());
+        }
+    }
+
+    #[test]
+    fn window_router_negotiates_like_a_full_fabric_router_at_fig8_scale() {
+        // The suite, the smaller Fig. 8 blocks and the faulted fabrics are
+        // compared alongside the re-stamp above; b = 32 compares the
+        // negotiation alone.
+        let options = HiMapOptions { free_extents: vec![32], ..HiMapOptions::default() };
+        for kernel in [suite::gemm(), suite::floyd_warshall(), suite::bicg()] {
+            let compared = compare_walk(&kernel, &CgraSpec::square(32), &options, false);
+            assert_eq!(compared.passed, 1, "{} on 32x32: {compared:?}", kernel.name());
         }
     }
 }

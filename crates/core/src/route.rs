@@ -24,13 +24,12 @@
 //! back into representative frames. The per-edge [`FullRoute`]s are built
 //! only in the round whose capacity and fault checks pass.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use himap_cgra::{CgraSpec, MrrgIndex, PeId, RIdx, RKind, RNode};
+use himap_cgra::{CgraSpec, Mrrg, MrrgIndex, PeId, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{Elapsed, Router, RouterConfig, RouterStats, SignalId};
@@ -130,24 +129,26 @@ impl Error for RouteError {}
 
 /// Instrumentation of one [`route_representatives_pooled`] call: the
 /// router's search-effort counters plus the time the caller spent setting
-/// up the pooled router (zero when it was reused).
+/// up the router (zero when it was reused).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouteCounters {
     /// Dijkstra search effort across every `route*` call of the attempt.
     pub router: RouterStats,
-    /// Wall time the caller passed in for acquiring the shared index and
-    /// building the router over it (`MrrgIndex::shared` plus
-    /// `Router::with_index`); zero when a pooled router was reused.
+    /// Wall time the caller passed in for building the index and the
+    /// router over it; zero when a router was reused (the walk times its
+    /// window binding itself and passes zero).
     pub index_build: Duration,
 }
 
 /// Routes the representatives' in-edges with PathFinder negotiation and
-/// extracts the per-class patterns, on a caller-owned, long-lived router,
-/// and reports the router's search effort alongside. The candidate walk
-/// keeps one router per `(spec, II)` alive across candidates instead of
-/// reconstructing congestion vectors per attempt.
+/// extracts the per-class patterns, on a caller-owned router, and reports
+/// the router's search effort alongside. The candidate walk keeps one
+/// router per II, re-points it at each layout's window index, and reuses it
+/// across that layout's feedback rounds.
 ///
-/// The router must be indexed for the layout's `(spec, iib)`. It is
+/// The router must be indexed for the layout's `(spec, iib)`, over every PE
+/// or over a window holding [`negotiation_window`]: the two search alike
+/// and return the same design and counters. It is
 /// [`Router::reset`] here, so every negotiation starts from clean
 /// present/history state exactly as a freshly built router would, while the
 /// dense congestion vectors and the epoch-stamped search scratch are reused
@@ -189,19 +190,7 @@ fn negotiate(
     for &node in seed_history {
         router.add_history(node, RouterConfig::default().history_increment);
     }
-    // Deterministic edge list: every in-edge of every rep-iteration node.
-    let mut edges: Vec<EdgeId> = Vec::new();
-    let mut is_rep_iter = vec![false; dfg.iteration_count()];
-    for &rep in &classes.reps {
-        is_rep_iter[rep] = true;
-    }
-    for e in dfg.graph().edge_ids() {
-        let (_, dst) = dfg.graph().edge_endpoints(e);
-        let dst_iter = dfg.graph()[dst].iter;
-        if is_rep_iter[dfg.linear_index(dst_iter)] {
-            edges.push(e);
-        }
-    }
+    let edges = rep_edges(dfg, classes);
     place_reps(dfg, layout, classes, router)?;
 
     let mut last_err = RouteError::ForwardOrdering;
@@ -222,6 +211,120 @@ fn negotiate(
         place_reps(dfg, layout, classes, router)?;
     }
     Err(last_err)
+}
+
+/// The edges negotiation routes, in its deterministic order: every in-edge
+/// of every rep-iteration node, ascending. Gathered from the
+/// representatives' clusters, so the cost follows the minimal DFG rather
+/// than the block.
+fn rep_edges(dfg: &Dfg, classes: &Classes) -> Vec<EdgeId> {
+    let mut edges: Vec<EdgeId> = classes
+        .reps
+        .iter()
+        .flat_map(|&rep| dfg.cluster(dfg.iteration_at(rep)))
+        .flat_map(|&node| dfg.graph().in_edges(node).map(|ie| ie.id))
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// The PEs whose resources the negotiation of `layout` can touch, in
+/// ascending order: a router indexed over just these PEs
+/// ([`MrrgIndex::window`]) searches exactly as one over the whole fabric.
+///
+/// The set is a superset proven from the search rules. A search pushes
+/// only its sources, its target and resources its edge's `route_bbox`
+/// allows. The target and the representative ops sit inside the boxes, and
+/// so do the sources of a flow edge (the producer's FU, or the memory ports
+/// of the consumer's SPE). A forwarding edge's sources are taps of a net
+/// routed before it in the same round, which may sit outside its box: the
+/// nets delivered to its source node (other representative edges'
+/// patterns, in place), or the pattern of the key carrying the root signal
+/// into that node, translated by the node's shift from the key's
+/// representative. So each representative edge gets the PEs its pattern can
+/// occupy, starting from its box, and each forwarding edge's grows by its
+/// tap sources' PEs until nothing changes. The window is their union plus
+/// the representative ops' PEs; a translated tap off the array has no MRRG
+/// node and is dropped here as in the search.
+pub fn negotiation_window(dfg: &Dfg, layout: &Layout, classes: &Classes) -> Vec<PeId> {
+    let spec = layout.vsa().spec();
+    let graph = dfg.graph();
+    let edges = rep_edges(dfg, classes);
+    let in_array =
+        |x: i32, y: i32| (0..spec.rows as i32).contains(&x) && (0..spec.cols as i32).contains(&y);
+    let mut reach: Vec<BTreeSet<PeId>> = edges
+        .iter()
+        .map(|&e| {
+            let b = route_bbox(dfg, layout, e);
+            (b.x0..=b.x1)
+                .flat_map(|x| (b.y0..=b.y1).map(move |y| (x, y)))
+                .filter(|&(x, y)| in_array(x, y))
+                .map(|(x, y)| PeId::new(x as usize, y as usize))
+                .collect()
+        })
+        .collect();
+    // Per edge, the edges whose patterns its taps can come from, each with
+    // the PE shift the tap takes: the nets delivered to a forwarding edge's
+    // source node (in place), and the carrier key's pattern, routed by
+    // another edge of that key, translated into the source node's frame.
+    let mut by_key: Vec<Vec<usize>> = vec![Vec::new(); classes.key_count()];
+    let mut delivered: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+    for (j, &e) in edges.iter().enumerate() {
+        by_key[classes.edge_key[e.index()] as usize].push(j);
+        let (src, dst) = graph.edge_endpoints(e);
+        delivered.entry((dst, graph[e].signal(src))).or_default().push(j);
+    }
+    let (s1, s2) = (layout.sub().s1 as i32, layout.sub().s2 as i32);
+    let taps: Vec<Vec<(usize, (i32, i32))>> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| {
+            let EdgeKind::Forward { root } = graph[e].kind else { return Vec::new() };
+            let (src, _) = graph.edge_endpoints(e);
+            let mut from: Vec<(usize, (i32, i32))> =
+                delivered.get(&(src, root)).into_iter().flatten().map(|&j| (j, (0, 0))).collect();
+            if let Some(carrier) =
+                graph.in_edges(src).find(|ie| graph[ie.id].signal(ie.src) == root)
+            {
+                let key = classes.edge_key[carrier.id.index()] as usize;
+                let rep_iter = dfg.iteration_at(classes.reps[classes.key_class[key] as usize]);
+                let (pos, rep) =
+                    (layout.position(dfg, graph[src].iter), layout.position(dfg, rep_iter));
+                let shift = ((pos.x - rep.x) * s1, (pos.y - rep.y) * s2);
+                from.extend(by_key[key].iter().filter(|&&j| j != i).map(|&j| (j, shift)));
+            }
+            from
+        })
+        .collect();
+    let mut grown = true;
+    while grown {
+        grown = false;
+        for (i, from) in taps.iter().enumerate() {
+            let mut add = Vec::new();
+            for &(j, (dx, dy)) in from {
+                for pe in &reach[j] {
+                    let (x, y) = (i32::from(pe.x) + dx, i32::from(pe.y) + dy);
+                    if in_array(x, y) {
+                        add.push(PeId::new(x as usize, y as usize));
+                    }
+                }
+            }
+            for pe in add {
+                grown |= reach[i].insert(pe);
+            }
+        }
+    }
+    let mut window: BTreeSet<PeId> = reach.into_iter().flatten().collect();
+    for &rep in &classes.reps {
+        let iter = dfg.iteration_at(rep);
+        for &node in dfg.cluster(iter) {
+            if let NodeKind::Op { stmt, op, .. } = graph[node].kind {
+                window.insert(layout.op_slot(dfg, iter, stmt, op).pe);
+            }
+        }
+    }
+    window.into_iter().collect()
 }
 
 /// Places every representative op on its FU slot so congestion sees them.
@@ -285,6 +388,10 @@ fn route_round(
             let root = dfg.graph()[e].signal(src);
             let signal = SignalId(root.index() as u32);
             let bbox = route_bbox(dfg, layout, e);
+            debug_assert!(
+                window_holds(router, &source, target, &bbox),
+                "{e:?}'s search reaches past the negotiation window"
+            );
             let path = match source {
                 EdgeSource::Net(net) => {
                     if net.iter().all(|&(_, abs)| abs >= dslot.abs) {
@@ -361,6 +468,24 @@ enum EdgeSource {
     Net(Vec<(RNode, i64)>),
     /// Candidate memory ports (node, absolute time).
     MemPorts(Vec<(RNode, i64)>),
+}
+
+/// `true` when the router's index holds every MRRG node one edge's search
+/// may push: its sources, its target and the resources of its box's PEs
+/// (probed at cycle 0). The walk's window router relies on it
+/// ([`negotiation_window`]): a node missing from the index would not fail a
+/// search, it would quietly narrow it.
+fn window_holds(router: &Router, source: &EdgeSource, target: RNode, bbox: &BBox) -> bool {
+    let (mrrg, index) = (router.mrrg(), router.index());
+    let held = |n: RNode| !mrrg.contains(n) || index.contains(n);
+    let (EdgeSource::Net(nodes) | EdgeSource::MemPorts(nodes)) = source;
+    let box_pes = (bbox.x0.max(0)..=bbox.x1)
+        .flat_map(|x| (bbox.y0.max(0)..=bbox.y1).map(move |y| PeId::new(x as usize, y as usize)));
+    let kinds = [RKind::Fu, RKind::Out, RKind::RegWr, RKind::RegRd, RKind::Mem]
+        .into_iter()
+        .chain(himap_cgra::ALL_DIRS.map(RKind::Wire));
+    let box_nodes = box_pes.flat_map(|pe| kinds.clone().map(move |kind| RNode::new(pe, 0, kind)));
+    nodes.iter().map(|&(n, _)| n).chain([target]).chain(box_nodes).all(held)
 }
 
 /// The taps of a routed net: every step except a trailing consumer FU (an
@@ -624,14 +749,15 @@ pub struct Replication<'a> {
     dfg: &'a Dfg,
     layout: &'a Layout,
     classes: &'a Classes,
-    /// The shared index the representative negotiation used, so replication
-    /// adds no graph construction.
-    index: Arc<MrrgIndex>,
+    /// The implicit graph of the layout's `(spec, IIB)`. Claims are keyed
+    /// by a resource's array-wide padded position ([`Mrrg::position`]), so
+    /// replication needs no index.
+    mrrg: Mrrg,
     /// Every iteration's shift, by linear index.
     shifts: Vec<Shift>,
-    /// Every op's FU claim `(resource, signal)`, or the error for an op
-    /// slot without an MRRG node.
-    op_claims: Result<Vec<(RIdx, u32)>, RouteError>,
+    /// Every op's FU claim `(resource position, signal)`, or the error for
+    /// an op slot without an MRRG node.
+    op_claims: Result<Vec<(u32, u32)>, RouteError>,
     /// Representative-frame FU slots of ops that some member lands on a PE
     /// lacking the op's capability class (heterogeneous fabrics): that
     /// invalidates the pattern exactly like a faulted step.
@@ -652,7 +778,13 @@ impl<'a> Replication<'a> {
     /// Sets up the replication of `layout`.
     pub fn new(dfg: &'a Dfg, layout: &'a Layout, classes: &'a Classes) -> Self {
         let spec = layout.vsa().spec();
-        let index = MrrgIndex::shared(spec.clone(), layout.iib());
+        let mrrg = Mrrg::new(spec.clone(), layout.iib());
+        // Positions are packed into the upper half of a `u64` claim and
+        // `NO_RESOURCE` is reserved.
+        assert!(
+            (mrrg.position_count() as u64) < u64::from(NO_RESOURCE),
+            "resource positions exceed the u32 claim key"
+        );
         let mut op_claims = Ok(Vec::new());
         let mut op_faults = Vec::new();
         for (node, w) in dfg.graph().nodes() {
@@ -669,8 +801,8 @@ impl<'a> Replication<'a> {
                 continue;
             }
             if let Ok(claims) = &mut op_claims {
-                match index.index_of(fu) {
-                    Some(ri) => claims.push((ri, node.index() as u32)),
+                match mrrg.position(fu) {
+                    Some(at) => claims.push((at as u32, node.index() as u32)),
                     None => op_claims = Err(RouteError::MaskedSlot(fu)),
                 }
             }
@@ -688,7 +820,7 @@ impl<'a> Replication<'a> {
             dfg,
             layout,
             classes,
-            index,
+            mrrg,
             shifts,
             op_claims,
             op_faults,
@@ -756,13 +888,13 @@ impl<'a> Replication<'a> {
             Some(at) => at,
             None => {
                 let spes = SpeClaims::new(dfg, layout, classes);
-                let grouping = Grouping::new(&cells, &spes, &self.index, op_claims, &reach);
+                let grouping = Grouping::new(&cells, &spes, &self.mrrg, op_claims, &reach);
                 self.groupings.push((reach, grouping));
                 self.groupings.len() - 1
             }
         };
         let grouping = &self.groupings[at].1;
-        let index = &*self.index;
+        let mrrg = &self.mrrg;
         // Occupancy of the representative cells: one claim per stamp,
         // packed `resource << 32 | signal`. A round stamps a few cells, so
         // sorting its claims is cheaper than a table over the whole MRRG.
@@ -770,10 +902,9 @@ impl<'a> Replication<'a> {
         // freed buffers in the heap for no gain.
         let steps: usize = grouping.edges.iter().map(|&e| edge(e).1.len()).sum();
         let mut claims: Vec<u64> = Vec::with_capacity(grouping.op_claims.len() + steps);
-        let mut stamp =
-            |ri: RIdx, signal: u32| claims.push(u64::from(ri.0) << 32 | u64::from(signal));
-        for &(ri, signal) in &grouping.op_claims {
-            stamp(ri, signal);
+        let mut stamp = |at: u32, signal: u32| claims.push(u64::from(at) << 32 | u64::from(signal));
+        for &(at, signal) in &grouping.op_claims {
+            stamp(at, signal);
         }
         // Steps (in the representative frame) whose translations land on
         // faulted or capability-illegal resources; reported together so the
@@ -796,13 +927,13 @@ impl<'a> Replication<'a> {
                     step_ids.push(NO_RESOURCE);
                     continue;
                 }
-                let ri = index.index_of(node);
-                step_ids.push(ri.map_or(NO_RESOURCE, |ri| ri.0));
+                let at = mrrg.position(node).map(|at| at as u32);
+                step_ids.push(at.unwrap_or(NO_RESOURCE));
                 if (i == 0 || i == pattern.len() - 1) && node.kind == RKind::Fu {
                     continue;
                 }
-                match ri {
-                    Some(ri) => stamp(ri, signal),
+                match at {
+                    Some(at) => stamp(at, signal),
                     None if spec.faults.masks(spec, node) => {
                         faulted_steps.push(shift.rep_node(iib, step));
                     }
@@ -828,10 +959,11 @@ impl<'a> Replication<'a> {
         let mut conflicted: Vec<u32> = Vec::new();
         let mut conflict_count = 0usize;
         for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let ri = RIdx((run[0] >> 32) as u32);
-            if run.len() > index.capacity(ri) {
-                conflicted.push(ri.0);
-                conflict_count += grouping.weight(index.node(ri).pe);
+            let at = (run[0] >> 32) as u32;
+            let node = mrrg.node_at(at as usize);
+            if run.len() > spec.capacity(node.kind) {
+                conflicted.push(at);
+                conflict_count += grouping.weight(node.pe);
             }
         }
         drop(claims);
@@ -840,13 +972,13 @@ impl<'a> Replication<'a> {
             // steps included — back into its representative's frame, so the
             // caller can penalize it in the next negotiation round. A
             // member cell's steps translate to the same set.
-            let marked = |ri: u32| ri != NO_RESOURCE && conflicted.binary_search(&ri).is_ok();
+            let marked = |at: u32| at != NO_RESOURCE && conflicted.binary_search(&at).is_ok();
             let mut rep_frame = Vec::new();
             let mut ids = step_ids.iter();
             for &e in &grouping.edges {
                 let (shift, pattern) = edge(e);
-                for (&step, &ri) in pattern.iter().zip(ids.by_ref()) {
-                    if marked(ri) {
+                for (&step, &at) in pattern.iter().zip(ids.by_ref()) {
+                    if marked(at) {
                         rep_frame.push(shift.rep_node(iib, step));
                     }
                 }
@@ -1100,15 +1232,15 @@ struct Grouping {
     /// ascending.
     edges: Vec<EdgeId>,
     /// The op claims on representative cells.
-    op_claims: Vec<(RIdx, u32)>,
+    op_claims: Vec<(u32, u32)>,
 }
 
 impl Grouping {
     fn new(
         cells: &Cells,
         spes: &SpeClaims,
-        index: &MrrgIndex,
-        op_claims: &[(RIdx, u32)],
+        mrrg: &Mrrg,
+        op_claims: &[(u32, u32)],
         reach: &Reach,
     ) -> Grouping {
         // Every offset some key reaches, and the cell itself.
@@ -1158,7 +1290,7 @@ impl Grouping {
                 }
                 for pe in cells.pes(cx, cy) {
                     match pe {
-                        Some(pe) => push_pe_state(&mut sig, index, pe),
+                        Some(pe) => push_pe_state(&mut sig, mrrg, pe),
                         None => sig.push(u32::MAX),
                     }
                 }
@@ -1196,7 +1328,7 @@ impl Grouping {
         grouping.op_claims = op_claims
             .iter()
             .copied()
-            .filter(|&(ri, _)| grouping.weight(index.node(ri).pe) > 0)
+            .filter(|&(at, _)| grouping.weight(mrrg.node_at(at as usize).pe) > 0)
             .collect();
         grouping
     }
@@ -1212,8 +1344,8 @@ impl Grouping {
 /// Appends what a translated step finds on `pe`: per resource kind, an
 /// MRRG node (1), a mask (2) or nothing (0) — the same at every cycle —
 /// and then which op classes the PE supports.
-fn push_pe_state(sig: &mut Vec<u32>, index: &MrrgIndex, pe: PeId) {
-    let spec = index.spec();
+fn push_pe_state(sig: &mut Vec<u32>, mrrg: &Mrrg, pe: PeId) {
+    let spec = mrrg.spec();
     let kinds = [RKind::Fu, RKind::Out]
         .into_iter()
         .chain(himap_cgra::ALL_DIRS.into_iter().map(RKind::Wire))
@@ -1221,7 +1353,7 @@ fn push_pe_state(sig: &mut Vec<u32>, index: &MrrgIndex, pe: PeId) {
         .chain([RKind::RegWr, RKind::RegRd, RKind::Mem]);
     for kind in kinds {
         let node = RNode::new(pe, 0, kind);
-        sig.push(if index.contains(node) {
+        sig.push(if mrrg.contains(node) {
             1
         } else {
             u32::from(spec.faults.masks(spec, node)) * 2
@@ -1324,8 +1456,8 @@ pub(crate) mod reference {
         let spec = layout.vsa().spec();
         // Full-array occupancy is a flat list of `(resource id, signal)` claims,
         // one per stamped step: its size is the work stamped, not the fabric.
-        // The shared index is the same build the representative negotiation used,
-        // so replication adds no per-call graph construction.
+        // Resource ids come from the every-PE index, independently of the
+        // keyed pass's arithmetic positions.
         let index = MrrgIndex::shared(spec.clone(), iib);
         let mut claims: Vec<(u32, u32)> = Vec::new();
         let mut routes = Vec::with_capacity(dfg.graph().edge_count());

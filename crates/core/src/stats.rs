@@ -42,11 +42,11 @@ pub struct StageTimes {
     /// Configuration image of the winning mapping
     /// (`ConfigImage::from_mapping`).
     pub config: Duration,
-    /// Dense MRRG index acquisition (`MrrgIndex::shared`) and construction
-    /// of the walk's pooled router on it. The first acquisition per
-    /// `(spec, II)` compiles the CSR adjacency; later ones are cache hits,
-    /// so this stays near zero in steady state. Timed outside `route`, so
-    /// the stages never overlap.
+    /// Each routed layout's negotiation window (`negotiation_window`),
+    /// the dense MRRG index over it (`MrrgIndex::window`) and the router
+    /// built on that index, once per layout. Its cost follows the minimal
+    /// DFG, not the fabric. Timed outside `route`, so the stages never
+    /// overlap.
     pub index: Duration,
     /// End-to-end wall time of the whole `map` call.
     pub total: Duration,
@@ -118,12 +118,13 @@ pub struct PipelineStats {
     /// pass, which every [`HiMap::map`](crate::HiMap::map) run records;
     /// `None` only in records no admission pass wrote.
     pub static_bounds: Option<StaticBounds>,
-    /// High-water mark of the dense MRRG indexes this run acquired —
+    /// High-water mark of the window indexes this run's walk routed on —
     /// field-wise maximum of
     /// [`MrrgIndex::memory_stats`](himap_cgra::MrrgIndex::memory_stats)
-    /// across every acquisition. The
-    /// mega-fabric tiled path asserts this stays at sub-CGRA scale (the
-    /// full-fabric graph is never materialised).
+    /// over the layouts. A window holds the PEs one layout's negotiation
+    /// can touch, so for the Fig. 8 blocks `nodes` stays flat as the block
+    /// and the array grow; the mega-fabric tiled path asserts it stays at
+    /// sub-CGRA scale.
     pub memory: MemoryStats,
 }
 

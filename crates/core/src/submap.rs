@@ -128,10 +128,8 @@ fn try_shape(
     // Probing is position-agnostic: the relative mapping is replicated only
     // onto healthy tiles, so the sub-CGRA spec drops the physical fault map.
     let sub_spec = CgraSpec { rows: s1, cols: s2, ..cgra.fault_free() };
-    // Probe indexes are sub-CGRA sized and cheap to build, so they bypass the
-    // process-wide `MrrgIndex::shared` cache: a walk probes up to 36 shapes,
-    // which would otherwise evict the full-fabric indexes that the walk, the
-    // replication pass and the verifier reuse from run to run.
+    // Probe indexes are sub-CGRA sized and cheap to build: each probe
+    // builds its own, as the walk builds one per routed layout.
     let index = Arc::new(MrrgIndex::new(sub_spec.clone(), t));
     let mut router = Router::with_index(index, RouterConfig::default());
     router.set_cancel_token(cancel.cloned());

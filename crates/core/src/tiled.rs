@@ -172,8 +172,8 @@ impl TiledMapping {
     /// with the full-fabric spec (faults included) attached — exactly what
     /// the non-tiled verifier expects. `None` for idle tiles.
     ///
-    /// This *does* imply a full-fabric MRRG if the result is verified with
-    /// `verify_mapping`; it exists for differential testing (a tiled
+    /// Verifying the result with `verify_mapping` walks the full-fabric
+    /// implicit MRRG; this exists for differential testing (a tiled
     /// mapping, expanded, must pass the full verifier), not for the
     /// mega-fabric hot path.
     pub fn expand_tile(&self, tr: usize, tc: usize) -> Option<Mapping> {

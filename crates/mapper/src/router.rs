@@ -434,6 +434,19 @@ impl Router {
         }
     }
 
+    /// Points the router at another index and clears its congestion state
+    /// to a freshly built router's, keeping the search scratch's allocation
+    /// (its stamps are epoch-checked, so no entry of the old index is ever
+    /// read). A walk that routes many windows of one II keeps one scratch
+    /// instead of allocating, zeroing and freeing one per window.
+    pub fn rebind(&mut self, index: Arc<MrrgIndex>) {
+        let n = index.len();
+        self.index = index;
+        self.present.resize_with(n, Vec::new);
+        self.history.resize(n, 0.0);
+        self.reset();
+    }
+
     /// Arms (or disarms, with `None`) cooperative cancellation: the search
     /// loop polls the token between heap pops and aborts with no result once
     /// it reports cancelled. The abort is counted in
@@ -1106,6 +1119,30 @@ mod tests {
             assert_eq!(result, Some((elapsed, cost)), "{mode}: result");
             assert_eq!((s.searches, s.nodes_popped, s.heap_pushes), (1, popped, pushed), "{mode}");
         }
+    }
+
+    #[test]
+    fn rebound_router_searches_like_a_fresh_one() {
+        // Dirty a full-fabric router, then point it at a 2x2 window: it
+        // must route exactly as a router built on that window.
+        let mut r = router(4, 4);
+        let p = r.route(SignalId(5), &[fu(0, 0, 0)], fu(3, 3, 2), Elapsed::Exact(6), |_| true);
+        r.commit(&p.unwrap());
+        r.add_history(RNode::new(PeId::new(0, 0), 1, RKind::Out), 4.0);
+        let pes = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(x, y)| PeId::new(x, y));
+        let window = Arc::new(MrrgIndex::window(CgraSpec::square(4), 4, pes));
+        r.rebind(Arc::clone(&window));
+        r.take_search_stats();
+        let mut fresh = Router::with_index(window, RouterConfig::default());
+        let search = |r: &mut Router| {
+            let p = r.route(SignalId(1), &[fu(0, 0, 0)], fu(1, 1, 3), Elapsed::Exact(3), |_| true);
+            let stats = r.take_search_stats();
+            (p.map(|p| (p.nodes, p.cost)), stats.nodes_popped, stats.heap_pushes)
+        };
+        let (rebound, fresh) = (search(&mut r), search(&mut fresh));
+        assert!(rebound.0.is_some());
+        assert_eq!(rebound, fresh);
+        assert!(r.oversubscribed().is_empty());
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
+/// An array element: the array and the element's index.
+type Element = (ArrayId, Vec<i64>);
+
 /// Simulates a mapping on seeded inputs and validates it against the
 /// reference interpreter.
 ///
@@ -118,7 +121,8 @@ impl Error for SimError {}
 ///
 /// Errors come in phase order: placement (in node order), then execution
 /// (in schedule order), then the routes (in route and step order, a fault
-/// before a capacity overflow at the same step), then the final memory.
+/// before a capacity overflow at the same step), then the final memory
+/// (the smallest mismatching `(array, element)`).
 pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
     let dfg = mapping.dfg();
     let graph = dfg.graph();
@@ -214,23 +218,30 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
 
     check_occupancy(mapping, &results, &inputs, &memory)?;
 
-    // Compare final memory state with the interpreter.
+    // Compare final memory state with the interpreter. The store is a hash
+    // map, so of several mismatches the smallest `(array, element)` is
+    // reported: the same one in every run.
     let mut elements_checked = 0usize;
+    let mut mismatch: Option<(&Element, i64, i64)> = None;
     for (key, &expected_value) in expected.iter() {
         let actual = elements
             .get(key)
             .and_then(|&id| memory[id as usize].last())
             .map(|&(_, v)| v)
             .unwrap_or_else(|| live_ins.live_in(key.0, &key.1));
-        if actual != expected_value {
-            return Err(SimError::ResultMismatch {
-                array: key.0,
-                element: key.1.clone(),
-                expected: expected_value,
-                actual,
-            });
+        if actual == expected_value {
+            elements_checked += 1;
+        } else if mismatch.as_ref().is_none_or(|&(smallest, ..)| key < smallest) {
+            mismatch = Some((key, expected_value, actual));
         }
-        elements_checked += 1;
+    }
+    if let Some((key, expected, actual)) = mismatch {
+        return Err(SimError::ResultMismatch {
+            array: key.0,
+            element: key.1.clone(),
+            expected,
+            actual,
+        });
     }
 
     let cycles = ops.iter().map(|&(abs, ..)| abs).max().unwrap_or(0) + 1;

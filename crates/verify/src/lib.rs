@@ -23,6 +23,11 @@
 //! | K001–K003 | mixed | kernel-IR lints (adapted from `himap_kernels::lint`) |
 //! | A001–A009 | mixed | pre-mapping static analysis (emitted by `himap-analyze`) |
 //!
+//! The checks read the implicit [`Mrrg`](himap_cgra::Mrrg): resources and
+//! hop latencies come from its architecture rules, and no index the mapper
+//! built is consulted (the mapper's own index covers only the PEs its
+//! negotiation touched).
+//!
 //! # Example
 //!
 //! ```

@@ -2,14 +2,14 @@
 //! [`Mapping`] from first principles.
 //!
 //! Nothing here trusts the mapper's bookkeeping. Occupancy is restamped
-//! from the routes, hop timing is re-derived from the MRRG's architectural
-//! latencies (the CSR rows of [`MrrgIndex::edge_latency`], which the
-//! differential tests pin to the implicit [`Mrrg`] enumeration), and the
+//! from the routes, hop timing is re-derived from the architectural
+//! latencies of the implicit [`Mrrg`] ([`Mrrg::live_edge_latency`], on the
+//! enumeration every index is differentially tested against), and the
 //! configuration footprint is recomputed from the placements — so a bug
 //! anywhere in placement, routing, replication or statistics surfaces as a
 //! diagnostic instead of a miscompiled accelerator image.
 
-use himap_cgra::{Mrrg, MrrgIndex, RKind, RNode};
+use himap_cgra::{Mrrg, RKind, RNode};
 use himap_core::{ConfigImage, Mapping, Slot};
 use himap_dfg::{EdgeKind, NodeKind};
 
@@ -28,16 +28,15 @@ use himap_analyze::{Code, Diagnostic, DiagnosticSink};
 pub fn verify_mapping(mapping: &Mapping) -> DiagnosticSink {
     let mut sink = DiagnosticSink::new();
     let iib = mapping.stats().iib.max(1);
-    // The shared dense index: normally a cache hit on the exact build the
-    // mapper routed with, so verification adds no graph construction.
-    let index = MrrgIndex::shared(mapping.spec().clone(), iib);
-    let mrrg = index.mrrg();
+    // The implicit graph: no index is built, and nothing the mapper built
+    // is reused.
+    let mrrg = Mrrg::new(mapping.spec().clone(), iib);
 
     let slots = slot_table(mapping);
-    let placements_ok = check_placement(mapping, &slots, mrrg, &mut sink);
+    let placements_ok = check_placement(mapping, &slots, &mrrg, &mut sink);
     check_route_coverage(mapping, &mut sink);
     for route in mapping.routes() {
-        check_route_path(mapping, &index, route, &mut sink);
+        check_route_path(mapping, &mrrg, route, &mut sink);
     }
     check_schedule(mapping, &slots, &mut sink);
     check_exclusivity(mapping, &slots, &mut sink);
@@ -170,16 +169,16 @@ fn check_route_coverage(mapping: &Mapping, sink: &mut DiagnosticSink) {
 
 /// One route must be a real MRRG path: every step a valid resource, every
 /// consecutive pair an MRRG edge, and every hop's absolute-time advance
-/// equal to the architectural latency of that edge (read from the dense
-/// index's CSR rows). Register-file shape violations (a register index
+/// equal to the architectural latency of that edge
+/// ([`Mrrg::live_edge_latency`], once every step is known to be a valid
+/// resource). Register-file shape violations (a register index
 /// beyond the RF size) are reported as V004.
 fn check_route_path(
     mapping: &Mapping,
-    index: &MrrgIndex,
+    mrrg: &Mrrg,
     route: &himap_core::RouteInstance,
     sink: &mut DiagnosticSink,
 ) {
-    let mrrg = index.mrrg();
     let e = route.edge;
     if route.steps.is_empty() {
         sink.push(
@@ -239,7 +238,7 @@ fn check_route_path(
     }
     for pair in route.steps.windows(2) {
         let ((a, a_abs), (b, b_abs)) = (pair[0], pair[1]);
-        match index.edge_latency(a, b) {
+        match mrrg.live_edge_latency(a, b) {
             None => sink.push(
                 Diagnostic::error(
                     Code::V002,

@@ -151,3 +151,19 @@ fn bicg_4x4_golden_counts() {
     };
     assert_eq!(got, want);
 }
+
+#[test]
+fn gemm_routing_work_and_window_are_flat_in_the_block() {
+    // Fig. 8 GEMM, the block matched to the array: the representatives,
+    // their searches and the PEs their negotiation can touch are the same
+    // at every b. The window index grows only with the II (2b), so its
+    // nodes per cycle are equal.
+    let flat = |b: usize| {
+        let options = HiMapOptions { free_extents: vec![b], ..HiMapOptions::default() };
+        let (mapping, stats) = HiMap::new(options)
+            .map_with_stats(&himap_repro::kernels::suite::gemm(), &CgraSpec::square(b));
+        let iib = mapping.expect("GEMM maps with the block matched to the array").stats().iib;
+        (stats.router_searches, stats.router_nodes_popped, stats.memory.nodes / iib)
+    };
+    assert_eq!(flat(16), flat(32));
+}

@@ -373,6 +373,29 @@ fn op_scheduled_before_its_producers_misses_its_operand() {
 }
 
 #[test]
+fn several_wrong_elements_report_the_smallest_in_every_run() {
+    // Floyd–Warshall node 120 three cycles early leaves at least six
+    // elements wrong. The final memory is a hash map whose order changes
+    // from map to map, so every call must still name the same element: the
+    // smallest `(array, element)` that mismatches.
+    let mut parts = fw_parts();
+    if let Some(slot) = parts.op_slots.get_mut(&NodeId::from_index(120)) {
+        slot.abs -= 3;
+    }
+    let mapping = Mapping::from_parts(parts);
+    let errors: Vec<SimError> = (0..6)
+        .map(|_| simulate(&mapping, SEED).expect_err("the broken mapping simulates"))
+        .collect();
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    assert!(
+        matches!(&errors[0], SimError::ResultMismatch { array, element, .. }
+            if *array == ArrayId::from_index(0) && *element == [2, 2, 2]),
+        "{:?}",
+        errors[0]
+    );
+}
+
+#[test]
 fn corrupted_op_slot_is_a_result_mismatch() {
     // Floyd–Warshall node 80 stores an element that a memory-routed load
     // of the block reads. Three cycles early, its store lands before the
