@@ -79,7 +79,6 @@ fi
 stage "cargo build --release" cargo build --release
 stage "cargo test -q" cargo test -q
 stage "cargo test --workspace -q" cargo test --workspace -q
-stage "cargo bench --no-run" cargo bench --no-run
 
 # The benchmark (perfbench/) is a cargo workspace of its own, so no stage
 # above compiles it. Its traced replay calls `classify`,

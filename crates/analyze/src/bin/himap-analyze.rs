@@ -8,7 +8,7 @@
 //!               [--only-mul-pes X,Y[;X,Y..]] [--mem-edge-only]
 //! ```
 //!
-//! Lints the kernel IR (K001–K003), then runs the kernel-level and the
+//! Lints the kernel IR (K001–K002), then runs the kernel-level and the
 //! block-DFG-level static analyses (A001+) against the requested — possibly
 //! faulted — fabric, printing certified MII lower bounds and feasibility
 //! findings. No mapper runs and no MRRG is built. Exits non-zero on any
@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use himap_analyze::{analyze_dfg, analyze_kernel, lint_diagnostics, AnalyzeOptions};
 use himap_cgra::{CapabilityMap, CgraSpec, Dir, OpClass, PeId};
 use himap_dfg::Dfg;
-use himap_kernels::{parse_kernel, suite, Kernel, LintOptions};
+use himap_kernels::{parse_kernel, suite, Kernel};
 
 struct Args {
     kernel: Option<String>,
@@ -68,7 +68,7 @@ fn main() -> ExitCode {
     };
     let block = args.block.clone().unwrap_or_else(|| vec![2; kernel.dims()]);
 
-    let lints = lint_diagnostics(&kernel, &LintOptions::default());
+    let lints = lint_diagnostics(&kernel);
     let mut report = lints.clone();
     let options = AnalyzeOptions::default();
 

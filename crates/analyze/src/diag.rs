@@ -79,8 +79,6 @@ pub enum Code {
     K001,
     /// Kernel lint: flow-dependence distance exceeds the block extent.
     K002,
-    /// Kernel lint: operation unsupported by the PE ALU.
-    K003,
     /// Static analysis: the kernel uses an operation class outside the
     /// fabric's supported repertoire — no PE can ever execute it.
     A001,
@@ -129,7 +127,6 @@ impl Code {
             Code::W103 => "W103",
             Code::K001 => "K001",
             Code::K002 => "K002",
-            Code::K003 => "K003",
             Code::A001 => "A001",
             Code::A002 => "A002",
             Code::A003 => "A003",

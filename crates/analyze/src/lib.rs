@@ -59,7 +59,7 @@ pub use fabric::{survey_fabric, survey_region, FabricComponent, FabricSurvey};
 
 use himap_cgra::{CgraSpec, OpClass};
 use himap_dfg::Dfg;
-use himap_kernels::{Expr, Kernel, Lint, LintOptions, LintSeverity, OpKind};
+use himap_kernels::{Expr, Kernel, Lint, LintSeverity, OpKind};
 
 use crate::bounds::{expr_depth, rec_mii, recurrences, statement_dep_graph, Recurrence};
 use crate::dataflow::dfg_facts;
@@ -112,7 +112,6 @@ impl From<&Lint> for Diagnostic {
         let code = match lint.code {
             himap_kernels::LintCode::K001 => Code::K001,
             himap_kernels::LintCode::K002 => Code::K002,
-            himap_kernels::LintCode::K003 => Code::K003,
         };
         match lint.severity {
             LintSeverity::Error => Diagnostic::error(code, lint.message.clone()),
@@ -121,12 +120,12 @@ impl From<&Lint> for Diagnostic {
     }
 }
 
-/// Runs the kernel-IR lint pass (K001–K003) and returns the findings as
+/// Runs the kernel-IR lint pass (K001–K002) and returns the findings as
 /// diagnostics. `himap-verify`'s `verify_kernel` delegates here, so the
 /// K codes and the A codes share one sink and one exit-code convention.
-pub fn lint_diagnostics(kernel: &Kernel, options: &LintOptions) -> DiagnosticSink {
+pub fn lint_diagnostics(kernel: &Kernel) -> DiagnosticSink {
     let mut sink = DiagnosticSink::new();
-    for lint in himap_kernels::lint_kernel(kernel, options) {
+    for lint in himap_kernels::lint_kernel(kernel) {
         sink.push(Diagnostic::from(&lint));
     }
     sink
@@ -730,12 +729,15 @@ mod tests {
 
     #[test]
     fn lint_diagnostics_share_the_sink() {
-        let sink = lint_diagnostics(&suite::gemm(), &LintOptions::default());
+        let sink = lint_diagnostics(&suite::gemm());
         assert!(!sink.has_errors(), "{}", sink.render_pretty());
-        let no_mul =
-            LintOptions { supported_ops: vec![OpKind::Add, OpKind::Sub], ..LintOptions::default() };
-        let sink = lint_diagnostics(&suite::gemm(), &no_mul);
+        // The transposed read of the written array is K001, an error.
+        let transposed = himap_kernels::parse_kernel(
+            "kernel transpose_acc(i, j) { c[i][j] = c[i][j] + c[j][i]; }",
+        )
+        .expect("the kernel parses");
+        let sink = lint_diagnostics(&transposed);
         assert!(sink.has_errors());
-        assert!(sink.has_code(Code::K003));
+        assert!(sink.has_code(Code::K001));
     }
 }

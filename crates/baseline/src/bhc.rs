@@ -3,7 +3,9 @@
 use himap_cgra::CgraSpec;
 use himap_dfg::Dfg;
 
-use crate::{BaselineFailure, BaselineMapping, BaselineOptions, SaMapper, SprMapper};
+use crate::{
+    BaselineFailure, BaselineMapping, BaselineOptions, SaMapper, SprMapper, MAX_DFG_NODES,
+};
 
 /// Outcomes of both baseline mappers on one problem.
 #[derive(Clone, Debug)]
@@ -48,13 +50,13 @@ pub fn bhc(dfg: &Dfg, spec: &CgraSpec, options: &BaselineOptions) -> BhcResult {
 /// Chooses the largest block for a baseline run: the biggest uniform extent
 /// whose unrolled DFG stays within the node limit (the paper: "BHC maps the
 /// small DFG keeping the block size small").
-pub fn baseline_block(kernel: &himap_kernels::Kernel, options: &BaselineOptions) -> Vec<usize> {
+pub fn baseline_block(kernel: &himap_kernels::Kernel) -> Vec<usize> {
     let dims = kernel.dims();
     let mut best = vec![1; dims];
-    for extent in 2..=options.max_dfg_nodes {
+    for extent in 2..=MAX_DFG_NODES {
         let block = vec![extent; dims];
         let Ok(dfg) = Dfg::build(kernel, &block) else { break };
-        if dfg.graph().node_count() > options.max_dfg_nodes {
+        if dfg.graph().node_count() > MAX_DFG_NODES {
             break;
         }
         best = block;
@@ -91,12 +93,11 @@ mod tests {
 
     #[test]
     fn baseline_block_respects_node_limit() {
-        let options = BaselineOptions::default();
         for kernel in suite::all() {
-            let block = baseline_block(&kernel, &options);
+            let block = baseline_block(&kernel);
             let dfg = Dfg::build(&kernel, &block).unwrap();
             assert!(
-                dfg.graph().node_count() <= options.max_dfg_nodes,
+                dfg.graph().node_count() <= MAX_DFG_NODES,
                 "{}: {} nodes",
                 kernel.name(),
                 dfg.graph().node_count()
@@ -105,7 +106,7 @@ mod tests {
             // (or the block is already large).
             let bigger: Vec<usize> = block.iter().map(|b| b + 1).collect();
             if let Ok(d) = Dfg::build(&kernel, &bigger) {
-                assert!(d.graph().node_count() > options.max_dfg_nodes);
+                assert!(d.graph().node_count() > MAX_DFG_NODES);
             }
         }
     }

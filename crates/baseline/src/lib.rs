@@ -64,34 +64,26 @@ pub(crate) type OpSlots = HashMap<NodeId, (PeId, i64)>;
 /// cycle)` from the source to the consuming FU.
 pub type TimedRoute = (EdgeId, Vec<(RNode, i64)>);
 
+/// DFG node limit — the paper observes BHC "fails to find a solution when
+/// the number of DFG nodes is higher than 400".
+pub const MAX_DFG_NODES: usize = 400;
+
+/// Initiation intervals tried above the resource minimum.
+const MAX_II_SLACK: usize = 4;
+
+/// PathFinder rounds per II attempt.
+const PATHFINDER_ROUNDS: usize = 12;
+
 /// Options shared by the baseline mappers.
 #[derive(Clone, Debug)]
 pub struct BaselineOptions {
-    /// DFG node limit — the paper observes BHC "fails to find a solution
-    /// when the number of DFG nodes is higher than 400".
-    pub max_dfg_nodes: usize,
     /// Wall-clock budget per mapper (the paper's three-day timeout, scaled).
     pub timeout: Duration,
-    /// Initiation intervals tried above the resource minimum.
-    pub max_ii_slack: usize,
-    /// PathFinder rounds per II attempt.
-    pub pathfinder_rounds: usize,
-    /// Simulated-annealing steps per temperature.
-    pub sa_steps: usize,
-    /// RNG seed (runs are deterministic given the seed).
-    pub seed: u64,
 }
 
 impl Default for BaselineOptions {
     fn default() -> Self {
-        BaselineOptions {
-            max_dfg_nodes: 400,
-            timeout: Duration::from_secs(60),
-            max_ii_slack: 4,
-            pathfinder_rounds: 12,
-            sa_steps: 400,
-            seed: 0xC6_5A_17,
-        }
+        BaselineOptions { timeout: Duration::from_secs(60) }
     }
 }
 

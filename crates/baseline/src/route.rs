@@ -7,8 +7,9 @@
 //! memory-aware topological order, and the whole set is ripped up and
 //! renegotiated until no resource is oversubscribed (SPR's scheme, minus
 //! the placement search). Routes come back as timed steps: the absolute
-//! cycle of every resource, walked with the CSR latency of each hop
-//! ([`timed_steps`]), which SPR uses for the routes it commits too.
+//! cycle of every resource, walked back from the delivery with the CSR
+//! latency of each hop ([`MrrgIndex::timed_path`]), which SPR uses for the
+//! routes it commits too.
 
 use std::collections::HashMap;
 
@@ -33,8 +34,6 @@ pub enum LowerError {
     MemCausality(EdgeId),
     /// An anti-dependence is violated by the schedule.
     AntiDependence,
-    /// The DFG contains a node kind this router cannot route.
-    Unsupported(NodeId),
     /// An edge stayed unroutable after every negotiation round.
     Unroutable(EdgeId),
     /// Negotiation ended with oversubscribed resources.
@@ -55,7 +54,6 @@ impl std::fmt::Display for LowerError {
             LowerError::AntiDependence => {
                 write!(f, "an element is overwritten before a pending load reads it")
             }
-            LowerError::Unsupported(n) => write!(f, "node {n:?} has an unroutable kind"),
             LowerError::Unroutable(e) => write!(f, "edge {e:?} is unroutable at this placement"),
             LowerError::Congested(n) => write!(f, "{n} resources oversubscribed after routing"),
             LowerError::Cancelled => write!(f, "routing cancelled"),
@@ -72,23 +70,19 @@ enum Round {
     Retry(LowerError),
 }
 
-/// The absolute cycle of every step of `path`, which ends at cycle `end`:
-/// walked forward from `end − elapsed` with the CSR latency of each hop.
-/// The `(Δt mod II)` shortcut is ambiguous at II = 1, where 0- and 1-cycle
-/// hops coincide. `None` when two consecutive nodes share no MRRG edge.
+/// The absolute cycle of every step of `path`, which ends at cycle `end`
+/// ([`MrrgIndex::timed_path`]). `None` when two consecutive nodes share no
+/// MRRG edge.
 pub(crate) fn timed_steps(
     index: &MrrgIndex,
     path: &RoutedPath,
     end: i64,
 ) -> Option<Vec<(RNode, i64)>> {
-    let mut steps = Vec::with_capacity(path.nodes.len());
-    let mut at = end - i64::from(path.elapsed);
-    for (i, &node) in path.nodes.iter().enumerate() {
-        if i > 0 {
-            at += i64::from(index.edge_latency(path.nodes[i - 1], node)?);
-        }
-        steps.push((node, at));
-    }
+    let steps = index.timed_path(&path.nodes, end)?;
+    debug_assert!(
+        steps.first().is_none_or(|&(_, at)| end - at == i64::from(path.elapsed)),
+        "a path's elapsed count is the sum of its hop latencies"
+    );
     Some(steps)
 }
 
@@ -113,24 +107,18 @@ pub fn route_pinned(
     let index = MrrgIndex::shared(spec.clone(), ii);
     // Fail fast on structural defects before any routing work.
     for (node, w) in dfg.graph().nodes() {
-        match w.kind {
-            NodeKind::Op { .. } => {
-                let &(pe, abs) = op_slots.get(&node).ok_or(LowerError::MissingSlot(node))?;
-                let fu = RNode::new(pe, (abs.rem_euclid(ii as i64)) as u32, RKind::Fu);
-                if abs < 0 || !index.contains(fu) {
-                    return Err(LowerError::BadSlot(node));
-                }
+        if w.kind.is_op() {
+            let &(pe, abs) = op_slots.get(&node).ok_or(LowerError::MissingSlot(node))?;
+            let fu = RNode::new(pe, (abs.rem_euclid(ii as i64)) as u32, RKind::Fu);
+            if abs < 0 || !index.contains(fu) {
+                return Err(LowerError::BadSlot(node));
             }
-            NodeKind::Input { .. } => {}
-            NodeKind::Route => return Err(LowerError::Unsupported(node)),
         }
     }
-    for e in dfg.graph().edge_ids() {
-        let (_, dst) = dfg.graph().edge_endpoints(e);
-        if !dfg.graph()[dst].kind.is_op() {
-            return Err(LowerError::Unsupported(dst));
-        }
-    }
+    debug_assert!(
+        dfg.graph().edge_ids().all(|e| dfg.graph()[dfg.graph().edge_endpoints(e).1].kind.is_op()),
+        "every DFG edge ends at an op"
+    );
     if !anti_deps_ok(dfg, op_slots) {
         return Err(LowerError::AntiDependence);
     }
@@ -266,9 +254,6 @@ fn route_round(
                             |_| true,
                         ),
                     }
-                }
-                (EdgeKind::Flow, NodeKind::Route) => {
-                    return Err(LowerError::Unsupported(e.src));
                 }
             };
             let Some(path) = path else {

@@ -13,7 +13,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::route::route_pinned;
-use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots};
+use crate::{
+    Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots, MAX_DFG_NODES,
+    MAX_II_SLACK, PATHFINDER_ROUNDS,
+};
+
+/// Simulated-annealing steps per temperature.
+const SA_STEPS: usize = 400;
+
+/// RNG seed (runs are deterministic given the seed).
+const SEED: u64 = 0xC6_5A_17;
 
 /// The simulated-annealing mapper: anneal `(PE, cycle)` placements under a
 /// wire-length/latency cost, then route the placement in detail with
@@ -35,15 +44,15 @@ impl SaMapper {
         options: &BaselineOptions,
     ) -> Result<BaselineMapping, BaselineFailure> {
         let nodes = dfg.graph().node_count();
-        if nodes > options.max_dfg_nodes {
-            return Err(BaselineFailure::TooManyNodes { nodes, limit: options.max_dfg_nodes });
+        if nodes > MAX_DFG_NODES {
+            return Err(BaselineFailure::TooManyNodes { nodes, limit: MAX_DFG_NODES });
         }
         let started = Instant::now();
-        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mii = dfg.op_count().div_ceil(spec.pe_count()).max(1);
         // The deadline also arms every Dijkstra search of the routing pass.
         let cancel = CancelToken::until(started + options.timeout);
-        for ii in mii..=mii + options.max_ii_slack {
+        for ii in mii..=mii + MAX_II_SLACK {
             if started.elapsed() > options.timeout {
                 return Err(BaselineFailure::Timeout);
             }
@@ -51,7 +60,7 @@ impl SaMapper {
                 continue;
             };
             if let Ok(routes) =
-                route_pinned(dfg, spec, ii, &op_slots, options.pathfinder_rounds, Some(&cancel))
+                route_pinned(dfg, spec, ii, &op_slots, PATHFINDER_ROUNDS, Some(&cancel))
             {
                 return Ok(BaselineMapping {
                     ii,
@@ -121,8 +130,8 @@ fn anneal(
     let mut cost = total_cost(dfg, spec, ii, &slots);
     let mut temperature = 20.0f64;
     while temperature > 0.05 {
-        for _ in 0..options.sa_steps {
-            // Per-step poll: `total_cost` is O(E), so a whole `sa_steps`
+        for _ in 0..SA_STEPS {
+            // Per-step poll: `total_cost` is O(E), so a whole `SA_STEPS`
             // sweep can dwarf a small budget; the coarse outer check alone
             // would overshoot it by orders of magnitude.
             if started.elapsed() > options.timeout {
@@ -261,13 +270,10 @@ mod tests {
     fn timeout_granularity_is_fine() {
         // Same regression gate as SPR's: the per-step poll inside the
         // annealing sweep must keep a 5 ms budget from ballooning into a
-        // full `sa_steps x temperature-levels` schedule.
+        // full `SA_STEPS x temperature-levels` schedule.
         let dfg = Dfg::build(&suite::gemm(), &[3, 3, 3]).unwrap();
         let spec = CgraSpec::square(8);
-        let options = BaselineOptions {
-            timeout: std::time::Duration::from_millis(5),
-            ..BaselineOptions::default()
-        };
+        let options = BaselineOptions { timeout: std::time::Duration::from_millis(5) };
         let started = Instant::now();
         let result = SaMapper::run(&dfg, &spec, &options);
         let elapsed = started.elapsed();

@@ -9,7 +9,10 @@ use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, SignalId};
 
 use crate::route::timed_steps;
-use crate::{Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots, TimedRoute};
+use crate::{
+    Algorithm, BaselineFailure, BaselineMapping, BaselineOptions, OpSlots, TimedRoute,
+    MAX_DFG_NODES, MAX_II_SLACK, PATHFINDER_ROUNDS,
+};
 
 /// The SPR-style mapper: place each operation at the FU slot minimizing the
 /// accumulated routing cost from its already-placed parents, rip-up and
@@ -31,8 +34,8 @@ impl SprMapper {
         options: &BaselineOptions,
     ) -> Result<BaselineMapping, BaselineFailure> {
         let nodes = dfg.graph().node_count();
-        if nodes > options.max_dfg_nodes {
-            return Err(BaselineFailure::TooManyNodes { nodes, limit: options.max_dfg_nodes });
+        if nodes > MAX_DFG_NODES {
+            return Err(BaselineFailure::TooManyNodes { nodes, limit: MAX_DFG_NODES });
         }
         let started = Instant::now();
         let mii = dfg.op_count().div_ceil(spec.pe_count()).max(1);
@@ -44,13 +47,13 @@ impl SprMapper {
         // budget is honoured inside inner placement/routing loops too — not
         // just at these coarse loop heads.
         let cancel = CancelToken::until(started + options.timeout);
-        for ii in mii..=mii + options.max_ii_slack {
+        for ii in mii..=mii + MAX_II_SLACK {
             if started.elapsed() > options.timeout {
                 return Err(BaselineFailure::Timeout);
             }
             let mut router = Router::new(Mrrg::new(spec.clone(), ii), RouterConfig::default());
             router.set_cancel_token(Some(cancel.clone()));
-            for _round in 0..options.pathfinder_rounds {
+            for _round in 0..PATHFINDER_ROUNDS {
                 if started.elapsed() > options.timeout {
                     return Err(BaselineFailure::Timeout);
                 }
@@ -240,7 +243,6 @@ fn place_round(
                         mem_lo,
                     });
                 }
-                (EdgeKind::Flow, NodeKind::Route) => return None,
             }
         }
         // Evaluate candidate slots over one II window past the earliest
@@ -401,10 +403,7 @@ mod tests {
     fn respects_timeout() {
         let dfg = Dfg::build(&suite::gemm(), &[4, 4, 4]).unwrap();
         let spec = CgraSpec::square(8);
-        let options = BaselineOptions {
-            timeout: std::time::Duration::from_millis(0),
-            ..BaselineOptions::default()
-        };
+        let options = BaselineOptions { timeout: std::time::Duration::from_millis(0) };
         let err = SprMapper::run(&dfg, &spec, &options).unwrap_err();
         assert_eq!(err, BaselineFailure::Timeout);
     }
@@ -420,10 +419,7 @@ mod tests {
         // hundreds of milliseconds a full unchecked sweep takes.
         let dfg = Dfg::build(&suite::gemm(), &[4, 4, 4]).unwrap();
         let spec = CgraSpec::square(8);
-        let options = BaselineOptions {
-            timeout: std::time::Duration::from_millis(5),
-            ..BaselineOptions::default()
-        };
+        let options = BaselineOptions { timeout: std::time::Duration::from_millis(5) };
         let started = Instant::now();
         let result = SprMapper::run(&dfg, &spec, &options);
         let elapsed = started.elapsed();

@@ -23,7 +23,7 @@ use himap_bench::check::{
 };
 use himap_bench::{peak_rss_kb, run_himap_tiled};
 use himap_cgra::{CapabilityMap, CgraSpec, MrrgIndex};
-use himap_core::backend::{race, Backend, BhcBackend, HiMapBackend, MapRequest, RaceMode};
+use himap_core::backend::{race, Backend, BhcBackend, HiMapBackend, MapRequest};
 use himap_core::{HiMap, HiMapOptions};
 use himap_exact::ExactBackend;
 use himap_kernels::suite;
@@ -117,11 +117,11 @@ fn measure_race(name: &str, c: usize) -> Result<(Duration, &'static str, usize),
     let req = MapRequest::new(kernel(name)?, CgraSpec::square(c)).with_deadline(RACE_DEADLINE);
     let himap = HiMapBackend::default();
     let bhc = BhcBackend::default().with_block(vec![2; req.kernel.dims()]);
-    let exact = ExactBackend::default();
+    let exact = ExactBackend;
     let backends: [&dyn Backend; 3] = [&himap, &bhc, &exact];
     let mut last = ("", 0);
     let t = sample(|| {
-        let outcome = race(&backends, &req, RaceMode::FirstFeasible)
+        let outcome = race(&backends, &req)
             .unwrap_or_else(|e| panic!("race {name} {c}x{c} found no winner: {e}"));
         last = (outcome.winner, outcome.mapping.stats().iib);
     });

@@ -31,8 +31,7 @@ const SWEEP: [usize; 12] = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 32, 64];
 fn main() {
     let max = parse_max().unwrap_or(64);
     let kernels = [(suite::mvt(), 64usize), (suite::gemm(), 64), (suite::ttm(), 16)];
-    let baseline_options =
-        BaselineOptions { timeout: Duration::from_secs(30), ..BaselineOptions::default() };
+    let baseline_options = BaselineOptions { timeout: Duration::from_secs(30) };
     let mut rows = Vec::new();
     for (kernel, cap) in kernels {
         for &b in SWEEP.iter().filter(|&&b| b <= cap.min(max)) {

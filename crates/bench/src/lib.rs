@@ -97,7 +97,7 @@ pub fn run_himap_tiled(
 /// paper's observation stands regardless of block choice: ops are capped at
 /// a few hundred, so utilization collapses on large arrays.
 pub fn run_bhc(kernel: &Kernel, c: usize, options: &BaselineOptions) -> (BhcResult, Duration) {
-    let max_block = baseline_block(kernel, options);
+    let max_block = baseline_block(kernel);
     let start = Instant::now();
     let mut best: Option<BhcResult> = None;
     let extents: Vec<usize> = (2..=max_block[0]).collect();
@@ -106,7 +106,7 @@ pub fn run_bhc(kernel: &Kernel, c: usize, options: &BaselineOptions) -> (BhcResu
     for extent in extents {
         let block = vec![extent; kernel.dims()];
         let Ok(dfg) = Dfg::build(kernel, &block) else { continue };
-        let point_options = BaselineOptions { timeout: per_block, ..options.clone() };
+        let point_options = BaselineOptions { timeout: per_block };
         let result = bhc(&dfg, &CgraSpec::square(c), &point_options);
         let better = match &best {
             None => true,
@@ -180,7 +180,7 @@ pub const FIG7_SIZES: [usize; 4] = [4, 8, 16, 32];
 /// Baseline options used by the figure generators: the paper's 3-day budget
 /// scaled down to keep a full figure run in minutes.
 pub fn figure_baseline_options() -> BaselineOptions {
-    BaselineOptions { timeout: Duration::from_secs(20), ..BaselineOptions::default() }
+    BaselineOptions { timeout: Duration::from_secs(20) }
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]

@@ -271,12 +271,6 @@ impl Mrrg {
         self.ii as usize
     }
 
-    /// Total number of FU slots `|V_F_H|` (denominator of the paper's
-    /// utilization metric `U`).
-    pub fn fu_slots(&self) -> usize {
-        self.spec.pe_count() * self.ii()
-    }
-
     /// Total number of resource nodes.
     pub fn node_count(&self) -> usize {
         if self.faulty {
@@ -512,25 +506,11 @@ impl Mrrg {
         }
     }
 
-    /// Clears `out` and fills it with the successors of `node`, reusing the
-    /// buffer's allocation — the buffer-reuse form of [`Mrrg::successors`].
-    pub fn successors_into(&self, node: RNode, out: &mut Vec<RNode>) {
-        out.clear();
-        self.for_each_successor(node, |n| out.push(n));
-    }
-
-    /// Clears `out` and fills it with the predecessors of `node`, reusing
-    /// the buffer's allocation.
-    pub fn predecessors_into(&self, node: RNode, out: &mut Vec<RNode>) {
-        out.clear();
-        self.for_each_predecessor(node, |n| out.push(n));
-    }
-
     /// The resources a value sitting on `node` can move to next.
     ///
     /// Allocates a fresh `Vec` per call — kept for tests and one-off
-    /// queries; hot paths should use [`Mrrg::successors_into`],
-    /// [`Mrrg::for_each_successor`] or an [`MrrgIndex`].
+    /// queries; hot paths should use [`Mrrg::for_each_successor`] or an
+    /// [`MrrgIndex`].
     ///
     /// # Panics
     ///
@@ -543,16 +523,11 @@ impl Mrrg {
 
     /// The resources a value could have come from to reach `node` — the
     /// exact inverse of [`Mrrg::successors`]. Allocates per call; hot paths
-    /// should use [`Mrrg::predecessors_into`] or an [`MrrgIndex`].
+    /// should use [`Mrrg::for_each_predecessor`] or an [`MrrgIndex`].
     pub fn predecessors(&self, node: RNode) -> Vec<RNode> {
         let mut out = Vec::with_capacity(10);
         self.for_each_predecessor(node, |n| out.push(n));
         out
-    }
-
-    /// `true` if the MRRG has a directed edge `from → to`.
-    pub fn is_edge(&self, from: RNode, to: RNode) -> bool {
-        self.edge_latency(from, to).is_some()
     }
 
     /// The architectural latency in cycles of the MRRG edge `from → to`:
@@ -982,6 +957,24 @@ impl MrrgIndex {
         let ti = self.index_of(to)?;
         self.successors(fi).find(|&(s, _)| s == ti).map(|(_, lat)| lat)
     }
+
+    /// The absolute cycle of every node of a path whose last node is reached
+    /// at cycle `end`, walked backwards with the CSR latency of each hop
+    /// (the `(Δt mod II)` shortcut is ambiguous at II = 1, where 0- and
+    /// 1-cycle hops coincide). `None` when two consecutive nodes share no
+    /// edge in this index.
+    pub fn timed_path(&self, nodes: &[RNode], end: i64) -> Option<Vec<(RNode, i64)>> {
+        let mut steps = Vec::with_capacity(nodes.len());
+        let mut at = end;
+        for (i, &node) in nodes.iter().enumerate().rev() {
+            steps.push((node, at));
+            if i > 0 {
+                at -= i64::from(self.edge_latency(nodes[i - 1], node)?);
+            }
+        }
+        steps.reverse();
+        Some(steps)
+    }
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1027,12 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn fu_slots_counts() {
-        let m = mrrg(4, 3);
-        assert_eq!(m.fu_slots(), 48);
-    }
-
-    #[test]
     fn node_count_matches_enumeration() {
         for (c, ii) in [(1, 1), (2, 2), (3, 2)] {
             let m = mrrg(c, ii);
@@ -1057,18 +1044,6 @@ mod tests {
         assert_eq!(nodes, sorted, "enumeration must follow RNode order");
         let from_iter: Vec<_> = m.nodes_iter().collect();
         assert_eq!(nodes, from_iter);
-    }
-
-    #[test]
-    fn into_variants_reuse_buffers() {
-        let m = mrrg(2, 2);
-        let mut buf = Vec::new();
-        for n in m.nodes() {
-            m.successors_into(n, &mut buf);
-            assert_eq!(buf, m.successors(n), "{n:?}");
-            m.predecessors_into(n, &mut buf);
-            assert_eq!(buf, m.predecessors(n), "{n:?}");
-        }
     }
 
     #[test]
@@ -1246,7 +1221,7 @@ mod tests {
         // Non-edges and out-of-graph nodes report none.
         assert_eq!(m.edge_latency(fu, RNode::new(pe, 3, RKind::Out)), None);
         assert_eq!(m.edge_latency(fu, RNode::new(PeId::new(5, 5), 1, RKind::Out)), None);
-        assert!(!m.is_edge(fu, RNode::new(pe, 0, RKind::Fu)));
+        assert!(m.edge_latency(fu, RNode::new(pe, 0, RKind::Fu)).is_none());
     }
 
     #[test]

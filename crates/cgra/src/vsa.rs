@@ -189,16 +189,6 @@ impl Vsa {
         &self.spec
     }
 
-    /// Sub-CGRA rows `s1`.
-    pub fn sub_rows(&self) -> usize {
-        self.s1
-    }
-
-    /// Sub-CGRA columns `s2`.
-    pub fn sub_cols(&self) -> usize {
-        self.s2
-    }
-
     /// A standalone spec describing one sub-CGRA `G''` (used by `MAP()`).
     /// Faults are stripped: the relative mapping is position-agnostic, and
     /// replication lands it only on the fault-masked physical MRRG.

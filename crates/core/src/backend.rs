@@ -9,20 +9,17 @@
 //!
 //! # Determinism of the race
 //!
-//! Under [`RaceMode::FirstFeasible`] the winner is the **lowest-index**
-//! backend that succeeds: the backends after it never run.
-//! [`RaceMode::BestII`] runs every backend and picks the lowest achieved II
-//! (ties by index). Absent a deadline, the winner depends only on the
+//! The winner is the **lowest-index** backend that succeeds: the backends
+//! after it never run. Absent a deadline, the winner depends only on the
 //! backends' results, never on timing.
 //!
 //! # Escalation
 //!
 //! HiMap's recovery ladder is a list of backends:
 //! [`HiMapBackend::ladder`] returns the configured pipeline followed by its
-//! II-bumped and widened variants, and racing them under
-//! [`RaceMode::FirstFeasible`] tries each only when the ones before it
-//! failed. Appending a [`BhcBackend`] falls back to another mapper
-//! altogether on whatever budget HiMap left.
+//! II-bumped and widened variants, and racing them tries each only when
+//! the ones before it failed. Appending a [`BhcBackend`] falls back to
+//! another mapper altogether on whatever budget HiMap left.
 
 use std::time::{Duration, Instant};
 
@@ -139,8 +136,7 @@ impl HiMapBackend {
     ///    doubled sub-candidate and systolic budgets and two more
     ///    replication feedback rounds.
     ///
-    /// Race them under [`RaceMode::FirstFeasible`] to escalate only on
-    /// failure.
+    /// [`race`] them to escalate only on failure.
     pub fn ladder(base: &HiMapOptions) -> Vec<HiMapBackend> {
         let slack = |name, bump| HiMapBackend {
             name,
@@ -188,7 +184,7 @@ impl Backend for HiMapBackend {
 /// same contract as every other backend.
 #[derive(Clone, Debug, Default)]
 pub struct BhcBackend {
-    /// Baseline mapper options (node limit, timeout, II slack, seeds).
+    /// Baseline mapper options (the timeout).
     pub options: BaselineOptions,
     /// Block to unroll. `None` picks the largest uniform block under the
     /// node limit ([`baseline_block`]); tests pin small blocks explicitly.
@@ -220,7 +216,7 @@ impl Backend for BhcBackend {
         if let Some(budget) = req.deadline {
             options.timeout = options.timeout.min(budget);
         }
-        let block = self.block.clone().unwrap_or_else(|| baseline_block(&req.kernel, &options));
+        let block = self.block.clone().unwrap_or_else(|| baseline_block(&req.kernel));
         let dfg = Dfg::build(&req.kernel, &block)
             .map_err(|e| BackendError::Infeasible(format!("dfg construction failed: {e}")))?;
         // SPR first, then SA on the budget SPR left; `BhcResult::best` keeps
@@ -230,7 +226,7 @@ impl Backend for BhcBackend {
         let sa = if remaining.is_zero() {
             Err(BaselineFailure::Timeout)
         } else {
-            SaMapper::run(&dfg, &req.spec, &BaselineOptions { timeout: remaining, ..options })
+            SaMapper::run(&dfg, &req.spec, &BaselineOptions { timeout: remaining })
         };
         let result = BhcResult { spr, sa };
         let best = result.best().ok_or_else(|| {
@@ -241,18 +237,6 @@ impl Backend for BhcBackend {
         })?;
         Ok(routed_mapping(&dfg, &req.spec, best.ii, &best.op_slots, best.routes.clone(), &block))
     }
-}
-
-/// Which rule crowns the race winner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RaceMode {
-    /// First feasible mapping in priority order wins; the backends after it
-    /// are not run.
-    #[default]
-    FirstFeasible,
-    /// Every backend runs (each on the budget the earlier ones left); the
-    /// lowest achieved II wins, ties broken by priority order.
-    BestII,
 }
 
 /// One backend's turn in a [`race`]: inside a [`RaceOutcome`], or in the
@@ -303,20 +287,16 @@ pub struct RaceOutcome {
 /// Runs `backends` on `req` in priority order on the calling thread, each on
 /// what is left of the request's deadline.
 ///
-/// The winner rule is documented on [`RaceMode`]. A backend whose turn
-/// comes after the deadline is not called; its outcome is
-/// [`BackendError::Deadline`].
+/// The first backend that maps wins, and the backends after it are not
+/// run. A backend whose turn comes after the deadline is not called; its
+/// outcome is [`BackendError::Deadline`].
 ///
 /// # Errors
 ///
 /// With no winner: [`HiMapError::DeadlineExceeded`] when the request's
 /// deadline passed, otherwise [`HiMapError::Exhausted`]; both carry the
 /// outcomes as their [`MapReport`] trail.
-pub fn race(
-    backends: &[&dyn Backend],
-    req: &MapRequest,
-    mode: RaceMode,
-) -> Result<RaceOutcome, HiMapError> {
+pub fn race(backends: &[&dyn Backend], req: &MapRequest) -> Result<RaceOutcome, HiMapError> {
     let started = Instant::now();
     // Admission control: a statically infeasible request fails every
     // backend, so reject it once — before running any of them — with the
@@ -332,8 +312,6 @@ pub fn race(
     let static_bounds = Some(Box::new(analysis.bounds));
     let deadline = req.deadline.map(|budget| started + budget);
     let mut outcomes: Vec<BackendOutcome> = Vec::with_capacity(backends.len());
-    // `(index, mapping)` of the winner so far: the lowest II, ties by index.
-    let mut best: Option<(usize, Mapping)> = None;
     for (index, backend) in backends.iter().enumerate() {
         let begun = Instant::now();
         let left = deadline.map(|d| d.saturating_duration_since(begun));
@@ -354,27 +332,20 @@ pub fn race(
             Ok(mapping) => {
                 outcome.ii = Some(mapping.stats().iib);
                 outcome.utilization = Some(mapping.utilization());
-                if best.as_ref().is_none_or(|(_, b)| mapping.stats().iib < b.stats().iib) {
-                    best = Some((index, mapping));
-                }
+                outcomes.push(outcome);
+                return Ok(RaceOutcome {
+                    winner: backend.name(),
+                    winner_index: index,
+                    mapping,
+                    elapsed: started.elapsed(),
+                    outcomes,
+                });
             }
             Err(err) => outcome.error = Some(err),
         }
         outcomes.push(outcome);
-        if mode == RaceMode::FirstFeasible && best.is_some() {
-            break;
-        }
     }
     let elapsed = started.elapsed();
-    if let Some((idx, mapping)) = best {
-        return Ok(RaceOutcome {
-            winner: backends[idx].name(),
-            winner_index: idx,
-            mapping,
-            elapsed,
-            outcomes,
-        });
-    }
     let deadline_hit = deadline.is_some_and(|d| Instant::now() >= d)
         || outcomes.iter().any(|o| matches!(o.error, Some(BackendError::Deadline(_))));
     let report = MapReport { outcomes, elapsed, static_bounds };

@@ -158,12 +158,6 @@ impl ConfigImage {
         &self.store[&pe][idx as usize]
     }
 
-    /// Number of *unique* instruction words a PE must store — the paper's
-    /// configuration-memory footprint after de-duplication.
-    pub fn unique_instrs(&self, pe: PeId) -> usize {
-        self.store.get(&pe).map_or(0, Vec::len)
-    }
-
     /// The worst-case configuration-memory footprint over all PEs.
     pub fn max_unique_instrs(&self) -> usize {
         self.store.values().map(Vec::len).max().unwrap_or(0)

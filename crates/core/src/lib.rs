@@ -53,8 +53,7 @@ mod verify_hook;
 pub mod viz;
 
 pub use backend::{
-    race, Backend, BackendError, BackendOutcome, BhcBackend, HiMapBackend, MapRequest, RaceMode,
-    RaceOutcome,
+    race, Backend, BackendError, BackendOutcome, BhcBackend, HiMapBackend, MapRequest, RaceOutcome,
 };
 pub use config::{ConfigImage, DstPort, Instr, Move, SrcPort};
 pub use himap::HiMap;

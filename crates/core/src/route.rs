@@ -29,7 +29,7 @@ use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-use himap_cgra::{CgraSpec, Mrrg, MrrgIndex, PeId, RKind, RNode};
+use himap_cgra::{CgraSpec, Mrrg, PeId, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{Elapsed, Router, RouterConfig, RouterStats, SignalId};
@@ -231,7 +231,7 @@ fn rep_edges(dfg: &Dfg, classes: &Classes) -> Vec<EdgeId> {
 
 /// The PEs whose resources the negotiation of `layout` can touch, in
 /// ascending order: a router indexed over just these PEs
-/// ([`MrrgIndex::window`]) searches exactly as one over the whole fabric.
+/// ([`MrrgIndex::window`](himap_cgra::MrrgIndex::window)) searches exactly as one over the whole fabric.
 ///
 /// The set is a superset proven from the search rules. A search pushes
 /// only its sources, its target and resources its edge's `route_bbox`
@@ -420,15 +420,15 @@ fn route_round(
                 }
             };
             // Record the net and the pattern.
-            let abs_nodes = absolute_times(router.index(), &path.nodes, dslot.abs)
+            let net = router
+                .index()
+                .timed_path(&path.nodes, dslot.abs)
                 .ok_or(RouteError::Unroutable(e))?;
-            let net: Vec<(RNode, i64)> =
-                path.nodes.iter().zip(&abs_nodes).map(|(&n, &(_, _, abs))| (n, abs)).collect();
             deliveries.entry((dst, root)).or_default().extend(net_sources(&net));
             let pos = layout.position(dfg, dst_iter);
             let macro_start = pos.t as i64 * t;
             let pattern: Pattern =
-                abs_nodes.iter().map(|&(pe, kind, abs)| (pe, kind, abs - macro_start)).collect();
+                net.iter().map(|&(n, abs)| (n.pe, n.kind, abs - macro_start)).collect();
             patterns[classes.edge_key[e.index()] as usize] = Some(pattern);
             router.commit(&path);
             routed[idx] = true;
@@ -440,26 +440,6 @@ fn route_round(
         }
     }
     Ok(RoutedDesign { patterns, rounds: 0 })
-}
-
-/// Recovers the absolute time of each path node from the target's absolute
-/// cycle by walking backwards with the CSR latency of each hop (the
-/// `(Δt mod II)` shortcut is ambiguous at II = 1, where 0- and 1-cycle hops
-/// coincide). `None` when two consecutive nodes share no MRRG edge.
-fn absolute_times(
-    index: &MrrgIndex,
-    nodes: &[RNode],
-    target_abs: i64,
-) -> Option<Vec<(PeId, RKind, i64)>> {
-    let mut out = vec![(PeId::new(0, 0), RKind::Fu, 0i64); nodes.len()];
-    let mut abs = target_abs;
-    for (i, &node) in nodes.iter().enumerate().rev() {
-        out[i] = (node.pe, node.kind, abs);
-        if i > 0 {
-            abs -= i64::from(index.edge_latency(nodes[i - 1], node)?);
-        }
-    }
-    Some(out)
 }
 
 enum EdgeSource {
@@ -506,7 +486,8 @@ fn edge_source(
     patterns: &[Option<Pattern>],
     e: EdgeId,
 ) -> Option<EdgeSource> {
-    let (src, _) = dfg.graph().edge_endpoints(e);
+    let (src, dst) = dfg.graph().edge_endpoints(e);
+    debug_assert!(dfg.graph()[dst].kind.is_op(), "every DFG edge ends at an op");
     let weight = &dfg.graph()[e];
     let src_iter = dfg.graph()[src].iter;
     match (weight.kind, dfg.graph()[src].kind) {
@@ -543,7 +524,6 @@ fn edge_source(
             }
             Some(EdgeSource::Net(net_sources(&net)))
         }
-        (EdgeKind::Flow, NodeKind::Route) => None,
     }
 }
 
@@ -1419,6 +1399,7 @@ fn check_dependences(dfg: &Dfg, layout: &Layout, routes: &[FullRoute]) -> Result
 pub(crate) mod reference {
     use super::*;
     use crate::unique::{descriptor, Descriptor};
+    use himap_cgra::MrrgIndex;
 
     /// The per-class pattern table of a keyed design: each representative
     /// in-edge's pattern under its destination-view descriptor.
@@ -1583,7 +1564,7 @@ mod tests {
     use crate::options::HiMapOptions;
     use crate::submap::map_idfg;
     use crate::unique::classify;
-    use himap_cgra::{CgraSpec, Vsa};
+    use himap_cgra::{CgraSpec, MrrgIndex, Vsa};
     use himap_kernels::suite;
     use himap_systolic::{search, SearchConfig};
 
@@ -1786,6 +1767,42 @@ mod tests {
         let design =
             route_fresh(&dfg, &layout, &classes, &seed).expect("routes despite seeded history");
         assert!(!design.patterns.is_empty());
+    }
+
+    #[test]
+    fn grouping_tells_apart_cells_that_differ_only_in_shared_signals() {
+        // 1×1 cells over a 4×4 array with a two-SPE VSA at PE (1, 1): the
+        // SPEs sit on interior PEs (1, 1) and (1, 2), whose resources match.
+        // Each SPE receives two edges of key 0 at macro time 0; SPE 0's carry
+        // two signals, SPE 1's the same signal twice, so only the
+        // relabelled signals tell the cells apart.
+        let cells = Cells {
+            s1: 1,
+            s2: 1,
+            ox: 1,
+            oy: 1,
+            cx0: -1,
+            cy0: -1,
+            rows: 4,
+            cols: 4,
+            pe_rows: 4,
+            pe_cols: 4,
+            spe_rows: 1,
+            spe_cols: 2,
+        };
+        let e = EdgeId::from_index;
+        let spes = SpeClaims {
+            keys: 1,
+            edges: vec![(0, 5, e(0)), (0, 6, e(1)), (0, 7, e(2)), (0, 7, e(3))],
+            edge_at: vec![0, 2, 4],
+            ops: Vec::new(),
+            op_at: vec![0, 0, 0],
+            earliest: vec![0, 0],
+        };
+        let mrrg = Mrrg::new(CgraSpec::square(4), 2);
+        let grouping = Grouping::new(&cells, &spes, &mrrg, &[], &vec![(0, (0, 0))]);
+        assert_eq!(grouping.weight(PeId::new(1, 1)), 1);
+        assert_eq!(grouping.weight(PeId::new(1, 2)), 1);
     }
 
     #[test]

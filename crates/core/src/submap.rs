@@ -186,7 +186,6 @@ fn place_round(
             match probe.graph()[e.src].kind {
                 NodeKind::Op { .. } => op_parents.push((e.src, probe.graph()[e.id].slot)),
                 NodeKind::Input { .. } => load_parents.push(e.src),
-                NodeKind::Route => {}
             }
         }
         let min_t: u32 = op_parents

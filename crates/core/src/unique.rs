@@ -24,8 +24,6 @@ pub enum NodeClass {
     Op(u8, u8),
     /// Live-in load `(stmt, read)`.
     Input(u8, u8),
-    /// Forwarding relay.
-    Route,
 }
 
 /// Which side of the iteration boundary an edge is on.
@@ -96,7 +94,6 @@ pub(crate) fn node_class(kind: NodeKind) -> NodeClass {
     match kind {
         NodeKind::Op { stmt, op, .. } => NodeClass::Op(stmt, op),
         NodeKind::Input { stmt, read } => NodeClass::Input(stmt, read),
-        NodeKind::Route => NodeClass::Route,
     }
 }
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use himap_cgra::CgraSpec;
 use himap_core::backend::{
-    race, Backend, BackendError, BackendOutcome, HiMapBackend, MapRequest, RaceMode, RaceOutcome,
+    race, Backend, BackendError, BackendOutcome, HiMapBackend, MapRequest, RaceOutcome,
 };
 use himap_core::{set_verify_hook, HiMap, HiMapError, HiMapOptions, MapReport, Mapping};
 use himap_kernels::{AffineExpr, ArrayRef, Expr, KernelBuilder, OpKind};
@@ -139,7 +139,7 @@ fn race_ladder(options: &HiMapOptions) -> Result<RaceOutcome, HiMapError> {
     let ladder = HiMapBackend::ladder(options);
     let backends: Vec<&dyn Backend> = ladder.iter().map(|b| b as &dyn Backend).collect();
     let req = MapRequest::new(himap_kernels::suite::gemm(), CgraSpec::square(4));
-    race(&backends, &req, RaceMode::FirstFeasible)
+    race(&backends, &req)
 }
 
 #[test]

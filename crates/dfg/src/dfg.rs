@@ -58,10 +58,6 @@ pub enum NodeKind {
         /// Read-access index within the statement (evaluation order).
         read: u8,
     },
-    /// A forwarding relay inserted to break a multi-hop dependence into
-    /// single-hop segments (the paper's pseudo input-output nodes, §V). It
-    /// consumes no FU slot — only routing resources.
-    Route,
 }
 
 impl NodeKind {
@@ -92,7 +88,6 @@ impl fmt::Display for DfgNode {
                 write!(f, "{kind}(s{stmt}o{op})@{:?}", &self.iter)
             }
             NodeKind::Input { stmt, read } => write!(f, "in(s{stmt}r{read})@{:?}", &self.iter),
-            NodeKind::Route => write!(f, "route@{:?}", &self.iter),
         }
     }
 }
@@ -112,8 +107,7 @@ pub enum EdgeKind {
 }
 
 /// A DFG edge: the kind of transfer plus the operand slot it feeds at the
-/// destination (0 = lhs, 1 = rhs; ignored when the destination is a
-/// [`NodeKind::Route`] relay).
+/// destination op (0 = lhs, 1 = rhs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DfgEdge {
     /// Transfer kind.
@@ -152,7 +146,7 @@ pub struct Dfg {
     pub(crate) schemas: Vec<StmtSchema>,
     pub(crate) block: Vec<usize>,
     pub(crate) op_count: usize,
-    /// Nodes grouped by linear iteration index (ops, inputs and routes).
+    /// Nodes grouped by linear iteration index (ops and inputs).
     pub(crate) cluster_nodes: Vec<Vec<NodeId>>,
     /// Store → load dependences of memory-routed reads
     /// (producer op node, consuming Input node).
@@ -189,7 +183,7 @@ impl Dfg {
     }
 
     /// Number of compute-operation nodes (`|V_D|` in the paper's utilization
-    /// metric — inputs and routes are not ALU work).
+    /// metric — inputs are not ALU work).
     pub fn op_count(&self) -> usize {
         self.op_count
     }
@@ -365,8 +359,6 @@ mod tests {
         assert!(NodeKind::Op { stmt: 0, op: 0, kind: OpKind::Add }.is_op());
         assert!(!NodeKind::Input { stmt: 0, read: 0 }.is_op());
         assert!(NodeKind::Input { stmt: 0, read: 0 }.is_input());
-        assert!(!NodeKind::Route.is_op());
-        assert!(!NodeKind::Route.is_input());
     }
 
     #[test]

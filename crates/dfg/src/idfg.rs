@@ -1,7 +1,7 @@
 //! Intra-iteration data-flow graphs (IDFG, §IV Fig. 3c).
 //!
-//! An [`Idfg`] is the view of one iteration cluster: its compute, input and
-//! route nodes, its internal edges, and its boundary edges to/from other
+//! An [`Idfg`] is the view of one iteration cluster: its compute and input
+//! nodes, its internal edges, and its boundary edges to/from other
 //! iterations (the paper's input/output nodes `V_I`).
 
 use himap_graph::{EdgeId, NodeId};
@@ -31,8 +31,6 @@ pub struct Idfg {
     pub ops: Vec<NodeId>,
     /// Live-in load nodes owned by this iteration.
     pub inputs: Vec<NodeId>,
-    /// Forwarding relays owned by this iteration.
-    pub routes: Vec<NodeId>,
     /// Edges with both endpoints inside the cluster.
     pub internal_edges: Vec<EdgeId>,
     /// Edges arriving from other iterations.
@@ -59,7 +57,6 @@ impl Dfg {
             iter,
             ops: Vec::new(),
             inputs: Vec::new(),
-            routes: Vec::new(),
             internal_edges: Vec::new(),
             incoming: Vec::new(),
             outgoing: Vec::new(),
@@ -68,7 +65,6 @@ impl Dfg {
             match self.graph[node].kind {
                 crate::dfg::NodeKind::Op { .. } => idfg.ops.push(node),
                 crate::dfg::NodeKind::Input { .. } => idfg.inputs.push(node),
-                crate::dfg::NodeKind::Route => idfg.routes.push(node),
             }
             for e in self.graph.out_edges(node) {
                 let dst_iter = self.graph[e.dst].iter;

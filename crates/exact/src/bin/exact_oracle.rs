@@ -25,7 +25,7 @@ use himap_analyze::{analyze_dfg, AnalyzeOptions};
 use himap_cgra::{CapabilityMap, CgraSpec};
 use himap_core::{HiMap, HiMapOptions};
 use himap_dfg::Dfg;
-use himap_exact::{certify, ExactError, ExactOptions};
+use himap_exact::{certify, ExactError};
 use himap_kernels::suite;
 use himap_mapper::CancelToken;
 
@@ -62,7 +62,6 @@ fn main() {
     }
 
     let spec = CgraSpec::square(size);
-    let options = ExactOptions::default();
     let himap = HiMap::new(HiMapOptions::default());
 
     println!("# Optimality gap — exact oracle vs HiMap on {size}x{size}\n");
@@ -94,7 +93,7 @@ fn main() {
         .mii();
         let token = CancelToken::until(Instant::now() + budget);
         let started = Instant::now();
-        let exact = certify(&kernel, &spec, &block, &options, Some(&token));
+        let exact = certify(&kernel, &spec, &block, Some(&token));
         let oracle_time = started.elapsed();
         let himap_ii = himap.map(&kernel, &spec).map(|m| m.stats().iib);
         let block_str = block.iter().map(ToString::to_string).collect::<Vec<_>>().join("x");
@@ -183,7 +182,6 @@ fn tuned_block(size: usize, name: &str) -> Option<Vec<usize>> {
 fn heterogeneous_sweep(size: usize, budget: Duration, only: Option<&[String]>) {
     let hom_spec = CgraSpec::square(size);
     let het_spec = CgraSpec::square(size).with_faults(CapabilityMap::heterogeneous(size, size));
-    let options = ExactOptions::default();
 
     println!("# Exact oracle — homogeneous vs heterogeneous {size}x{size}\n");
     println!("(heterogeneous = corner multipliers + edge-only memory banks)\n");
@@ -211,9 +209,9 @@ fn heterogeneous_sweep(size: usize, budget: Duration, only: Option<&[String]>) {
         .mii();
         let started = Instant::now();
         let hom_token = CancelToken::until(Instant::now() + budget);
-        let hom = certify(&kernel, &hom_spec, &block, &options, Some(&hom_token));
+        let hom = certify(&kernel, &hom_spec, &block, Some(&hom_token));
         let het_token = CancelToken::until(Instant::now() + budget);
-        let het = certify(&kernel, &het_spec, &block, &options, Some(&het_token));
+        let het = certify(&kernel, &het_spec, &block, Some(&het_token));
         let elapsed = started.elapsed();
 
         let col = |r: &Result<himap_exact::ExactResult, ExactError>,

@@ -52,8 +52,6 @@ use crate::sat::{at_most_one, Lit, Solver};
 /// Why a DFG/spec pair could not be encoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EncodeError {
-    /// The DFG contains `Route` relays (systolic pre-lowered form).
-    RouteNodes,
     /// Every PE of the fabric is faulted out.
     NoHealthyPe,
     /// The DFG has no compute ops.
@@ -72,9 +70,6 @@ pub enum EncodeError {
 impl fmt::Display for EncodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EncodeError::RouteNodes => {
-                write!(f, "dfg contains route relays; exact encoding expects raw op graphs")
-            }
             EncodeError::NoHealthyPe => write!(f, "no healthy pe on the fabric"),
             EncodeError::NoOps => write!(f, "dfg has no compute ops"),
             EncodeError::TooLarge { vars, limit } => {
@@ -269,13 +264,9 @@ pub fn encode(
     let mut ops: Vec<NodeId> = Vec::new();
     let mut op_kinds: Vec<OpKind> = Vec::new();
     for (node, weight) in graph.nodes() {
-        match weight.kind {
-            NodeKind::Op { kind, .. } => {
-                ops.push(node);
-                op_kinds.push(kind);
-            }
-            NodeKind::Route => return Err(EncodeError::RouteNodes),
-            NodeKind::Input { .. } => {}
+        if let NodeKind::Op { kind, .. } = weight.kind {
+            ops.push(node);
+            op_kinds.push(kind);
         }
     }
     if ops.is_empty() {

@@ -50,37 +50,25 @@ use himap_mapper::CancelToken;
 pub use encode::{default_horizon, encode, EncodeError, Encoding};
 pub use sat::{Lit, SolveResult, Solver};
 
-/// Options for the exact oracle.
-#[derive(Clone, Debug)]
-pub struct ExactOptions {
-    /// How many IIs above the resource minimum to try before giving up.
-    pub max_ii_span: usize,
-    /// Extra schedule cycles on top of [`default_horizon`].
-    pub horizon_slack: usize,
-    /// SAT models to try per II before declaring the II undecided
-    /// (each routing/verification failure costs one model).
-    pub model_budget: usize,
-    /// PathFinder rounds when routing a model's placement.
-    pub route_rounds: usize,
-    /// Refuse DFGs with more compute ops than this (the encoding is
-    /// exponential in the limit; the oracle targets small blocks).
-    pub max_ops: usize,
-    /// Block for [`ExactBackend`] (`None`: a 2-wide block per dimension).
-    pub block: Option<Vec<usize>>,
-}
+/// How many IIs above the resource minimum to try before giving up.
+const MAX_II_SPAN: usize = 6;
 
-impl Default for ExactOptions {
-    fn default() -> Self {
-        ExactOptions {
-            max_ii_span: 6,
-            horizon_slack: 2,
-            model_budget: 64,
-            route_rounds: 24,
-            max_ops: 64,
-            block: None,
-        }
-    }
-}
+/// Extra schedule cycles on top of [`default_horizon`].
+const HORIZON_SLACK: usize = 2;
+
+/// SAT models to try per II before declaring the II undecided (each
+/// routing/verification failure costs one model).
+const MODEL_BUDGET: usize = 64;
+
+/// PathFinder rounds when routing a model's placement.
+const ROUTE_ROUNDS: usize = 24;
+
+/// Refuse DFGs with more compute ops than this (the encoding is
+/// exponential in the limit; the oracle targets small blocks).
+const MAX_OPS: usize = 64;
+
+/// Block extent per dimension that [`ExactBackend`] maps.
+const BACKEND_BLOCK: usize = 2;
 
 /// What the oracle proved about the minimal II (see the crate docs for the
 /// exact semantics of each field).
@@ -178,14 +166,13 @@ fn pair_clause(
 pub fn minimal_ii(
     dfg: &Dfg,
     spec: &CgraSpec,
-    options: &ExactOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<ExactResult, ExactError> {
-    if dfg.op_count() > options.max_ops {
+    if dfg.op_count() > MAX_OPS {
         return Err(ExactError::TooLarge(format!(
             "{} compute ops, oracle cap is {}",
             dfg.op_count(),
-            options.max_ops
+            MAX_OPS
         )));
     }
     // The certified static bound is sound for the block period (fault- and
@@ -205,11 +192,11 @@ pub fn minimal_ii(
     let mut lower_bound = mii;
     let mut all_lower_refuted = true;
     let mut last_horizon = 0;
-    for ii in mii..=mii + options.max_ii_span {
+    for ii in mii..=mii + MAX_II_SPAN {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(ExactError::Deadline);
         }
-        let horizon = default_horizon(dfg, ii) + options.horizon_slack;
+        let horizon = default_horizon(dfg, ii) + HORIZON_SLACK;
         last_horizon = horizon;
         let encoding = encode(dfg, spec, ii, horizon)?;
         let mut blocked: Vec<Vec<Lit>> = Vec::new();
@@ -223,7 +210,7 @@ pub fn minimal_ii(
         // of an upper II — the `blocked.is_empty()` guard below keeps
         // lower-bound refutations sound regardless.
         let mut edge_failures: HashMap<EdgeSlotKey, usize> = HashMap::new();
-        for _ in 0..options.model_budget.max(1) {
+        for _ in 0..MODEL_BUDGET {
             let mut solver = encoding.solver(&blocked);
             match solver.solve(cancel) {
                 SolveResult::Cancelled => return Err(ExactError::Deadline),
@@ -245,7 +232,7 @@ pub fn minimal_ii(
                 }
                 SolveResult::Sat(model) => {
                     let placement = encoding.decode(&model)?;
-                    match lower(dfg, spec, ii, &placement, options, cancel) {
+                    match lower(dfg, spec, ii, &placement, cancel) {
                         Ok(mapping) => {
                             return Ok(ExactResult {
                                 mapping,
@@ -285,7 +272,7 @@ pub fn minimal_ii(
     Err(ExactError::Infeasible(format!(
         "no routed mapping in ii range {}..={} (lower bound {}, horizon {})",
         mii,
-        mii + options.max_ii_span,
+        mii + MAX_II_SPAN,
         lower_bound,
         last_horizon
     )))
@@ -297,11 +284,9 @@ fn lower(
     spec: &CgraSpec,
     ii: usize,
     placement: &HashMap<NodeId, (PeId, i64)>,
-    options: &ExactOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<Mapping, LowerError> {
-    let mapping =
-        route_placement(dfg, spec, ii, placement, dfg.block(), options.route_rounds, cancel)?;
+    let mapping = route_placement(dfg, spec, ii, placement, dfg.block(), ROUTE_ROUNDS, cancel)?;
     let sink = himap_verify::verify_mapping(&mapping);
     if sink.has_errors() {
         // Treated like a routing failure: the caller blocks this model.
@@ -310,19 +295,10 @@ fn lower(
     Ok(mapping)
 }
 
-/// The exact oracle as a portfolio [`Backend`] (name `"exact"`).
-#[derive(Clone, Debug, Default)]
-pub struct ExactBackend {
-    /// Oracle options.
-    pub options: ExactOptions,
-}
-
-impl ExactBackend {
-    /// A backend over the given options.
-    pub fn new(options: ExactOptions) -> Self {
-        ExactBackend { options }
-    }
-}
+/// The exact oracle as a portfolio [`Backend`] (name `"exact"`): it maps
+/// a block 2 wide in every dimension.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExactBackend;
 
 impl Backend for ExactBackend {
     fn name(&self) -> &'static str {
@@ -331,19 +307,19 @@ impl Backend for ExactBackend {
 
     fn map(&self, req: &MapRequest) -> Result<Mapping, BackendError> {
         let started = std::time::Instant::now();
-        let block = self.options.block.clone().unwrap_or_else(|| vec![2; req.kernel.dims().max(1)]);
+        let block = vec![BACKEND_BLOCK; req.kernel.dims().max(1)];
         let dfg = Dfg::build(&req.kernel, &block)
             .map_err(|e| BackendError::Infeasible(format!("dfg construction failed: {e}")))?;
         let token = req.deadline.map(|budget| CancelToken::until(started + budget));
-        minimal_ii(&dfg, &req.spec, &self.options, token.as_ref())
-            .map(|result| result.mapping)
-            .map_err(|err| match err {
+        minimal_ii(&dfg, &req.spec, token.as_ref()).map(|result| result.mapping).map_err(|err| {
+            match err {
                 ExactError::Deadline => BackendError::Deadline("exact solve cut short".into()),
                 ExactError::TooLarge(why) => BackendError::Unsupported(why),
                 ExactError::Encode(e) => BackendError::Unsupported(e.to_string()),
                 ExactError::Infeasible(why) => BackendError::Infeasible(why),
                 ExactError::Internal(why) => BackendError::Internal(why),
-            })
+            }
+        })
     }
 }
 
@@ -357,10 +333,9 @@ pub fn certify(
     kernel: &himap_kernels::Kernel,
     spec: &CgraSpec,
     block: &[usize],
-    options: &ExactOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<ExactResult, ExactError> {
     let dfg = Dfg::build(kernel, block)
         .map_err(|e| ExactError::Infeasible(format!("dfg construction failed: {e}")))?;
-    minimal_ii(&dfg, spec, options, cancel)
+    minimal_ii(&dfg, spec, cancel)
 }

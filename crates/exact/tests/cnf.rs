@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use himap_cgra::CgraSpec;
 use himap_dfg::Dfg;
-use himap_exact::{certify, default_horizon, encode, ExactOptions, Lit, SolveResult};
+use himap_exact::{certify, default_horizon, encode, Lit, SolveResult};
 use himap_kernels::suite;
 use himap_verify::verify_mapping;
 use proptest::prelude::*;
@@ -94,7 +94,7 @@ proptest! {
         let (name, block) = oracle_cases().swap_remove(case);
         let kernel = suite::by_name(name).unwrap();
         let result =
-            certify(&kernel, &CgraSpec::square(4), &block, &ExactOptions::default(), None)
+            certify(&kernel, &CgraSpec::square(4), &block, None)
                 .expect("tuned oracle case solves");
         let sink = verify_mapping(&result.mapping);
         prop_assert!(!sink.has_errors(), "{}", sink.render_pretty());

@@ -6,7 +6,7 @@
 
 use himap_cgra::CgraSpec;
 use himap_core::{HiMap, HiMapOptions};
-use himap_exact::{certify, ExactOptions};
+use himap_exact::certify;
 use himap_kernels::suite;
 use himap_verify::verify_mapping;
 
@@ -26,12 +26,11 @@ fn fast_certified_cases() -> Vec<(&'static str, Vec<usize>)> {
 #[test]
 fn himap_never_beats_the_certified_lower_bound() {
     let spec = CgraSpec::square(4);
-    let options = ExactOptions::default();
     let himap = HiMap::new(HiMapOptions::default());
     let mut certified = 0usize;
     for (name, block) in fast_certified_cases() {
         let kernel = suite::by_name(name).unwrap();
-        let exact = certify(&kernel, &spec, &block, &options, None)
+        let exact = certify(&kernel, &spec, &block, None)
             .unwrap_or_else(|e| panic!("{name}: oracle failed: {e}"));
         let cert = exact.certificate;
         assert!(
@@ -70,8 +69,7 @@ fn certificates_are_stable_across_runs() {
     // The oracle is deterministic: same kernel, same block, same result.
     let kernel = suite::by_name("mvt").unwrap();
     let spec = CgraSpec::square(4);
-    let options = ExactOptions::default();
-    let a = certify(&kernel, &spec, &[2, 3], &options, None).unwrap();
-    let b = certify(&kernel, &spec, &[2, 3], &options, None).unwrap();
+    let a = certify(&kernel, &spec, &[2, 3], None).unwrap();
+    let b = certify(&kernel, &spec, &[2, 3], None).unwrap();
     assert_eq!(a.certificate, b.certificate);
 }

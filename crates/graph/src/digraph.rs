@@ -241,16 +241,6 @@ impl<N, E> DiGraph<N, E> {
         self.edges.get(edge.index()).map(|s| &s.weight)
     }
 
-    /// Mutable access to a node weight, or `None` if out of bounds.
-    pub fn node_weight_mut(&mut self, node: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(node.index()).map(|s| &mut s.weight)
-    }
-
-    /// Mutable access to an edge weight, or `None` if out of bounds.
-    pub fn edge_weight_mut(&mut self, edge: EdgeId) -> Option<&mut E> {
-        self.edges.get_mut(edge.index()).map(|s| &mut s.weight)
-    }
-
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {

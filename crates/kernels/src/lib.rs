@@ -36,7 +36,5 @@ pub use ir::{
     AffineExpr, ArrayDecl, ArrayId, ArrayRef, Expr, IterVec, Kernel, KernelBuilder, KernelError,
     OpKind, Statement, StmtId,
 };
-pub use lint::{
-    lint_kernel, lints_clean, uniform_distance, Lint, LintCode, LintOptions, LintSeverity,
-};
+pub use lint::{lint_kernel, lints_clean, uniform_distance, Lint, LintCode, LintSeverity};
 pub use parse::{parse_kernel, ParseError};

@@ -1,7 +1,7 @@
 //! Kernel-IR lints surfaced *before* mapping starts.
 //!
 //! The mapper's failure modes for ill-suited kernels are late and opaque
-//! (an unroutable candidate walk); these checks catch the three structural
+//! (an unroutable candidate walk); these checks catch two structural
 //! problems early, each under a stable diagnostic code:
 //!
 //! * **K001** — a read of a kernel-written array whose affine access differs
@@ -10,16 +10,16 @@
 //!   chain; they are only mappable when explicitly routed through local
 //!   memory ([`Kernel::is_mem_routed`]). Error when not memory-routed.
 //! * **K002** — a flow-dependence distance component at least as large as
-//!   the block extent at that level: the dependence leaves the block and
-//!   silently degrades to a cross-block memory dependence. Warning.
-//! * **K003** — an ALU operation outside the supported PE op set. Error.
+//!   the block extent at that level (4, the free extent the mapper tries
+//!   first): the dependence leaves the block and silently degrades to a
+//!   cross-block memory dependence. Warning.
 //!
 //! The `himap-verify` crate adapts these into its rustc-style
 //! [`Diagnostic`](../../verify) representation; here they stay dependency-free.
 
 use std::fmt;
 
-use crate::ir::{Kernel, OpKind, StmtId};
+use crate::ir::{Kernel, StmtId};
 
 /// Stable code of a kernel lint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,8 +28,6 @@ pub enum LintCode {
     K001,
     /// Flow-dependence distance exceeds the block extent.
     K002,
-    /// Operation unsupported by the PE ALU.
-    K003,
 }
 
 impl LintCode {
@@ -38,7 +36,6 @@ impl LintCode {
         match self {
             LintCode::K001 => "K001",
             LintCode::K002 => "K002",
-            LintCode::K003 => "K003",
         }
     }
 }
@@ -73,39 +70,23 @@ pub struct Lint {
     pub read: Option<u8>,
 }
 
-/// Options of the kernel lint pass.
-#[derive(Clone, Debug)]
-pub struct LintOptions {
-    /// Block extents checked by K002. `None` uses `4` per loop level — the
-    /// default free extent the mapper tries first.
-    pub block: Option<Vec<usize>>,
-    /// The PE ALU's op repertoire (K003). Defaults to every [`OpKind`].
-    pub supported_ops: Vec<OpKind>,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            block: None,
-            supported_ops: vec![OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Min, OpKind::Max],
-        }
-    }
-}
+/// The block extent per loop level that K002 checks distances against:
+/// the free extent the mapper tries first.
+const BLOCK_EXTENT: usize = 4;
 
 /// Runs all kernel lints, returning findings in deterministic
 /// (statement, read) order with K00x groups interleaved per statement.
-pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Lint> {
+pub fn lint_kernel(kernel: &Kernel) -> Vec<Lint> {
     let mut out = Vec::new();
     lint_accesses(kernel, &mut out);
-    lint_distances(kernel, options, &mut out);
-    lint_ops(kernel, options, &mut out);
+    lint_distances(kernel, &mut out);
     out
 }
 
-/// `true` when the kernel has no Error-severity lint under default options —
-/// the cheap pre-flight gate callers can use before invoking the mapper.
+/// `true` when the kernel has no Error-severity lint — the cheap pre-flight
+/// gate callers can use before invoking the mapper.
 pub fn lints_clean(kernel: &Kernel) -> bool {
-    lint_kernel(kernel, &LintOptions::default()).iter().all(|l| l.severity != LintSeverity::Error)
+    lint_kernel(kernel).iter().all(|l| l.severity != LintSeverity::Error)
 }
 
 /// K001: reads of written arrays must be uniform with the writer (equal
@@ -155,8 +136,8 @@ fn lint_accesses(kernel: &Kernel, out: &mut Vec<Lint>) {
 /// [`DepAnalysis`](crate::deps::DepAnalysis), whose fixed sample block
 /// cannot observe distances longer than itself — exactly the ones this
 /// lint is about).
-fn lint_distances(kernel: &Kernel, options: &LintOptions, out: &mut Vec<Lint>) {
-    let block = options.block.clone().unwrap_or_else(|| vec![4; kernel.dims()]);
+fn lint_distances(kernel: &Kernel, out: &mut Vec<Lint>) {
+    let block = vec![BLOCK_EXTENT; kernel.dims()];
     let dims = kernel.dims();
     let mut seen: Vec<Vec<i64>> = Vec::new();
     for (sidx, stmt) in kernel.stmts().iter().enumerate() {
@@ -244,47 +225,17 @@ pub fn uniform_distance(
     Some(dist.into_iter().map(|d| d.unwrap_or(0)).collect())
 }
 
-/// K003: every op in every statement must be in the PE's repertoire.
-fn lint_ops(kernel: &Kernel, options: &LintOptions, out: &mut Vec<Lint>) {
-    for (sidx, stmt) in kernel.stmts().iter().enumerate() {
-        let mut ops = Vec::new();
-        collect_ops(&stmt.value, &mut ops);
-        for op in ops {
-            if !options.supported_ops.contains(&op) {
-                out.push(Lint {
-                    code: LintCode::K003,
-                    severity: LintSeverity::Error,
-                    message: format!(
-                        "statement {sidx} uses `{}`, which the PE ALU does not support",
-                        op.mnemonic()
-                    ),
-                    stmt: Some(StmtId::from_index(sidx)),
-                    read: None,
-                });
-            }
-        }
-    }
-}
-
-fn collect_ops(expr: &crate::ir::Expr, out: &mut Vec<OpKind>) {
-    if let crate::ir::Expr::Binary(op, l, r) = expr {
-        out.push(*op);
-        collect_ops(l, out);
-        collect_ops(r, out);
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::ir::{AffineExpr, ArrayRef, Expr, KernelBuilder};
+    use crate::ir::{AffineExpr, ArrayRef, Expr, KernelBuilder, OpKind};
     use crate::suite;
 
     #[test]
     fn suite_kernels_are_clean() {
         for kernel in suite::all() {
-            let lints = lint_kernel(&kernel, &LintOptions::default());
+            let lints = lint_kernel(&kernel);
             assert!(
                 lints.iter().all(|l| l.severity != LintSeverity::Error),
                 "{}: {:?}",
@@ -312,7 +263,7 @@ mod tests {
             ),
         );
         let kernel = b.build().unwrap();
-        let lints = lint_kernel(&kernel, &LintOptions::default());
+        let lints = lint_kernel(&kernel);
         let k001: Vec<_> = lints.iter().filter(|l| l.code == LintCode::K001).collect();
         assert_eq!(k001.len(), 1, "{lints:?}");
         assert_eq!(k001[0].severity, LintSeverity::Error);
@@ -324,7 +275,7 @@ mod tests {
     fn mem_routing_silences_k001() {
         // Floyd–Warshall's pivot reads are non-uniform but memory-routed.
         let fw = suite::floyd_warshall();
-        let lints = lint_kernel(&fw, &LintOptions::default());
+        let lints = lint_kernel(&fw);
         assert!(lints.iter().all(|l| l.code != LintCode::K001), "{lints:?}");
     }
 
@@ -346,24 +297,29 @@ mod tests {
             ),
         );
         let kernel = b.build().unwrap();
-        let lints = lint_kernel(&kernel, &LintOptions::default());
+        let lints = lint_kernel(&kernel);
         assert!(lints.iter().any(|l| l.code == LintCode::K002), "{lints:?}");
         // Warnings do not fail the clean gate.
         assert!(lints_clean(&kernel));
-        // A big enough block swallows the distance.
-        let wide = LintOptions { block: Some(vec![8, 8]), ..LintOptions::default() };
-        assert!(lint_kernel(&kernel, &wide).iter().all(|l| l.code != LintCode::K002));
     }
 
     #[test]
-    fn unsupported_op_is_k003() {
-        let kernel = suite::gemm();
-        let no_mul =
-            LintOptions { supported_ops: vec![OpKind::Add, OpKind::Sub], ..Default::default() };
-        let lints = lint_kernel(&kernel, &no_mul);
-        assert!(
-            lints.iter().any(|l| l.code == LintCode::K003 && l.severity == LintSeverity::Error),
-            "{lints:?}"
+    fn distance_inside_the_block_is_not_k002() {
+        // a[i][j] = a[i-3][j] + 1: distance 3 stays inside the extent-4 block.
+        let mut b = KernelBuilder::new("near-dep", 2);
+        let a = b.array("a", 2);
+        b.stmt(
+            ArrayRef::new(a, vec![AffineExpr::var(0, 2), AffineExpr::var(1, 2)]),
+            Expr::binary(
+                OpKind::Add,
+                Expr::Read(ArrayRef::new(
+                    a,
+                    vec![AffineExpr::new(vec![1, 0], -3), AffineExpr::var(1, 2)],
+                )),
+                Expr::Const(1),
+            ),
         );
+        let kernel = b.build().unwrap();
+        assert!(lint_kernel(&kernel).iter().all(|l| l.code != LintCode::K002));
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use himap_cgra::{PowerModel, RKind, RNode};
+use himap_cgra::{PeId, PowerModel, RKind, RNode};
 use himap_core::Mapping;
 use himap_dfg::{from_iter4, NodeKind, OperandSrc};
 use himap_graph::{EdgeId, NodeId};
@@ -68,6 +68,15 @@ pub enum SimError {
         /// Absolute cycle.
         abs: i64,
     },
+    /// The schedule disagrees with itself: op `node`'s `cycle_mod` is not
+    /// its absolute cycle modulo the II (`edge` is `None`), or the route of
+    /// `edge` into `node` does not end on its FU at its absolute cycle.
+    ScheduleMismatch {
+        /// The op.
+        node: NodeId,
+        /// The in-edge whose route ends elsewhere.
+        edge: Option<EdgeId>,
+    },
     /// The final memory differs from the reference interpreter.
     ResultMismatch {
         /// Array holding the element.
@@ -96,6 +105,12 @@ impl fmt::Display for SimError {
                 write!(f, "faulted resource {node} driven at cycle {abs}")
             }
             SimError::BlockMismatch => write!(f, "block extents do not match the kernel"),
+            SimError::ScheduleMismatch { node, edge: None } => {
+                write!(f, "op {node:?} has a cycle slot other than its absolute cycle's")
+            }
+            SimError::ScheduleMismatch { node, edge: Some(edge) } => {
+                write!(f, "route of {edge:?} does not reach {node:?} at its scheduled cycle")
+            }
             SimError::ResultMismatch { array, element, expected, actual } => write!(
                 f,
                 "result mismatch at {array:?}{element:?}: expected {expected}, got {actual}"
@@ -122,11 +137,18 @@ type Element = (ArrayId, Vec<i64>);
 /// Errors come in phase order: placement (in node order), then execution
 /// (in schedule order), then the routes (in route and step order, a fault
 /// before a capacity overflow at the same step), then the final memory
-/// (the smallest mismatching `(array, element)`).
+/// (the smallest mismatching `(array, element)`), then the schedule's
+/// consistency: the first op in node order whose `cycle_mod` is not its
+/// absolute cycle modulo the II, else the first route in route order that
+/// does not end on its consumer's FU at the consumer's cycle
+/// ([`SimError::ScheduleMismatch`]). The placement pass and the route
+/// stamping find those as they go, but report them last, so that an error
+/// the values show wins.
 pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
     let dfg = mapping.dfg();
     let graph = dfg.graph();
     let spec = mapping.spec();
+    let ii = mapping.stats().iib as i64;
     // Reference execution.
     let mut expected = ArrayStore::new(seed);
     interpret(dfg.kernel(), dfg.block(), &mut expected).map_err(|_| SimError::BlockMismatch)?;
@@ -145,12 +167,19 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
     let schemas = dfg.schemas();
     let mut elements: HashMap<(ArrayId, Vec<i64>), u32> = HashMap::new();
     let mut ops: Vec<(i64, NodeId, u32)> = Vec::new();
+    // Each op's FU and absolute cycle, where its in-routes must end.
+    let mut placed = vec![(RNode::new(PeId::new(0, 0), 0, RKind::Fu), 0i64); graph.node_count()];
+    // The first schedule inconsistency, reported after every other check.
+    let mut mistimed = None;
     for (n, w) in graph.nodes() {
         let NodeKind::Op { stmt, op, .. } = w.kind else { continue };
         let slot = mapping.op_slot(n).ok_or(SimError::OpUnplaced { node: n })?;
         let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
         if spec.faults.masks(spec, fu) {
             return Err(SimError::FaultedResource { node: fu, abs: slot.abs });
+        }
+        if mistimed.is_none() && i64::from(slot.cycle_mod) != slot.abs.rem_euclid(ii) {
+            mistimed = Some(SimError::ScheduleMismatch { node: n, edge: None });
         }
         let mut target = NONE;
         if op == schemas[stmt as usize].root_op() {
@@ -159,6 +188,7 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
             let next = elements.len() as u32;
             target = *elements.entry((stmt_ir.target.array, element)).or_insert(next);
         }
+        placed[n.index()] = (fu, slot.abs);
         ops.push((slot.abs, n, target));
     }
     ops.sort_unstable();
@@ -206,7 +236,6 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
                     let (id, live_in) = inputs[root.index()];
                     memory_read(&memory, id, live_in, load_abs)
                 }
-                NodeKind::Route => return Err(SimError::OperandUnavailable { node, slot }),
             };
         }
         let value = kind.apply(operands[0], operands[1]);
@@ -216,7 +245,7 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
         }
     }
 
-    check_occupancy(mapping, &results, &inputs, &memory)?;
+    check_occupancy(mapping, &results, &inputs, &memory, &placed, &mut mistimed)?;
 
     // Compare final memory state with the interpreter. The store is a hash
     // map, so of several mismatches the smallest `(array, element)` is
@@ -242,6 +271,9 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
             expected,
             actual,
         });
+    }
+    if let Some(error) = mistimed {
+        return Err(error);
     }
 
     let cycles = ops.iter().map(|&(abs, ..)| abs).max().unwrap_or(0) + 1;
@@ -282,13 +314,17 @@ fn memory_read(memory: &[Vec<(i64, i64)>], id: u32, live_in: i64, abs: i64) -> i
 /// sorted once and scanned run by run. A run's overflow is found at the
 /// claim that brings its distinct values past capacity, and the earliest
 /// such claim over all runs is reported. Stamping stops at the first
-/// faulted step or unresolvable route: only claims before it can overflow
-/// earlier.
+/// faulted step: only claims before it can overflow earlier.
+///
+/// Stamping also records in `mistimed`, unless it holds an error already,
+/// the first route that does not end where `placed` puts its consumer.
 fn check_occupancy(
     mapping: &Mapping,
     results: &[Option<i64>],
     inputs: &[(u32, i64)],
     memory: &[Vec<(i64, i64)>],
+    placed: &[(RNode, i64)],
+    mistimed: &mut Option<SimError>,
 ) -> Result<(), SimError> {
     let dfg = mapping.dfg();
     let graph = dfg.graph();
@@ -300,7 +336,11 @@ fn check_occupancy(
     let mut claims: Vec<(u128, i64, u32, u32)> = Vec::with_capacity(steps);
     let mut stop = None;
     'stamp: for (i, route) in mapping.routes().iter().enumerate() {
-        let (src, _) = graph.edge_endpoints(route.edge);
+        let (src, dst) = graph.edge_endpoints(route.edge);
+        debug_assert!(graph[dst].kind.is_op(), "every DFG edge ends at an op");
+        if mistimed.is_none() && route.steps.last() != Some(&placed[dst.index()]) {
+            *mistimed = Some(SimError::ScheduleMismatch { node: dst, edge: Some(route.edge) });
+        }
         let root = graph[route.edge].signal(src);
         let value = match graph[root].kind {
             // Every op has executed by now.
@@ -311,10 +351,6 @@ fn check_occupancy(
                     .steps
                     .first()
                     .map_or(live_in, |&(_, abs)| memory_read(memory, id, live_in, abs))
-            }
-            NodeKind::Route => {
-                stop = Some(SimError::RouteCorrupted { edge: route.edge });
-                break;
             }
         };
         values.push(value);
@@ -401,6 +437,17 @@ mod tests {
             let report = check(&suite::bicg(), 4, seed);
             assert!(report.elements_checked > 0);
         }
+    }
+
+    #[test]
+    fn equal_time_stores_keep_the_last_executed() {
+        // Ops execute in `(abs, node)` order and append their stores in that
+        // order, so of two stores visible from one cycle the later wins.
+        let memory = vec![vec![(3, 10), (5, 20), (5, 30)]];
+        assert_eq!(memory_read(&memory, 0, -1, 2), -1);
+        assert_eq!(memory_read(&memory, 0, -1, 4), 10);
+        assert_eq!(memory_read(&memory, 0, -1, 5), 30);
+        assert_eq!(memory_read(&memory, NONE, -1, 5), -1);
     }
 
     #[test]

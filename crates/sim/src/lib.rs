@@ -8,7 +8,8 @@
 //! * operations execute at their scheduled absolute cycles, consuming
 //!   operand values that must have physically travelled the routed resource
 //!   sequence (wire, register-file and output-register steps, one cycle per
-//!   hop);
+//!   hop); each op's cycle slot must be its absolute cycle modulo the II,
+//!   and every route must end on its consumer's FU at the consumer's cycle;
 //! * every `(resource, cycle)` pair may carry at most as many distinct
 //!   values as the resource has capacity (`CgraSpec::capacity`): one on a
 //!   wire, register or output register, the port count on the memory port

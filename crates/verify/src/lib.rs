@@ -20,7 +20,7 @@
 //! | W101 | warning  | no avoidable wire detours |
 //! | W102 | warning  | no route dwells longer than one modulo window |
 //! | W103 | warning  | mapper statistics match recomputed values |
-//! | K001–K003 | mixed | kernel-IR lints (adapted from `himap_kernels::lint`) |
+//! | K001–K002 | mixed | kernel-IR lints (adapted from `himap_kernels::lint`) |
 //! | A001–A009 | mixed | pre-mapping static analysis (emitted by `himap-analyze`) |
 //!
 //! The checks read the implicit [`Mrrg`](himap_cgra::Mrrg): resources and
@@ -62,13 +62,13 @@ pub use himap_analyze::{Code, Diagnostic, DiagnosticSink, Locus, Severity};
 pub use verify::verify_mapping;
 
 use himap_core::Mapping;
-use himap_kernels::{Kernel, LintOptions};
+use himap_kernels::Kernel;
 
-/// Runs the kernel-IR lint pass (K001–K003) and returns the findings as
+/// Runs the kernel-IR lint pass (K001–K002) and returns the findings as
 /// diagnostics. Delegates to [`himap_analyze::lint_diagnostics`], so the
 /// K codes share the analyzer's sink and exit-code convention.
-pub fn verify_kernel(kernel: &Kernel, options: &LintOptions) -> DiagnosticSink {
-    himap_analyze::lint_diagnostics(kernel, options)
+pub fn verify_kernel(kernel: &Kernel) -> DiagnosticSink {
+    himap_analyze::lint_diagnostics(kernel)
 }
 
 /// Installs this verifier as `himap-core`'s process-wide verify hook, so

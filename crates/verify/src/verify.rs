@@ -315,6 +315,7 @@ fn check_schedule(mapping: &Mapping, slots: &[Option<Slot>], sink: &mut Diagnost
             continue; // empty routes already reported by V002
         };
         let (src, dst) = graph.edge_endpoints(e);
+        debug_assert!(graph[dst].kind.is_op(), "every DFG edge ends at an op");
         // Delivery: the consuming FU at the consumer's exact cycle.
         if let Some(dslot) = slots[dst.index()] {
             if last.kind != RKind::Fu || last.pe != dslot.pe || last_abs != dslot.abs {
@@ -403,7 +404,6 @@ fn check_schedule(mapping: &Mapping, slots: &[Option<Slot>], sink: &mut Diagnost
                     );
                 }
             }
-            (EdgeKind::Flow, NodeKind::Route) => {}
         }
     }
 

@@ -5,7 +5,7 @@
 //!                       [--baseline spr|sa] [--lint-only] [--file <path>]
 //! ```
 //!
-//! Lints the kernel IR (K001–K003), maps it (HiMap by default, or a
+//! Lints the kernel IR (K001–K002), maps it (HiMap by default, or a
 //! baseline mapper with `--baseline`, whose placement and routes are
 //! wrapped as a mapping), then re-derives the mapping's legality from
 //! scratch (V001–V007, W101+). Exits non-zero on any Error-severity
@@ -17,7 +17,7 @@ use himap_repro::baseline::{baseline_block, BaselineOptions, SaMapper, SprMapper
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::{routed_mapping, HiMap, HiMapOptions};
 use himap_repro::dfg::Dfg;
-use himap_repro::kernels::{parse_kernel, suite, Kernel, LintOptions};
+use himap_repro::kernels::{parse_kernel, suite, Kernel};
 use himap_repro::verify::{verify_kernel, verify_mapping, DiagnosticSink};
 
 struct Args {
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut report = verify_kernel(&kernel, &LintOptions::default());
+    let mut report = verify_kernel(&kernel);
     if !args.lint_only && !report.has_errors() {
         match verify_mapped(&args, &kernel) {
             Ok(mapping_report) => report.extend(mapping_report),
@@ -85,7 +85,7 @@ fn verify_mapped(args: &Args, kernel: &Kernel) -> Result<DiagnosticSink, String>
         }
         Some(which) => {
             let options = BaselineOptions::default();
-            let block = baseline_block(kernel, &options);
+            let block = baseline_block(kernel);
             let dfg = Dfg::build(kernel, &block).map_err(|e| e.to_string())?;
             let result = match which {
                 "spr" => SprMapper::run(&dfg, &spec, &options),

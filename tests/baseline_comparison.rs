@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use himap_repro::baseline::{bhc, BaselineOptions};
+use himap_repro::baseline::{bhc, BaselineOptions, MAX_DFG_NODES};
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::backend::{Backend, BackendError, BhcBackend, HiMapBackend, MapRequest};
 use himap_repro::dfg::Dfg;
@@ -54,10 +54,9 @@ fn bhc_hits_the_scalability_cliff() {
     // The paper: "BHC fails to find a solution when the number of DFG nodes
     // is higher than 400". Through the Backend trait that surfaces as an
     // Infeasible request, not a panic or a hang.
-    let options = BaselineOptions::default();
     let dfg = Dfg::build(&suite::gemm(), &[8, 8, 8]).expect("builds");
-    assert!(dfg.graph().node_count() > options.max_dfg_nodes);
-    let backend = BhcBackend::new(options).with_block(vec![8, 8, 8]);
+    assert!(dfg.graph().node_count() > MAX_DFG_NODES);
+    let backend = BhcBackend::new(BaselineOptions::default()).with_block(vec![8, 8, 8]);
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(16));
     let result = backend.map(&req);
     assert!(
@@ -72,14 +71,13 @@ fn himap_dominates_on_large_arrays() {
     // cannot fill 256 PEs, while HiMap's utilization stays flat.
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(16));
     let himap_util = HiMapBackend::default().map(&req).expect("himap maps").utilization();
-    let options =
-        BaselineOptions { timeout: Duration::from_secs(15), ..BaselineOptions::default() };
+    let options = BaselineOptions { timeout: Duration::from_secs(15) };
     let bhc = BhcBackend::new(options);
     let bhc_util = match bhc.map(&req) {
         Ok(mapping) => {
             // The baseline's ops are capped near the node limit; 256 PEs
             // cannot be filled even at II = 1.
-            let block = himap_repro::baseline::baseline_block(&req.kernel, &bhc.options);
+            let block = himap_repro::baseline::baseline_block(&req.kernel);
             let dfg = Dfg::build(&req.kernel, &block).expect("builds");
             let ops_bound = dfg.op_count() as f64 / req.spec.pe_count() as f64;
             let util = mapping.utilization();

@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use himap_repro::cgra::{CapabilityMap, CgraSpec, OpClass, PeId, ALL_DIRS};
-use himap_repro::core::backend::{race, Backend, HiMapBackend, MapRequest, RaceMode};
+use himap_repro::core::backend::{race, Backend, HiMapBackend, MapRequest};
 use himap_repro::core::{HiMap, HiMapError, HiMapOptions};
 use himap_repro::kernels::suite;
 use himap_repro::sim::simulate;
@@ -97,7 +97,7 @@ fn assert_trichotomy(
     let ladder = HiMapBackend::ladder(&HiMapOptions::default());
     let backends: Vec<&dyn Backend> = ladder.iter().map(|b| b as &dyn Backend).collect();
     let req = MapRequest::new(kernel.clone(), spec.clone()).with_deadline(deadline);
-    match race(&backends, &req, RaceMode::FirstFeasible) {
+    match race(&backends, &req) {
         Ok(outcome) => {
             let mapping = outcome.mapping;
             // (a) mapped: the independent verifier must find nothing — in

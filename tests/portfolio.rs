@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::backend::{
-    race, Backend, BackendError, BhcBackend, HiMapBackend, MapRequest, RaceMode,
+    race, Backend, BackendError, BhcBackend, HiMapBackend, MapRequest,
 };
 use himap_repro::core::{HiMapError, Mapping};
 use himap_repro::exact::ExactBackend;
@@ -41,9 +41,9 @@ fn race_honours_the_deadline() {
     let req = MapRequest::new(suite::gemm(), CgraSpec::square(16))
         .with_deadline(Duration::from_millis(5));
     let himap = HiMapBackend::default();
-    let exact = ExactBackend::default();
+    let exact = ExactBackend;
     let started = Instant::now();
-    let result = race(&[&himap, &exact], &req, RaceMode::FirstFeasible);
+    let result = race(&[&himap, &exact], &req);
     let elapsed = started.elapsed();
     match result {
         Err(HiMapError::DeadlineExceeded(report)) => {
@@ -66,8 +66,7 @@ fn backends_after_the_winner_never_run() {
     let req = MapRequest::new(suite::mvt(), CgraSpec::square(4));
     let himap = HiMapBackend::default();
     let probe = Probe::default();
-    let outcome =
-        race(&[&himap, &probe], &req, RaceMode::FirstFeasible).expect("himap wins the race");
+    let outcome = race(&[&himap, &probe], &req).expect("himap wins the race");
     assert_eq!(outcome.winner, "himap");
     assert_eq!(outcome.winner_index, 0);
     assert_eq!(outcome.outcomes.len(), 1, "{:?}", outcome.outcomes);
@@ -81,10 +80,10 @@ fn expired_budget_is_a_deadline_without_mapping() {
     let req = MapRequest::new(suite::mvt(), CgraSpec::square(4)).with_deadline(Duration::ZERO);
     let result = HiMapBackend::default().map(&req);
     assert!(matches!(result, Err(BackendError::Deadline(_))), "got {result:?}");
-    let result = ExactBackend::default().map(&req);
+    let result = ExactBackend.map(&req);
     assert!(matches!(result, Err(BackendError::Deadline(_))), "got {result:?}");
     let probe = Probe::default();
-    match race(&[&probe], &req, RaceMode::FirstFeasible) {
+    match race(&[&probe], &req) {
         Err(HiMapError::DeadlineExceeded(report)) => {
             assert_eq!(report.outcomes.len(), 1);
             assert_eq!(report.outcomes[0].name, "probe");
@@ -100,31 +99,17 @@ fn expired_budget_is_a_deadline_without_mapping() {
 
 #[test]
 fn winner_is_deterministic_across_repeated_races() {
-    // The documented tie-break: lowest II, then lowest index. Re-race three
-    // times; the winner name, index, and achieved II must never move.
+    // The documented rule: the lowest-index backend that maps wins. Re-race
+    // three times; the winner name, index, and achieved II must never move.
     let req = MapRequest::new(suite::mvt(), CgraSpec::square(4));
     let himap = HiMapBackend::default();
     let bhc = BhcBackend::default().with_block(vec![2, 3]);
     let picks: Vec<_> = (0..3)
         .map(|_| {
-            let outcome = race(&[&himap, &bhc], &req, RaceMode::BestII).expect("mvt maps on 4x4");
+            let outcome = race(&[&himap, &bhc], &req).expect("mvt maps on 4x4");
             (outcome.winner, outcome.winner_index, outcome.mapping.stats().iib)
         })
         .collect();
     assert_eq!(picks[0], picks[1], "winner moved between the first and second race");
     assert_eq!(picks[1], picks[2], "winner moved between the second and third race");
-}
-
-#[test]
-fn best_ii_mode_keeps_every_outcome() {
-    // BestII races run every backend: both outcomes carry an II or an
-    // error, and the winner achieved the minimum of the IIs.
-    let req =
-        MapRequest::new(suite::mvt(), CgraSpec::square(4)).with_deadline(Duration::from_secs(30));
-    let himap = HiMapBackend::default();
-    let exact = ExactBackend::default();
-    let outcome = race(&[&himap, &exact], &req, RaceMode::BestII).expect("mvt maps");
-    let best_ii =
-        outcome.outcomes.iter().filter_map(|o| o.ii).min().expect("at least one backend succeeded");
-    assert_eq!(outcome.mapping.stats().iib, best_ii);
 }

@@ -111,7 +111,9 @@ fn duplicate_routes_of_an_edge_load_at_the_last_ones_time() {
             if !matches!(graph[root].kind, NodeKind::Input { .. }) || !graph[dst].kind.is_op() {
                 return None;
             }
-            let early = RouteInstance { edge: r.edge, steps: vec![(r.steps[0].0, -1000)] };
+            let delivery = *r.steps.last().expect("routes have steps");
+            let early =
+                RouteInstance { edge: r.edge, steps: vec![(r.steps[0].0, -1000), delivery] };
             let mut probe = parts.clone();
             probe.routes.push(early.clone());
             sim(probe).is_err().then_some((i, early))
@@ -129,38 +131,6 @@ fn duplicate_routes_of_an_edge_load_at_the_last_ones_time() {
     let clean = sim(parts).expect("the unmodified mapping simulates");
     let report = sim(first).expect("the original route is the last one");
     assert_eq!(golden_of(&report), golden_of(&clean));
-}
-
-#[test]
-fn equal_time_stores_keep_the_last_executed() {
-    use himap_repro::dfg::from_iter4;
-    // GEMM's accumulation chain stores C[i][j] at every step. Moving the
-    // next-to-last add onto the last add's cycle makes both stores visible
-    // at once; the last one executed (the higher node id) must win.
-    let mut parts = gemm_parts();
-    let graph = parts.dfg.graph();
-    let dfg = &parts.dfg;
-    let target = |n: NodeId| {
-        let NodeKind::Op { stmt, .. } = graph[n].kind else { unreachable!() };
-        let stmt_ir = dfg.kernel().stmt(himap_repro::kernels::StmtId::from_index(stmt as usize));
-        (stmt_ir.target.array, stmt_ir.target.element_at(&from_iter4(graph[n].iter, dfg.dims())))
-    };
-    let (prev, last) = graph
-        .nodes()
-        .filter(|(n, w)| w.kind.is_op() && graph.out_edges(*n).count() == 0)
-        .find_map(|(last, w)| {
-            graph.in_edges(last).find_map(|e| {
-                let same_op = graph[e.src].kind == w.kind;
-                (same_op && target(e.src) == target(last)).then_some((e.src, last))
-            })
-        })
-        .expect("gemm chains its accumulation through ops");
-    assert!(prev < last);
-    let last_abs = parts.op_slots[&last].abs;
-    if let Some(slot) = parts.op_slots.get_mut(&prev) {
-        slot.abs = last_abs;
-    }
-    sim(parts).expect("the last store of C[i][j] wins the tie");
 }
 
 // ------------------------------------------------------------- mutations
@@ -370,6 +340,30 @@ fn op_scheduled_before_its_producers_misses_its_operand() {
         slot.abs = first - 1;
     }
     assert_eq!(error_of(parts), SimError::OperandUnavailable { node, slot: 0 });
+}
+
+#[test]
+fn route_delivering_a_cycle_late_is_a_schedule_mismatch() {
+    let mut parts = gemm_parts();
+    let route = parts.routes.iter_mut().find(|r| r.steps.len() >= 2).expect("routes hop");
+    let edge = route.edge;
+    if let Some(last) = route.steps.last_mut() {
+        last.1 += 1;
+    }
+    let (_, node) = parts.dfg.graph().edge_endpoints(edge);
+    assert_eq!(error_of(parts), SimError::ScheduleMismatch { node, edge: Some(edge) });
+}
+
+#[test]
+fn op_off_its_cycle_slot_is_a_schedule_mismatch() {
+    let mut parts = gemm_parts();
+    let ii = parts.stats.iib as u32;
+    assert!(ii > 1);
+    let node = *parts.op_slots.keys().max().expect("ops placed");
+    if let Some(slot) = parts.op_slots.get_mut(&node) {
+        slot.cycle_mod = (slot.cycle_mod + 1) % ii;
+    }
+    assert_eq!(error_of(parts), SimError::ScheduleMismatch { node, edge: None });
 }
 
 #[test]

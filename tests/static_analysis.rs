@@ -13,7 +13,7 @@
 use himap_repro::analyze::{analyze_dfg, analyze_kernel, AnalyzeOptions};
 use himap_repro::cgra::{CapabilityMap, CgraSpec, PeId};
 use himap_repro::core::{
-    race, BhcBackend, HiMap, HiMapBackend, HiMapError, HiMapOptions, MapRequest, RaceMode,
+    race, BhcBackend, HiMap, HiMapBackend, HiMapError, HiMapOptions, MapRequest,
 };
 use himap_repro::kernels::suite;
 
@@ -118,8 +118,7 @@ fn race_rejects_statically_infeasible_requests() {
     let himap = HiMapBackend::default();
     let bhc = BhcBackend::default();
     let req = MapRequest::new(suite::gemm(), fully_faulted_mems(4));
-    let err = race(&[&himap, &bhc], &req, RaceMode::FirstFeasible)
-        .expect_err("the race must reject the request up front");
+    let err = race(&[&himap, &bhc], &req).expect_err("the race must reject the request up front");
     let HiMapError::Infeasible(why) = &err else {
         panic!("expected Infeasible, got {err}");
     };
@@ -151,7 +150,7 @@ fn other_admission_rules_reject_with_their_codes() {
 #[ignore = "exact-oracle sweep; exercised by the bound-consistency CI stage"]
 fn static_bound_below_exact_certified_minimum() {
     use himap_repro::dfg::Dfg;
-    use himap_repro::exact::{certify, ExactOptions};
+    use himap_repro::exact::certify;
 
     let spec = CgraSpec::square(4);
     // The oracle blocks `exact_oracle` certifies with (shapes matter; see
@@ -171,7 +170,7 @@ fn static_bound_below_exact_certified_minimum() {
         let kernel = suite::by_name(name).unwrap();
         let dfg = Dfg::build(&kernel, block).unwrap();
         let static_mii = analyze_dfg(&dfg, &spec, &AnalyzeOptions::default()).bounds.mii();
-        let Ok(result) = certify(&kernel, &spec, block, &ExactOptions::default(), None) else {
+        let Ok(result) = certify(&kernel, &spec, block, None) else {
             continue; // undecided within the span; nothing to compare
         };
         let cert = result.certificate;
