@@ -150,10 +150,12 @@ stage "himap-analyze heterogeneous clean" \
 # baselines recorded when losing backends still ran), the fault-model
 # overhead row (+2 % + 2 ms on an empty CapabilityMap), the heterogeneity
 # rows (stencil2d must map and verify on the corner-multiplier +
-# edge-memory 4x4 at the pinned II) and
-# the mega-scale rows (gemm + floyd-warshall tile-mapped *and verified* on
-# 32x32/64x64, 64x64 wall < 1 s unconditionally, index high-water held to
-# one tile). Writes BENCH_verdict.json, uploaded as a CI artifact.
+# edge-memory 4x4 at the pinned II) and the whole-array rows (gemm and
+# floyd-warshall mapped by the main path on the whole 64x64, pristine and
+# with the 8x8 corner dead, every sample verified clean with no op or route
+# step on a dead PE; map + verify under 1 s unconditionally; window index
+# size and utilization no worse than committed). Writes BENCH_verdict.json,
+# uploaded as a CI artifact.
 stage "consolidated bench gate" \
   cargo run -q -p himap-bench --release --bin bench_summary -- \
     --gate BENCH.json --tolerance 0.25

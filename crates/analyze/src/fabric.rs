@@ -55,29 +55,9 @@ impl FabricSurvey {
     }
 }
 
-/// Surveys one rectangular region of the fabric (a tile of the mega-fabric
-/// tiled path): live-resource counts and mesh connectivity restricted to
-/// PEs inside the rectangle. Count-based like [`survey_fabric`], so the
-/// per-tile A-code pigeonholes run without enumerating any MRRG.
-pub fn survey_region(spec: &CgraSpec, origin: PeId, rows: usize, cols: usize) -> FabricSurvey {
-    let r0 = origin.x as usize;
-    let c0 = origin.y as usize;
-    let inside = |pe: PeId| {
-        (r0..r0 + rows).contains(&(pe.x as usize)) && (c0..c0 + cols).contains(&(pe.y as usize))
-    };
-    survey(spec, &inside)
-}
-
 /// Surveys the fabric: counts live resources and finds the connected
 /// regions of the surviving mesh via breadth-first search.
 pub fn survey_fabric(spec: &CgraSpec) -> FabricSurvey {
-    survey(spec, &|_| true)
-}
-
-/// The survey over the PEs selected by `inside`; mesh adjacency is
-/// restricted to selected endpoints, so a region survey never credits
-/// connectivity through PEs outside its rectangle.
-fn survey(spec: &CgraSpec, inside: &dyn Fn(PeId) -> bool) -> FabricSurvey {
     let faults = &spec.faults;
     let mut live_pes = 0usize;
     let mut live_banks = 0usize;
@@ -86,7 +66,7 @@ fn survey(spec: &CgraSpec, inside: &dyn Fn(PeId) -> bool) -> FabricSurvey {
     let mut live_mul_pes = 0usize;
     let mut live_fu_pes = 0usize;
     for pe in spec.pes() {
-        if !inside(pe) || faults.pe_dead(pe) {
+        if faults.pe_dead(pe) {
             continue;
         }
         live_pes += 1;
@@ -110,7 +90,7 @@ fn survey(spec: &CgraSpec, inside: &dyn Fn(PeId) -> bool) -> FabricSurvey {
     let mut visited: Vec<PeId> = Vec::with_capacity(live_pes);
     let mut components: Vec<FabricComponent> = Vec::new();
     for start in spec.pes() {
-        if !inside(start) || faults.pe_dead(start) || visited.contains(&start) {
+        if faults.pe_dead(start) || visited.contains(&start) {
             continue;
         }
         let mut component = FabricComponent::default();
@@ -123,7 +103,7 @@ fn survey(spec: &CgraSpec, inside: &dyn Fn(PeId) -> bool) -> FabricSurvey {
             }
             for dir in ALL_DIRS {
                 let Some(next) = spec.neighbor(pe, dir) else { continue };
-                if !inside(next) || faults.pe_dead(next) || visited.contains(&next) {
+                if faults.pe_dead(next) || visited.contains(&next) {
                     continue;
                 }
                 let forward_alive = !faults.link_severed(pe, dir);
@@ -226,34 +206,6 @@ mod tests {
         assert_eq!(survey.live_alu_pes, 9);
         assert_eq!(survey.live_mul_pes, 9);
         assert_eq!(survey.live_fu_pes, 9);
-    }
-
-    #[test]
-    fn region_survey_sees_only_its_rectangle() {
-        let mut faults = CapabilityMap::new();
-        faults.kill_pe(PeId::new(0, 0));
-        faults.disable_mem(PeId::new(5, 5));
-        let spec = CgraSpec::square(8).with_faults(faults);
-        // Top-left 4x4 tile: loses the dead corner, keeps its banks.
-        let tl = survey_region(&spec, PeId::new(0, 0), 4, 4);
-        assert_eq!(tl.live_pes, 15);
-        assert_eq!(tl.live_banks, 15);
-        assert!(tl.is_connected());
-        // Bottom-right 4x4 tile: full PEs, one bank down.
-        let br = survey_region(&spec, PeId::new(4, 4), 4, 4);
-        assert_eq!(br.live_pes, 16);
-        assert_eq!(br.live_banks, 15);
-        // Region connectivity must not credit paths through outside PEs:
-        // kill the middle column *of the region* and it splits even though
-        // the full fabric stays connected.
-        let mut wall = CapabilityMap::new();
-        for r in 0..4 {
-            wall.kill_pe(PeId::new(r, 1));
-        }
-        let walled = CgraSpec::square(8).with_faults(wall);
-        assert!(survey_fabric(&walled).is_connected());
-        let region = survey_region(&walled, PeId::new(0, 0), 4, 4);
-        assert_eq!(region.components.len(), 2, "{region:?}");
     }
 
     #[test]

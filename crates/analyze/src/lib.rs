@@ -55,7 +55,7 @@ mod fabric;
 
 pub use bounds::StaticBounds;
 pub use diag::{Code, Diagnostic, DiagnosticSink, Locus, Severity};
-pub use fabric::{survey_fabric, survey_region, FabricComponent, FabricSurvey};
+pub use fabric::{survey_fabric, FabricComponent, FabricSurvey};
 
 use himap_cgra::{CgraSpec, OpClass};
 use himap_dfg::Dfg;
@@ -121,8 +121,8 @@ impl From<&Lint> for Diagnostic {
 }
 
 /// Runs the kernel-IR lint pass (K001–K002) and returns the findings as
-/// diagnostics. `himap-verify`'s `verify_kernel` delegates here, so the
-/// K codes and the A codes share one sink and one exit-code convention.
+/// diagnostics, so the K codes and the A codes share one sink and one
+/// exit-code convention. Both `himap-analyze` and `himap-verify` call it.
 pub fn lint_diagnostics(kernel: &Kernel) -> DiagnosticSink {
     let mut sink = DiagnosticSink::new();
     for lint in himap_kernels::lint_kernel(kernel) {

@@ -4,11 +4,11 @@
 //! `bench_summary --gate BENCH.json [--tolerance 0.25]` re-measures every
 //! gated row of the manifest — the sequential scaling rows, the portfolio
 //! races, the fault-model overhead check, the heterogeneity rows and the
-//! mega-scale rows — prints one verdict line per row, and writes
+//! whole-array rows — prints one verdict line per row, and writes
 //! `BENCH_verdict.json`. A row fails when its fresh median exceeds
 //! `baseline * (1 + tolerance) + 2 ms`, or when a deterministic companion
-//! value (race winner and II, heterogeneous IIs, index high-water) got
-//! worse. This is the CI entrypoint.
+//! value (race winner and II, heterogeneous IIs, window index size,
+//! utilization) got worse. This is the CI entrypoint.
 //!
 //! `bench_summary --gate-baseline` measures every surface with the same
 //! protocol (1 warmup run, median of 5) and writes a fresh `BENCH.json`.
@@ -18,11 +18,10 @@
 use std::time::{Duration, Instant};
 
 use himap_bench::check::{
-    het_rows, limit_ms, parse, race_rows, scale_rows, scaling_rows, HetRow, RaceRow, ScaleRow,
+    array_rows, het_rows, limit_ms, parse, race_rows, scaling_rows, ArrayRow, HetRow, RaceRow,
     ScalingRow,
 };
-use himap_bench::{peak_rss_kb, run_himap_tiled};
-use himap_cgra::{CapabilityMap, CgraSpec, MrrgIndex};
+use himap_cgra::{CapabilityMap, CgraSpec, PeId};
 use himap_core::backend::{race, Backend, BhcBackend, HiMapBackend, MapRequest};
 use himap_core::{HiMap, HiMapOptions};
 use himap_exact::ExactBackend;
@@ -60,16 +59,18 @@ const HET_CASES: [(&str, usize); 1] = [("stencil2d", 4)];
 /// milliseconds, so a bare 2 % would be inside timer noise).
 const FAULT_TOLERANCE: f64 = 0.02;
 
-/// The mega-fabric scale workload: the tiled path must map *and verify*
-/// these kernels on 32x32 and 64x64 without ever materialising the
-/// full-fabric MRRG — the index high-water mark is asserted against a
-/// tile-scale cap on every sample.
-const SCALE_KERNELS: [&str; 2] = ["gemm", "floyd-warshall"];
-const SCALE_SIZES: [usize; 2] = [32, 64];
+/// The whole-array workload: the main path maps a block matched to the
+/// whole 64x64 array and the verifier re-derives it, on the pristine fabric
+/// and with every PE of the corner `(0..8, 0..8)` dead.
+const ARRAY_KERNELS: [&str; 2] = ["gemm", "floyd-warshall"];
+const ARRAY_SIDE: usize = 64;
+const DEAD_CORNERS: [usize; 2] = [0, 8];
 
 /// Unconditional wall ceiling on every 64x64 row, independent of the
 /// committed baseline: a 64x64 map+verify that takes a second has lost
-/// the scalability argument even if the baseline drifted with it.
+/// the scalability argument even if the baseline drifted with it. The
+/// ceiling also bounds what a whole-array row costs the gate, so those rows
+/// are always checked, whatever [`CHECK_BUDGET_MS`] says.
 const MEGA_WALL_LIMIT_MS: f64 = 1000.0;
 
 fn median(mut samples: Vec<Duration>) -> Duration {
@@ -159,64 +160,58 @@ fn measure_heterogeneity(name: &str, c: usize) -> Result<(usize, usize, Duration
     Ok((hom_ii, het_ii, t))
 }
 
-/// One measured mega-scale point.
-struct ScaleSample {
+/// One measured whole-array point.
+struct ArraySample {
     median: Duration,
-    /// Cold `MrrgIndex::new` of the base tile's `(spec, II)` — timed
-    /// outside the sampled runs, whose index acquisitions are cache hits.
-    index: Duration,
+    /// `PipelineStats::memory.nodes`: the largest window index the walk
+    /// routed on.
     nodes: usize,
-    edges: usize,
+    utilization: f64,
+    block: Vec<usize>,
 }
 
-/// Median wall time of tiled map + tiled verify on a `c`x`c` array. Every
-/// sample asserts the verifier is clean and that the largest index ever
-/// built fits one tile at the achieved II — a full-fabric MRRG leaking into
-/// the path fails the bench, not just slows it down.
-fn measure_scale(name: &str, c: usize) -> Result<ScaleSample, String> {
+/// The `c`x`c` fabric with every PE of the corner `(0..dead, 0..dead)` dead.
+fn corner_faulted(c: usize, dead: usize) -> CgraSpec {
+    let mut faults = CapabilityMap::new();
+    for x in 0..dead {
+        for y in 0..dead {
+            faults.kill_pe(PeId::new(x, y));
+        }
+    }
+    CgraSpec::square(c).with_faults(faults)
+}
+
+/// Median wall time of `HiMap::map` + `verify_mapping` on the `c`x`c`
+/// fabric with a dead corner of side `dead`. Every sample asserts that the
+/// mapping verifies clean and that no op slot or route step sits on a dead
+/// PE.
+fn measure_array(name: &str, c: usize, dead: usize) -> Result<ArraySample, String> {
     let kernel = kernel(name)?;
-    let options = HiMapOptions::default();
+    let spec = corner_faulted(c, dead);
+    let himap = HiMap::new(HiMapOptions::default());
     let mut last = None;
     let wall = sample(|| {
-        let tiled = run_himap_tiled(&kernel, c, &options)
-            .0
-            .unwrap_or_else(|| panic!("{name} fails to tile-map on {c}x{c}"));
-        let report = himap_verify::verify_tiled(&tiled);
+        let mapping = himap
+            .map(&kernel, &spec)
+            .unwrap_or_else(|e| panic!("{name} fails to map on {c}x{c}, dead corner {dead}: {e}"));
+        let report = himap_verify::verify_mapping(&mapping);
         assert!(
             !report.has_errors(),
-            "{name} {c}x{c} tiled mapping fails verification:\n{}",
+            "{name} {c}x{c}, dead corner {dead}: mapping fails verification:\n{}",
             report.render_pretty()
         );
-        let (tr, tc) = tiled.tile_shape();
-        let iib = tiled
-            .overrides()
-            .values()
-            .chain(std::iter::once(tiled.base()))
-            .map(|m| m.stats().iib)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let cap = tr * tc * (9 + tiled.spec().rf_size) * iib;
-        let mem = tiled.memory();
-        assert!(
-            mem.nodes <= cap,
-            "{name} {c}x{c}: index high-water of {} nodes exceeds the tile-scale cap \
-             {cap} — the full-fabric MRRG leaked into the tiled path",
-            mem.nodes
-        );
-        last = Some((tiled.base().spec().clone(), tiled.base().stats().iib, mem));
+        let dead_pe = |pe: PeId| spec.faults.pe_dead(pe);
+        let on_dead = mapping.op_slots().values().filter(|slot| dead_pe(slot.pe)).count()
+            + mapping.routes().iter().flat_map(|r| &r.steps).filter(|(n, _)| dead_pe(n.pe)).count();
+        assert_eq!(on_dead, 0, "{name} {c}x{c}: {on_dead} op slots and route steps on dead PEs");
+        last = Some((
+            mapping.pipeline_stats().memory.nodes,
+            mapping.utilization(),
+            mapping.stats().block.clone(),
+        ));
     });
-    let (tile_spec, iib, mem) = last.ok_or("no scale sample ran")?;
-    let index = median(
-        (0..SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(MrrgIndex::new(tile_spec.clone(), iib));
-                start.elapsed()
-            })
-            .collect(),
-    );
-    Ok(ScaleSample { median: wall, index, nodes: mem.nodes, edges: mem.edges })
+    let (nodes, utilization, block) = last.ok_or("no whole-array sample ran")?;
+    Ok(ArraySample { median: wall, nodes, utilization, block })
 }
 
 /// One gated row's verdict.
@@ -233,7 +228,7 @@ struct Verdict {
 /// Re-measures every gated row of `doc` against `tolerance`.
 fn gate_rows(doc: &himap_bench::check::Json, tolerance: f64) -> Result<Vec<Verdict>, String> {
     let (scaling, races) = (scaling_rows(doc)?, race_rows(doc)?);
-    let (hets, scales) = (het_rows(doc)?, scale_rows(doc)?);
+    let (hets, arrays) = (het_rows(doc)?, array_rows(doc)?);
     let mut out = Vec::new();
     let verdict = |surface, name: String, fresh: Duration, limit: f64, ok: bool, detail| Verdict {
         surface,
@@ -279,22 +274,26 @@ fn gate_rows(doc: &himap_bench::check::Json, tolerance: f64) -> Result<Vec<Verdi
         );
         out.push(verdict("heterogeneity", format!("{kernel} {c}x{c}"), fresh, limit, ok, detail));
     }
-    // Mega-fabric rows: tolerance vs baseline plus two unconditional
-    // promises — the 64x64 wall ceiling, and a non-growing index high-water
-    // mark (the "never materialise the full MRRG" claim).
-    for ScaleRow { kernel, cgra: c, median_ms, index_nodes, .. } in
-        scales.iter().filter(|r| r.check)
-    {
-        let s = measure_scale(kernel, *c)?;
+    // Whole-array rows: tolerance vs baseline under the unconditional 64x64
+    // wall ceiling, and a window index and utilization no worse than
+    // committed.
+    for row in arrays.iter().filter(|r| r.check) {
+        let ArrayRow { kernel, cgra: c, dead_corner, median_ms, index_nodes, utilization, .. } =
+            row;
+        let s = measure_array(kernel, *c, *dead_corner)?;
         let tol = limit_ms(*median_ms, tolerance);
         let limit = if *c == 64 { tol.min(MEGA_WALL_LIMIT_MS) } else { tol };
         let detail = format!(
-            "baseline {median_ms:.3} ms, index {} nodes vs {index_nodes}, cold build {:.3} ms",
-            s.nodes,
-            ms(s.index)
+            "baseline {median_ms:.3} ms, index {} nodes vs {index_nodes}, utilization {:.4} vs \
+             {utilization:.4}, block {:?}, verified clean, 0 dead-PE uses",
+            s.nodes, s.utilization, s.block
         );
-        let ok = s.nodes <= *index_nodes;
-        out.push(verdict("mega-scale", format!("{kernel} {c}x{c}"), s.median, limit, ok, detail));
+        let ok = s.nodes <= *index_nodes && s.utilization >= *utilization;
+        let name = match dead_corner {
+            0 => format!("{kernel} {c}x{c}"),
+            k => format!("{kernel} {c}x{c} dead {k}x{k}"),
+        };
+        out.push(verdict("whole-array", name, s.median, limit, ok, detail));
     }
     Ok(out)
 }
@@ -314,7 +313,7 @@ fn run_gate(baseline_path: &str, tolerance: f64) -> Result<bool, String> {
     let mut rows = Vec::new();
     for v in &verdicts {
         println!(
-            "{} {:<14} {:>22} {:>9.3} ms (limit {:>9.3} ms), {}",
+            "{} {:<14} {:>29} {:>9.3} ms (limit {:>9.3} ms), {}",
             if v.pass { "PASS" } else { "FAIL" },
             v.surface,
             v.name,
@@ -392,34 +391,28 @@ fn run_gate_generate() -> Result<(), String> {
             check(t)
         ));
     }
-    let mut scale = Vec::new();
-    for name in SCALE_KERNELS {
-        for c in SCALE_SIZES {
-            let s = measure_scale(name, c)?;
+    let mut arrays = Vec::new();
+    for name in ARRAY_KERNELS {
+        for dead in DEAD_CORNERS {
+            let s = measure_array(name, ARRAY_SIDE, dead)?;
             let t = ms(s.median);
-            if c == 64 && t >= MEGA_WALL_LIMIT_MS {
+            if t >= MEGA_WALL_LIMIT_MS {
                 return Err(format!(
-                    "MEGA-SCALE PROMISE BROKEN: {name} 64x64 {t:.1} ms >= \
-                     {MEGA_WALL_LIMIT_MS:.0} ms — refusing to write a baseline that fails \
-                     its own gate"
+                    "WHOLE-ARRAY PROMISE BROKEN: {name} {ARRAY_SIDE}x{ARRAY_SIDE} dead corner \
+                     {dead}: {t:.1} ms >= {MEGA_WALL_LIMIT_MS:.0} ms — refusing to write a \
+                     baseline that fails its own gate"
                 ));
             }
-            let rss = peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string());
             eprintln!(
-                "  scale {name} {c}x{c}: {t:.3} ms, cold index {:.3} ms ({} nodes / {} edges), \
-                 peak RSS {rss} kB",
-                ms(s.index),
-                s.nodes,
-                s.edges
+                "  whole-array {name} {ARRAY_SIDE}x{ARRAY_SIDE} dead corner {dead}: {t:.3} ms, \
+                 index {} nodes, utilization {}, block {:?}",
+                s.nodes, s.utilization, s.block
             );
-            scale.push(format!(
-                "    {{\"kernel\": \"{name}\", \"cgra\": \"{c}x{c}\", \"median_ms\": {t:.3}, \
-                 \"index_ms\": {:.3}, \"index_nodes\": {}, \"index_edges\": {}, \
-                 \"peak_rss_kb\": {rss}, \"check\": {}}}",
-                ms(s.index),
-                s.nodes,
-                s.edges,
-                check(t)
+            arrays.push(format!(
+                "    {{\"kernel\": \"{name}\", \"cgra\": \"{ARRAY_SIDE}x{ARRAY_SIDE}\", \
+                 \"dead_corner\": {dead}, \"median_ms\": {t:.3}, \"index_nodes\": {}, \
+                 \"utilization\": {}, \"check\": true}}",
+                s.nodes, s.utilization
             ));
         }
     }
@@ -435,12 +428,12 @@ fn run_gate_generate() -> Result<(), String> {
          \x20 \"scaling\": [\n{}\n  ],\n\
          \x20 \"portfolio_race\": [\n{}\n  ],\n\
          \x20 \"heterogeneity\": [\n{}\n  ],\n\
-         \x20 \"mega_scale\": [\n{}\n  ]\n\
+         \x20 \"whole_array\": [\n{}\n  ]\n\
          }}\n",
         scaling.join(",\n"),
         races.join(",\n"),
         het.join(",\n"),
-        scale.join(",\n"),
+        arrays.join(",\n"),
     );
     print!("{json}");
     std::fs::write("BENCH.json", &json).map_err(|e| format!("could not write BENCH.json: {e}"))?;

@@ -399,46 +399,40 @@ pub fn het_rows(doc: &Json) -> Result<Vec<HetRow>, String> {
     })
 }
 
-/// One `mega_scale` row: a kernel mapped *and verified* through the tiled
-/// path on a mega fabric (32×32, 64×64), with the largest materialised
-/// index recorded so the gate can prove the full-fabric MRRG was never
-/// built.
+/// One `whole_array` row: a kernel mapped by the main path on a whole
+/// array, pristine or with a dead square corner, and verified clean.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ScaleRow {
+pub struct ArrayRow {
     /// Kernel name (`suite::by_name` key).
     pub kernel: String,
     /// CGRA side length (`64` for a 64x64 array).
     pub cgra: usize,
+    /// Side of the dead corner `(0..k, 0..k)`; 0 on the pristine fabric.
+    pub dead_corner: usize,
     /// Median wall time of map-plus-verify in milliseconds.
     pub median_ms: f64,
-    /// Cold build time of the tile's dense index, in milliseconds
-    /// (report-only).
-    pub index_ms: f64,
-    /// Node count of the largest MRRG index the run materialised.
+    /// Node count of the largest window index the walk routed on.
     pub index_nodes: usize,
-    /// Edge count of the largest MRRG index the run materialised.
-    pub index_edges: usize,
-    /// Process peak RSS after the row, in kilobytes (0 when unavailable).
-    pub peak_rss_kb: f64,
+    /// FU utilization of the mapping.
+    pub utilization: f64,
     /// Whether `--gate` re-measures this row.
     pub check: bool,
 }
 
-/// Extracts the `mega_scale` rows from a parsed manifest.
+/// Extracts the `whole_array` rows from a parsed manifest.
 ///
 /// # Errors
 ///
 /// Returns a message naming the missing or mistyped field.
-pub fn scale_rows(doc: &Json) -> Result<Vec<ScaleRow>, String> {
-    section(doc, "mega_scale", |row| {
-        Ok(ScaleRow {
+pub fn array_rows(doc: &Json) -> Result<Vec<ArrayRow>, String> {
+    section(doc, "whole_array", |row| {
+        Ok(ArrayRow {
             kernel: row.text("kernel")?,
             cgra: row.cgra()?,
+            dead_corner: row.num("dead_corner")? as usize,
             median_ms: row.num("median_ms")?,
-            index_ms: row.num("index_ms")?,
             index_nodes: row.num("index_nodes")? as usize,
-            index_edges: row.num("index_edges")? as usize,
-            peak_rss_kb: row.json.get("peak_rss_kb").and_then(Json::as_f64).unwrap_or(0.0),
+            utilization: row.num("utilization")?,
             check: row.flag("check")?,
         })
     })
@@ -533,22 +527,25 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_a_mega_scale_baseline_shape() {
+    fn round_trips_a_whole_array_baseline_shape() {
         let text = r#"{
-          "mega_scale": [
-            {"kernel": "gemm", "cgra": "64x64", "median_ms": 12.0, "index_ms": 1.5,
-             "index_nodes": 6400, "index_edges": 27456, "peak_rss_kb": 120000, "check": true},
-            {"kernel": "floyd-warshall", "cgra": "32x32", "median_ms": 30.0, "index_ms": 2.0,
-             "index_nodes": 9600, "index_edges": 41184, "peak_rss_kb": null, "check": false}
+          "whole_array": [
+            {"kernel": "gemm", "cgra": "64x64", "dead_corner": 0, "median_ms": 180.0,
+             "index_nodes": 2024, "utilization": 1, "check": true},
+            {"kernel": "floyd-warshall", "cgra": "64x64", "dead_corner": 8,
+             "median_ms": 600.0, "index_nodes": 132, "utilization": 0.5833333333333334,
+             "check": false}
           ]
         }"#;
-        let rows = scale_rows(&parse(text).expect("parses")).expect("rows");
+        let rows = array_rows(&parse(text).expect("parses")).expect("rows");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].kernel, "gemm");
         assert_eq!(rows[0].cgra, 64);
-        assert_eq!(rows[0].index_nodes, 6400);
+        assert_eq!(rows[0].dead_corner, 0);
+        assert_eq!(rows[0].index_nodes, 2024);
         assert!(rows[0].check);
-        assert_eq!(rows[1].peak_rss_kb, 0.0, "null RSS degrades to zero");
+        assert_eq!(rows[1].dead_corner, 8);
+        assert_eq!(rows[1].utilization, 0.5833333333333334, "utilization round-trips exactly");
         assert!(!rows[1].check);
     }
 

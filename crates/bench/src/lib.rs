@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use himap_baseline::{baseline_block, bhc, BaselineOptions, BhcResult};
 use himap_cgra::{CgraSpec, PowerModel};
-use himap_core::{HiMap, HiMapOptions, Mapping, PipelineStats, TiledMapping};
+use himap_core::{HiMap, HiMapOptions, Mapping, PipelineStats};
 use himap_dfg::Dfg;
 use himap_kernels::Kernel;
 
@@ -76,19 +76,6 @@ pub fn run_himap_with_stats(
     let start = Instant::now();
     let (result, stats) = HiMap::new(options.clone()).map_with_stats(kernel, &CgraSpec::square(c));
     (result.ok(), stats, start.elapsed())
-}
-
-/// Runs HiMap's tiled mega-fabric path on a `c × c` array, returning the
-/// tiled mapping and wall time. The full-fabric MRRG is never built on this
-/// path; [`TiledMapping::memory`] reports the largest index that was.
-pub fn run_himap_tiled(
-    kernel: &Kernel,
-    c: usize,
-    options: &HiMapOptions,
-) -> (Option<TiledMapping>, Duration) {
-    let start = Instant::now();
-    let result = HiMap::new(options.clone()).map_tiled(kernel, &CgraSpec::square(c));
-    (result.ok(), start.elapsed())
 }
 
 /// Runs the combined baseline over every block size it can scale to (all

@@ -606,9 +606,9 @@ const LAT_BIT: u32 = 1 << 31;
 
 /// Memory footprint of one compiled [`MrrgIndex`].
 ///
-/// Surfaced through `PipelineStats` so callers can assert that a mapping
-/// run never materialised a full-fabric graph (the mega-fabric tiled path
-/// must stay at sub-CGRA scale).
+/// Surfaced through `PipelineStats` so callers can assert how large a
+/// window the walk routed on: the bench gate holds the whole-array 64×64
+/// rows to their committed node count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Indexed MRRG nodes.

@@ -47,7 +47,6 @@ mod options;
 pub mod route;
 mod stats;
 pub mod submap;
-pub mod tiled;
 pub mod unique;
 mod verify_hook;
 pub mod viz;
@@ -63,6 +62,5 @@ pub use mapping::{Mapping, MappingParts, MappingStats, RouteInstance};
 pub use options::{HiMapError, HiMapOptions, MapReport};
 pub use stats::{PipelineStats, StageTimes};
 pub use submap::{map_idfg, map_idfg_counted, SubMapStats, SubMapping};
-pub use tiled::{SeamStats, TileDisposition, TiledMapping};
 pub use unique::{ClassId, Classes, Descriptor};
 pub use verify_hook::{set_verify_hook, verify_hook, VerifyHook};

@@ -130,10 +130,6 @@ pub enum HiMapError {
     /// The deadline ([`HiMapOptions::deadline`] or the race's budget) passed
     /// before a mapping completed. Carries the trail up to the cut.
     DeadlineExceeded(MapReport),
-    /// The tiled mega-fabric path failed structurally: the tile shape does
-    /// not divide the fabric, or not a single tile could be configured.
-    /// Base-tile mapping failures keep their own error instead.
-    Tiling(String),
 }
 
 impl HiMapError {
@@ -170,7 +166,6 @@ impl fmt::Display for HiMapError {
                 write!(f, "deadline exceeded before any mapping attempt completed")
             }
             HiMapError::DeadlineExceeded(report) => write!(f, "deadline exceeded: {report}"),
-            HiMapError::Tiling(why) => write!(f, "tiled mapping failed: {why}"),
         }
     }
 }

@@ -123,8 +123,8 @@ pub struct PipelineStats {
     /// [`MrrgIndex::memory_stats`](himap_cgra::MrrgIndex::memory_stats)
     /// over the layouts. A window holds the PEs one layout's negotiation
     /// can touch, so for the Fig. 8 blocks `nodes` stays flat as the block
-    /// and the array grow; the mega-fabric tiled path asserts it stays at
-    /// sub-CGRA scale.
+    /// and the array grow; the bench gate's whole-array 64×64 rows assert
+    /// it is no larger than committed.
     pub memory: MemoryStats,
 }
 

@@ -135,7 +135,9 @@ type Element = (ArrayId, Vec<i64>);
 /// results exactly.
 ///
 /// Errors come in phase order: placement (in node order), then execution
-/// (in schedule order), then the routes (in route and step order, a fault
+/// (in schedule order; for each operand, an edge with no route, from a
+/// live-in or from an op, is [`SimError::RouteCorrupted`], checked before
+/// whether the producing op has run yet), then the routes (in route and step order, a fault
 /// before a capacity overflow at the same step), then the final memory
 /// (the smallest mismatching `(array, element)`), then the schedule's
 /// consistency: the first op in node order whose `cycle_mod` is not its
@@ -224,13 +226,17 @@ pub fn simulate(mapping: &Mapping, seed: u64) -> Result<SimReport, SimError> {
                 .find(|e| graph[e.id].slot == slot)
                 .ok_or(SimError::OperandUnavailable { node, slot })?;
             let root = graph[edge.id].signal(edge.src);
+            let corrupted = SimError::RouteCorrupted { edge: edge.id };
             operands[slot as usize] = match graph[root].kind {
                 NodeKind::Op { .. } => {
+                    // A value that no route carries never reaches the FU.
+                    if route_of[edge.id.index()] == NONE {
+                        return Err(corrupted);
+                    }
                     results[root.index()].ok_or(SimError::OperandUnavailable { node, slot })?
                 }
                 NodeKind::Input { .. } => {
                     // Load at the route's first step time.
-                    let corrupted = SimError::RouteCorrupted { edge: edge.id };
                     let route = mapping.routes().get(route_of[edge.id.index()] as usize);
                     let &(_, load_abs) = route.and_then(|r| r.steps.first()).ok_or(corrupted)?;
                     let (id, live_in) = inputs[root.index()];

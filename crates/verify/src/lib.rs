@@ -20,7 +20,7 @@
 //! | W101 | warning  | no avoidable wire detours |
 //! | W102 | warning  | no route dwells longer than one modulo window |
 //! | W103 | warning  | mapper statistics match recomputed values |
-//! | K001–K002 | mixed | kernel-IR lints (adapted from `himap_kernels::lint`) |
+//! | K001–K002 | mixed | kernel-IR lints (emitted by `himap_analyze::lint_diagnostics`) |
 //! | A001–A009 | mixed | pre-mapping static analysis (emitted by `himap-analyze`) |
 //!
 //! The checks read the implicit [`Mrrg`](himap_cgra::Mrrg): resources and
@@ -50,10 +50,8 @@
 
 #![forbid(unsafe_code)]
 
-mod tiled;
 mod verify;
 
-pub use tiled::verify_tiled;
 // The diagnostic vocabulary (codes, sink, rendering) lives in
 // `himap-analyze`, the bottom-most diagnostics producer; re-exported here
 // so every existing `himap_verify::{Code, DiagnosticSink, …}` path keeps
@@ -62,14 +60,6 @@ pub use himap_analyze::{Code, Diagnostic, DiagnosticSink, Locus, Severity};
 pub use verify::verify_mapping;
 
 use himap_core::Mapping;
-use himap_kernels::Kernel;
-
-/// Runs the kernel-IR lint pass (K001–K002) and returns the findings as
-/// diagnostics. Delegates to [`himap_analyze::lint_diagnostics`], so the
-/// K codes share the analyzer's sink and exit-code convention.
-pub fn verify_kernel(kernel: &Kernel) -> DiagnosticSink {
-    himap_analyze::lint_diagnostics(kernel)
-}
 
 /// Installs this verifier as `himap-core`'s process-wide verify hook, so
 /// [`HiMap::map`](himap_core::HiMap::map) cross-checks every mapping it

@@ -13,12 +13,13 @@
 
 use std::process::ExitCode;
 
+use himap_repro::analyze::lint_diagnostics;
 use himap_repro::baseline::{baseline_block, BaselineOptions, SaMapper, SprMapper};
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::{routed_mapping, HiMap, HiMapOptions};
 use himap_repro::dfg::Dfg;
 use himap_repro::kernels::{parse_kernel, suite, Kernel};
-use himap_repro::verify::{verify_kernel, verify_mapping, DiagnosticSink};
+use himap_repro::verify::{verify_mapping, DiagnosticSink};
 
 struct Args {
     kernel: Option<String>,
@@ -50,7 +51,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut report = verify_kernel(&kernel);
+    let mut report = lint_diagnostics(&kernel);
     if !args.lint_only && !report.has_errors() {
         match verify_mapped(&args, &kernel) {
             Ok(mapping_report) => report.extend(mapping_report),

@@ -288,44 +288,36 @@ fn fully_dead_fabric_fails_with_typed_error() {
     assert!(err.to_string().contains("A004"), "{err}");
 }
 
-/// Mega-fabric fault case: every PE of one corner tile of a 32x32 fabric is
-/// dead. The tiled path must either skip the dead tile and hand back a
-/// mapping the tiled verifier accepts, or fail with a typed error — a
-/// panic is never acceptable. The dead block is sized from the tile shape
-/// the pristine run picks, so it stays aligned if the tiler's block choice
-/// evolves.
+/// Whole-array fault case: every PE of the 8x8 corner `(0..8, 0..8)` of a
+/// 32x32 fabric is dead. The main path shrinks the block around the dead
+/// strip, and the mapping must verify clean with no op slot or route step
+/// on a dead PE.
 #[test]
-fn tiled_32x32_survives_a_dead_corner_tile() {
-    use himap_repro::core::TileDisposition;
-    use himap_repro::verify::verify_tiled;
-
-    let pristine = HiMap::new(HiMapOptions::default())
-        .map_tiled(&suite::gemm(), &CgraSpec::square(32))
-        .expect("gemm tiles onto a pristine 32x32");
-    let (tr, tc) = pristine.tile_shape();
-
+fn main_path_32x32_survives_a_dead_corner() {
     let mut faults = CapabilityMap::new();
-    for r in 0..tr {
-        for c in 0..tc {
+    for r in 0..8 {
+        for c in 0..8 {
             faults.kill_pe(PeId::new(r, c));
         }
     }
     let spec = CgraSpec::square(32).with_faults(faults);
-    match HiMap::new(HiMapOptions::default()).map_tiled(&suite::gemm(), &spec) {
-        Ok(tiled) => {
-            assert_eq!(
-                tiled.disposition(0, 0),
-                TileDisposition::Skipped,
-                "a fully-dead tile can only be skipped"
-            );
-            let report = verify_tiled(&tiled);
-            assert!(
-                !report.has_errors(),
-                "tiled mapping around the dead corner fails verification:\n{}",
-                report.render_pretty()
-            );
-            assert!(tiled.utilization() > 0.0);
-        }
-        Err(err) => assert!(!err.to_string().is_empty()),
-    }
+    let mapping = HiMap::new(HiMapOptions::default())
+        .map(&suite::gemm(), &spec)
+        .expect("gemm maps around a dead corner of a 32x32");
+    assert_eq!(mapping.stats().block, [32, 24, 4]);
+    let report = verify_mapping(&mapping);
+    assert!(
+        !report.has_errors(),
+        "mapping around the dead corner fails verification:\n{}",
+        report.render_pretty()
+    );
+    let dead = |pe: PeId| spec.faults.pe_dead(pe);
+    let dead_slots = mapping.op_slots().values().filter(|slot| dead(slot.pe)).count();
+    let dead_steps = mapping
+        .routes()
+        .iter()
+        .flat_map(|route| &route.steps)
+        .filter(|(node, _)| dead(node.pe))
+        .count();
+    assert_eq!((dead_slots, dead_steps), (0, 0), "ops and routes on dead PEs");
 }

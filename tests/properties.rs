@@ -87,33 +87,3 @@ proptest! {
         prop_assert!(report.elements_checked > 0);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Differential check of the tiled mega-fabric path: any non-idle tile
-    /// of a tiled 32x32 mapping, expanded into full-fabric coordinates,
-    /// must pass the full non-tiled verifier (which materialises the
-    /// 32x32 MRRG — fine in a test, banned on the hot path). The tiled
-    /// verifier's per-tile shortcut is only sound if this holds.
-    #[test]
-    fn expanded_tiles_of_a_tiled_32x32_pass_the_full_verifier(pick in any::<u64>()) {
-        let tiled = HiMap::new(HiMapOptions::default())
-            .map_tiled(&suite::gemm(), &CgraSpec::square(32))
-            .expect("gemm tiles onto a pristine 32x32");
-        let (gr, gc) = tiled.grid();
-        let live: Vec<(usize, usize)> = (0..gr)
-            .flat_map(|tr| (0..gc).map(move |tc| (tr, tc)))
-            .filter(|&(tr, tc)| tiled.tile_mapping(tr, tc).is_some())
-            .collect();
-        prop_assert!(!live.is_empty(), "a pristine fabric has live tiles");
-        let (tr, tc) = live[(pick as usize) % live.len()];
-        let expanded = tiled.expand_tile(tr, tc).expect("live tiles expand");
-        let report = himap_repro::verify::verify_mapping(&expanded);
-        prop_assert!(
-            !report.has_errors(),
-            "expanded tile ({tr},{tc}) fails the full verifier:\n{}",
-            report.render_pretty()
-        );
-    }
-}

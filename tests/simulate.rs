@@ -310,6 +310,20 @@ fn missing_live_in_route_is_route_corrupted() {
 }
 
 #[test]
+fn missing_op_to_op_route_is_route_corrupted() {
+    let mut parts = gemm_parts();
+    let graph = parts.dfg.graph();
+    let index = parts
+        .routes
+        .iter()
+        .position(|r| graph[root_of(&parts, r)].kind.is_op())
+        .expect("gemm forwards op results");
+    let edge = parts.routes.remove(index).edge;
+    assert!(parts.routes.iter().all(|r| r.edge != edge), "the removed route was the only one");
+    assert_eq!(error_of(parts), SimError::RouteCorrupted { edge });
+}
+
+#[test]
 fn unplaced_op_is_op_unplaced() {
     let mut parts = gemm_parts();
     let node = *parts.op_slots.keys().max().expect("ops placed");
