@@ -144,21 +144,17 @@ stage "himap-analyze heterogeneous clean" \
   bash -c 'cargo run -q -p himap-analyze --release --bin himap-analyze -- \
     gemm --size 4 --only-mul-pes "0,0;0,3;3,0;3,3" --mem-edge-only > /dev/null'
 
-# Consolidated benchmark gate: one manifest (BENCH.json, measured by
-# `bench_summary --gate-baseline`), one verdict table. Covers the scaling
-# rows (25 % + 2 ms), the portfolio races (double tolerance, kept from
-# baselines recorded when losing backends still ran), the fault-model
-# overhead row (+2 % + 2 ms on an empty CapabilityMap), the heterogeneity
-# rows (stencil2d must map and verify on the corner-multiplier +
-# edge-memory 4x4 at the pinned II) and the whole-array rows (gemm and
-# floyd-warshall mapped by the main path on the whole 64x64, pristine and
-# with the 8x8 corner dead, every sample verified clean with no op or route
-# step on a dead PE; map + verify under 1 s unconditionally; window index
-# size and utilization no worse than committed). Writes BENCH_verdict.json,
-# uploaded as a CI artifact.
-stage "consolidated bench gate" \
-  cargo run -q -p himap-bench --release --bin bench_summary -- \
-    --gate BENCH.json --tolerance 0.25
+# Benchmark gate: one manifest (BENCH.json, measured by
+# `bench_summary --gate-baseline`) of 13 rows in one schema: 6 scaling rows,
+# 2 portfolio races, stencil2d on the heterogeneous 4x4, and gemm and
+# floyd-warshall on the whole 64x64, pristine and with the 8x8 corner dead.
+# Every row is measured the same way (map or race, then verify_mapping; each
+# run verified clean with no op or route step on a dead PE) and judged by
+# the same rules: median within 25 % + 2 ms of the committed one and under
+# 1 s on 64x64; II, window index size, utilization and winner no worse than
+# committed. Writes BENCH_verdict.json, uploaded as a CI artifact.
+stage "bench gate" \
+  cargo run -q -p himap-bench --release --bin bench_summary -- --gate BENCH.json
 
 # Exact-oracle gate: certify minimal IIs on the tuned 4x4 blocks and print
 # the optimality-gap table (EXPERIMENTS.md). The binary exits non-zero when

@@ -87,15 +87,17 @@ pub fn survey_fabric(spec: &CgraSpec) -> FabricSurvey {
 
     // BFS over the optimistic adjacency: both endpoints alive and at least
     // one of the two directional wires between them unsevered.
-    let mut visited: Vec<PeId> = Vec::with_capacity(live_pes);
+    // `visited` is indexed row-major, `x * cols + y`, like `spec.pes()`.
+    let slot = |pe: PeId| pe.x as usize * spec.cols + pe.y as usize;
+    let mut visited = vec![false; spec.pe_count()];
     let mut components: Vec<FabricComponent> = Vec::new();
     for start in spec.pes() {
-        if faults.pe_dead(start) || visited.contains(&start) {
+        if faults.pe_dead(start) || visited[slot(start)] {
             continue;
         }
         let mut component = FabricComponent::default();
         let mut queue = vec![start];
-        visited.push(start);
+        visited[slot(start)] = true;
         while let Some(pe) = queue.pop() {
             component.pes += 1;
             if !faults.mem_disabled(pe) {
@@ -103,13 +105,13 @@ pub fn survey_fabric(spec: &CgraSpec) -> FabricSurvey {
             }
             for dir in ALL_DIRS {
                 let Some(next) = spec.neighbor(pe, dir) else { continue };
-                if faults.pe_dead(next) || visited.contains(&next) {
+                if faults.pe_dead(next) || visited[slot(next)] {
                     continue;
                 }
                 let forward_alive = !faults.link_severed(pe, dir);
                 let backward_alive = !faults.link_severed(next, dir.opposite());
                 if forward_alive || backward_alive {
-                    visited.push(next);
+                    visited[slot(next)] = true;
                     queue.push(next);
                 }
             }
@@ -206,6 +208,20 @@ mod tests {
         assert_eq!(survey.live_alu_pes, 9);
         assert_eq!(survey.live_mul_pes, 9);
         assert_eq!(survey.live_fu_pes, 9);
+    }
+
+    #[test]
+    fn the_64x64_fabric_with_a_dead_8x8_corner_is_one_region() {
+        let mut faults = CapabilityMap::new();
+        for x in 0..8 {
+            for y in 0..8 {
+                faults.kill_pe(PeId::new(x, y));
+            }
+        }
+        let spec = CgraSpec::square(64).with_faults(faults);
+        let survey = survey_fabric(&spec);
+        assert_eq!(survey.live_pes, 4032);
+        assert_eq!(survey.components, vec![FabricComponent { pes: 4032, banks: 4032 }]);
     }
 
     #[test]

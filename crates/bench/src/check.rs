@@ -1,21 +1,33 @@
-//! The consolidated bench manifest (`BENCH.json`): its row types, a
-//! minimal JSON parser, and the tolerance rule the gate applies.
+//! The bench manifest (`BENCH.json`): its one row schema, a minimal JSON
+//! parser, and the rules the gate judges a fresh sample by.
 //!
 //! The container has no JSON dependency, so this module carries a minimal
 //! recursive-descent parser covering exactly the JSON subset the manifest
 //! uses (objects, arrays, strings, f64 numbers, booleans, null).
 //!
-//! The comparison rule is deliberately forgiving of machine noise: a row
-//! fails only when its fresh median exceeds
-//! `baseline * (1 + tolerance) + 2 ms`. The relative term absorbs
-//! steady-state jitter (25 % default — the observed run-to-run spread of
-//! sub-100 ms mapping runs on a loaded CI box), the absolute term keeps
-//! near-zero rows from failing on scheduler hiccups.
+//! Every row is judged by the same rules ([`judge`]): its fresh median may
+//! exceed the committed one by at most 25 % + 2 ms (and must stay under a
+//! 1 s ceiling on 64x64), and its II, window index size, utilization and
+//! winner may not get worse. The relative term absorbs run-to-run jitter on
+//! a loaded box; the absolute term keeps millisecond rows from failing on a
+//! scheduler hiccup.
 
-/// Extra absolute slack added on top of the relative tolerance, so rows
-/// measuring a few milliseconds don't fail on a single timer-granularity or
-/// scheduler blip.
+use std::fmt;
+
+/// Relative slack on a row's committed median.
+pub const TOLERANCE: f64 = 0.25;
+
+/// Absolute slack added on top of [`TOLERANCE`], so rows measuring a few
+/// milliseconds don't fail on a single timer-granularity or scheduler blip.
 pub const ABSOLUTE_SLACK_MS: f64 = 2.0;
+
+/// Array side of the whole-array rows.
+pub const WHOLE_ARRAY_SIDE: usize = 64;
+
+/// Unconditional ceiling on every whole-array median, independent of the
+/// committed baseline: a 64x64 map+verify that takes a second has lost the
+/// scalability argument even if the baseline drifted with it.
+pub const WHOLE_ARRAY_WALL_LIMIT_MS: f64 = 1000.0;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,14 +67,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -247,201 +251,217 @@ impl Parser<'_> {
     }
 }
 
-/// One row of a manifest section, with typed field accessors whose errors
-/// name the row and the field.
-struct Row<'a> {
-    index: usize,
-    json: &'a Json,
+/// The fabric a row maps on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fabric {
+    /// The homogeneous array with every PE alive.
+    Pristine,
+    /// `CapabilityMap::heterogeneous`: corner multipliers, edge-only memory.
+    Heterogeneous,
+    /// Every PE of the corner `(0..8, 0..8)` dead.
+    DeadCorner8,
 }
 
-impl Row<'_> {
-    fn field(&self, key: &str) -> Result<&Json, String> {
-        self.json.get(key).ok_or_else(|| format!("row {} missing `{key}`", self.index))
-    }
+/// How a row maps its kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// `HiMap::map` with default options.
+    HiMap,
+    /// `race` over himap, bhc and exact, first feasible wins.
+    Race,
+}
 
-    fn mistyped(&self, key: &str, what: &str) -> String {
-        format!("row {}: `{key}` is not {what}", self.index)
-    }
+impl Fabric {
+    const ALL: [Fabric; 3] = [Fabric::Pristine, Fabric::Heterogeneous, Fabric::DeadCorner8];
 
-    fn text(&self, key: &str) -> Result<String, String> {
-        self.field(key)?.as_str().map(str::to_string).ok_or_else(|| self.mistyped(key, "a string"))
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        self.field(key)?.as_f64().ok_or_else(|| self.mistyped(key, "a number"))
-    }
-
-    fn flag(&self, key: &str) -> Result<bool, String> {
-        self.field(key)?.as_bool().ok_or_else(|| self.mistyped(key, "a boolean"))
-    }
-
-    /// The CGRA side length of a `"8x8"`-style `cgra` field.
-    fn cgra(&self) -> Result<usize, String> {
-        self.field("cgra")?
-            .as_str()
-            .and_then(|s| s.split('x').next())
-            .and_then(|s| s.parse::<usize>().ok())
-            .ok_or_else(|| self.mistyped("cgra", "like \"8x8\""))
+    /// The manifest spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fabric::Pristine => "pristine",
+            Fabric::Heterogeneous => "heterogeneous",
+            Fabric::DeadCorner8 => "dead-corner-8",
+        }
     }
 }
 
-/// Parses every row of the array `doc[key]` with `parse_row`.
-fn section<T>(
-    doc: &Json,
-    key: &str,
-    parse_row: impl Fn(&Row<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let rows = doc
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("baseline has no `{key}` array"))?;
-    rows.iter().enumerate().map(|(index, json)| parse_row(&Row { index, json })).collect()
+impl Backend {
+    const ALL: [Backend; 2] = [Backend::HiMap, Backend::Race];
+
+    /// The manifest spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::HiMap => "himap",
+            Backend::Race => "race",
+        }
+    }
 }
 
-/// One `scaling` row: the full mapping pipeline on one kernel and array.
+/// What one measurement of a row yields: the median wall time and the
+/// deterministic companion values of the last sample.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Sample {
+    /// Median wall time of map (or race) plus verify, in milliseconds.
+    pub median_ms: f64,
+    /// The mapping's II.
+    pub ii: usize,
+    /// FU utilization of the mapping.
+    pub utilization: f64,
+    /// Node count of the largest window index the walk routed on.
+    pub index_nodes: usize,
+    /// Name of the backend that produced the mapping.
+    pub winner: String,
+}
+
+/// One gated row: what is measured (kernel, array, fabric, backend) and
+/// the committed sample it is judged against.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ScalingRow {
+pub struct Row {
     /// Kernel name (`suite::by_name` key).
     pub kernel: String,
     /// CGRA side length (`8` for an 8x8 array).
     pub cgra: usize,
-    /// Median wall time in milliseconds.
-    pub median_ms: f64,
-    /// Whether `--gate` re-measures this row (only fast rows are gated).
-    pub check: bool,
+    /// The fabric the kernel maps on.
+    pub fabric: Fabric,
+    /// How the kernel is mapped.
+    pub backend: Backend,
+    /// The committed measurement.
+    pub sample: Sample,
 }
 
-/// Extracts the `scaling` rows from a parsed manifest.
+impl fmt::Display for Row {
+    /// The row's key, e.g. `gemm 64x64 dead-corner-8 himap`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (c, fabric, backend) = (self.cgra, self.fabric.name(), self.backend.name());
+        f.pad(&format!("{} {c}x{c} {fabric} {backend}", self.kernel))
+    }
+}
+
+impl Row {
+    /// The row as one line of the manifest's `rows` array.
+    pub fn to_json(&self) -> String {
+        let (c, s) = (self.cgra, &self.sample);
+        format!(
+            "{{\"kernel\": \"{}\", \"cgra\": \"{c}x{c}\", \"fabric\": \"{}\", \
+             \"backend\": \"{}\", \"median_ms\": {:.3}, \"ii\": {}, \"utilization\": {}, \
+             \"index_nodes\": {}, \"winner\": \"{}\"}}",
+            self.kernel,
+            self.fabric.name(),
+            self.backend.name(),
+            s.median_ms,
+            s.ii,
+            s.utilization,
+            s.index_nodes,
+            s.winner
+        )
+    }
+
+    /// The largest fresh median that passes: `median * 1.25 + 2 ms`, and at
+    /// most [`WHOLE_ARRAY_WALL_LIMIT_MS`] on the whole array.
+    pub fn limit_ms(&self) -> f64 {
+        let limit = self.sample.median_ms * (1.0 + TOLERANCE) + ABSOLUTE_SLACK_MS;
+        if self.cgra == WHOLE_ARRAY_SIDE {
+            limit.min(WHOLE_ARRAY_WALL_LIMIT_MS)
+        } else {
+            limit
+        }
+    }
+}
+
+/// Judges a fresh sample against its committed row and returns every rule
+/// it breaks; the row passes when the list is empty.
+pub fn judge(row: &Row, fresh: &Sample) -> Vec<String> {
+    let committed = &row.sample;
+    let mut broken = Vec::new();
+    if fresh.median_ms > row.limit_ms() {
+        broken.push(format!("median {:.3} ms > limit {:.3} ms", fresh.median_ms, row.limit_ms()));
+    }
+    if fresh.ii > committed.ii {
+        broken.push(format!("II {} > {}", fresh.ii, committed.ii));
+    }
+    if fresh.index_nodes > committed.index_nodes {
+        broken.push(format!("index {} > {} nodes", fresh.index_nodes, committed.index_nodes));
+    }
+    if fresh.utilization < committed.utilization {
+        broken.push(format!("utilization {} < {}", fresh.utilization, committed.utilization));
+    }
+    if fresh.winner != committed.winner {
+        broken.push(format!("winner {} != {}", fresh.winner, committed.winner));
+    }
+    broken
+}
+
+/// The rule [`Row::limit_ms`] applies, in words.
+pub fn limit_rule() -> String {
+    let (side, ceiling) = (WHOLE_ARRAY_SIDE, WHOLE_ARRAY_WALL_LIMIT_MS);
+    format!(
+        "median * {} + {ABSOLUTE_SLACK_MS} ms, at most {ceiling} ms on {side}x{side}",
+        1.0 + TOLERANCE
+    )
+}
+
+/// The manifest `rows` are written into: the protocol, then one line per
+/// row.
+pub fn manifest(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows.iter().map(|r| format!("    {}", r.to_json())).collect();
+    format!(
+        "{{\n  \"bench\": \"gate\",\n  \"protocol\": \"map (or race) + verify, 1 warmup, median of 5 \
+         wall-clock samples; limit {}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        limit_rule(),
+        lines.join(",\n")
+    )
+}
+
+/// Extracts the `rows` array of a parsed manifest.
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing or mistyped field.
-pub fn scaling_rows(doc: &Json) -> Result<Vec<ScalingRow>, String> {
-    section(doc, "scaling", |row| {
-        Ok(ScalingRow {
-            kernel: row.text("kernel")?,
-            cgra: row.cgra()?,
-            median_ms: row.num("median_ms")?,
-            check: row.flag("check")?,
+/// Returns a message naming the row index and the missing, mistyped or
+/// unknown field.
+pub fn rows(doc: &Json) -> Result<Vec<Row>, String> {
+    let rows = doc.get("rows").and_then(Json::as_array).ok_or("manifest has no `rows` array")?;
+    rows.iter().enumerate().map(|(index, json)| row(index, json)).collect()
+}
+
+fn row(index: usize, json: &Json) -> Result<Row, String> {
+    let field = |key: &str| json.get(key).ok_or_else(|| format!("row {index} missing `{key}`"));
+    let bad = |key: &str, what: &str| format!("row {index}: `{key}` is not {what}");
+    let text = |key: &str| field(key)?.as_str().ok_or_else(|| bad(key, "a string"));
+    let num = |key: &str| field(key)?.as_f64().ok_or_else(|| bad(key, "a number"));
+    let count = |key: &str| {
+        num(key).and_then(|n| {
+            if n >= 0.0 && n.fract() == 0.0 {
+                Ok(n as usize)
+            } else {
+                Err(bad(key, "a count"))
+            }
         })
+    };
+    let cgra = text("cgra")?;
+    let fabric = text("fabric")?;
+    let backend = text("backend")?;
+    Ok(Row {
+        kernel: text("kernel")?.to_string(),
+        cgra: cgra
+            .split_once('x')
+            .filter(|(r, c)| r == c)
+            .and_then(|(r, _)| r.parse().ok())
+            .ok_or_else(|| bad("cgra", "like \"8x8\""))?,
+        fabric: Fabric::ALL
+            .into_iter()
+            .find(|f| f.name() == fabric)
+            .ok_or_else(|| format!("row {index}: unknown fabric `{fabric}`"))?,
+        backend: Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == backend)
+            .ok_or_else(|| format!("row {index}: unknown backend `{backend}`"))?,
+        sample: Sample {
+            median_ms: num("median_ms")?,
+            ii: count("ii")?,
+            utilization: num("utilization")?,
+            index_nodes: count("index_nodes")?,
+            winner: text("winner")?.to_string(),
+        },
     })
-}
-
-/// One `portfolio_race` row: himap, bhc and exact raced first-feasible.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RaceRow {
-    /// Kernel name (`suite::by_name` key).
-    pub kernel: String,
-    /// CGRA side length.
-    pub cgra: usize,
-    /// Median race wall time in milliseconds.
-    pub median_ms: f64,
-    /// The deterministic winner's backend name.
-    pub winner: String,
-    /// The winning mapping's II.
-    pub ii: usize,
-    /// Whether `--gate` re-measures this row.
-    pub check: bool,
-}
-
-/// Extracts the `portfolio_race` rows from a parsed manifest.
-///
-/// # Errors
-///
-/// Returns a message naming the missing or mistyped field.
-pub fn race_rows(doc: &Json) -> Result<Vec<RaceRow>, String> {
-    section(doc, "portfolio_race", |row| {
-        Ok(RaceRow {
-            kernel: row.text("kernel")?,
-            cgra: row.cgra()?,
-            median_ms: row.num("median_ms")?,
-            winner: row.text("winner")?,
-            ii: row.num("ii")? as usize,
-            check: row.flag("check")?,
-        })
-    })
-}
-
-/// One `heterogeneity` row: the same kernel mapped on the homogeneous and
-/// on the capability-restricted (corner multipliers + edge-only memory)
-/// fabric of one array size.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HetRow {
-    /// Kernel name (`suite::by_name` key).
-    pub kernel: String,
-    /// CGRA side length.
-    pub cgra: usize,
-    /// II achieved on the homogeneous fabric.
-    pub hom_ii: usize,
-    /// II achieved on the heterogeneous fabric (≥ `hom_ii` by construction).
-    pub het_ii: usize,
-    /// Median wall time of the heterogeneous mapping in milliseconds.
-    pub median_ms: f64,
-    /// Whether `--gate` re-measures this row.
-    pub check: bool,
-}
-
-/// Extracts the `heterogeneity` rows from a parsed manifest.
-///
-/// # Errors
-///
-/// Returns a message naming the missing or mistyped field.
-pub fn het_rows(doc: &Json) -> Result<Vec<HetRow>, String> {
-    section(doc, "heterogeneity", |row| {
-        Ok(HetRow {
-            kernel: row.text("kernel")?,
-            cgra: row.cgra()?,
-            hom_ii: row.num("hom_ii")? as usize,
-            het_ii: row.num("het_ii")? as usize,
-            median_ms: row.num("median_ms")?,
-            check: row.flag("check")?,
-        })
-    })
-}
-
-/// One `whole_array` row: a kernel mapped by the main path on a whole
-/// array, pristine or with a dead square corner, and verified clean.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ArrayRow {
-    /// Kernel name (`suite::by_name` key).
-    pub kernel: String,
-    /// CGRA side length (`64` for a 64x64 array).
-    pub cgra: usize,
-    /// Side of the dead corner `(0..k, 0..k)`; 0 on the pristine fabric.
-    pub dead_corner: usize,
-    /// Median wall time of map-plus-verify in milliseconds.
-    pub median_ms: f64,
-    /// Node count of the largest window index the walk routed on.
-    pub index_nodes: usize,
-    /// FU utilization of the mapping.
-    pub utilization: f64,
-    /// Whether `--gate` re-measures this row.
-    pub check: bool,
-}
-
-/// Extracts the `whole_array` rows from a parsed manifest.
-///
-/// # Errors
-///
-/// Returns a message naming the missing or mistyped field.
-pub fn array_rows(doc: &Json) -> Result<Vec<ArrayRow>, String> {
-    section(doc, "whole_array", |row| {
-        Ok(ArrayRow {
-            kernel: row.text("kernel")?,
-            cgra: row.cgra()?,
-            dead_corner: row.num("dead_corner")? as usize,
-            median_ms: row.num("median_ms")?,
-            index_nodes: row.num("index_nodes")? as usize,
-            utilization: row.num("utilization")?,
-            check: row.flag("check")?,
-        })
-    })
-}
-
-/// The pass/fail threshold for a fresh measurement against a baseline
-/// median: `baseline * (1 + tolerance) + 2 ms`.
-pub fn limit_ms(baseline_ms: f64, tolerance: f64) -> f64 {
-    baseline_ms * (1.0 + tolerance) + ABSOLUTE_SLACK_MS
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -455,7 +475,7 @@ mod tests {
             .expect("parses");
         assert_eq!(doc.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(-2.5));
         assert_eq!(doc.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(300.0));
-        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Null));
         assert_eq!(doc.get("e").unwrap().as_str(), Some("x\ny"));
     }
@@ -475,94 +495,116 @@ mod tests {
         assert!(parse("nul").is_err());
     }
 
-    #[test]
-    fn round_trips_a_scaling_baseline_shape() {
-        let text = r#"{
-          "scaling": [
-            {"kernel": "gemm", "cgra": "8x8", "median_ms": 18.5, "check": true},
-            {"kernel": "floyd-warshall", "cgra": "4x4", "median_ms": 900.0, "check": false}
-          ]
-        }"#;
-        let rows = scaling_rows(&parse(text).expect("parses")).expect("rows");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].kernel, "gemm");
-        assert_eq!(rows[0].cgra, 8);
-        assert!(rows[0].check);
-        assert!(!rows[1].check);
-        assert_eq!(rows[1].cgra, 4);
+    /// One row per fabric and backend value.
+    fn sample_rows() -> Vec<Row> {
+        let row =
+            |kernel: &str, cgra, fabric, backend, median_ms, ii, utilization, index_nodes| Row {
+                kernel: kernel.into(),
+                cgra,
+                fabric,
+                backend,
+                sample: Sample { median_ms, ii, utilization, index_nodes, winner: "himap".into() },
+            };
+        vec![
+            row("gemm", 4, Fabric::Pristine, Backend::HiMap, 2.5, 8, 1.0, 48),
+            row("mvt", 4, Fabric::Pristine, Backend::Race, 6.25, 2, 0.5, 32),
+            row("stencil2d", 4, Fabric::Heterogeneous, Backend::HiMap, 40.0, 16, 0.25, 64),
+            row(
+                "floyd-warshall",
+                64,
+                Fabric::DeadCorner8,
+                Backend::HiMap,
+                600.0,
+                3,
+                0.5833333333333334,
+                132,
+            ),
+        ]
     }
 
     #[test]
-    fn round_trips_a_portfolio_baseline_shape() {
-        let text = r#"{
-          "bench": "pr6_portfolio_race",
-          "portfolio_race": [
-            {"kernel": "mvt", "cgra": "4x4", "median_ms": 12.0, "winner": "himap",
-             "ii": 2, "check": true}
-          ]
-        }"#;
-        let rows = race_rows(&parse(text).expect("parses")).expect("rows");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].kernel, "mvt");
-        assert_eq!(rows[0].winner, "himap");
-        assert_eq!(rows[0].ii, 2);
-        assert!(rows[0].check);
+    fn manifest_round_trips_every_fabric_and_backend() {
+        let written = sample_rows();
+        let read = rows(&parse(&manifest(&written)).expect("parses")).expect("rows");
+        assert_eq!(read, written, "utilization and every key round-trip exactly");
+        assert_eq!(read[3].to_string(), "floyd-warshall 64x64 dead-corner-8 himap");
     }
 
     #[test]
-    fn round_trips_a_heterogeneity_baseline_shape() {
-        let text = r#"{
-          "heterogeneity": [
-            {"kernel": "stencil2d", "cgra": "4x4", "hom_ii": 4, "het_ii": 16,
-             "median_ms": 45.0, "check": true}
-          ]
-        }"#;
-        let rows = het_rows(&parse(text).expect("parses")).expect("rows");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].kernel, "stencil2d");
-        assert_eq!(rows[0].cgra, 4);
-        assert_eq!(rows[0].hom_ii, 4);
-        assert_eq!(rows[0].het_ii, 16);
-        assert!(rows[0].check);
+    fn missing_and_mistyped_fields_are_named_with_their_row() {
+        let one = |row: &str| format!(r#"{{"rows": [{}, {row}]}}"#, sample_rows()[0].to_json());
+        let err = |text: String| rows(&parse(&text).expect("parses")).unwrap_err();
+        let e = err(one(r#"{"kernel": "gemm"}"#));
+        assert!(e.contains("row 1") && e.contains("`cgra`"), "unhelpful error: {e}");
+        let e = err(one(&sample_rows()[0].to_json().replace(r#""ii": 8, "#, "")));
+        assert_eq!(e, "row 1 missing `ii`");
+        let e = err(one(&sample_rows()[0].to_json().replace(r#""gemm""#, "3")));
+        assert_eq!(e, "row 1: `kernel` is not a string");
+        let e = err(one(&sample_rows()[0].to_json().replace(r#""ii": 8"#, r#""ii": 8.5"#)));
+        assert_eq!(e, "row 1: `ii` is not a count");
+        let e = err(one(&sample_rows()[0].to_json().replace("4x4", "4x8")));
+        assert_eq!(e, r#"row 1: `cgra` is not like "8x8""#);
     }
 
     #[test]
-    fn round_trips_a_whole_array_baseline_shape() {
-        let text = r#"{
-          "whole_array": [
-            {"kernel": "gemm", "cgra": "64x64", "dead_corner": 0, "median_ms": 180.0,
-             "index_nodes": 2024, "utilization": 1, "check": true},
-            {"kernel": "floyd-warshall", "cgra": "64x64", "dead_corner": 8,
-             "median_ms": 600.0, "index_nodes": 132, "utilization": 0.5833333333333334,
-             "check": false}
-          ]
-        }"#;
-        let rows = array_rows(&parse(text).expect("parses")).expect("rows");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].kernel, "gemm");
-        assert_eq!(rows[0].cgra, 64);
-        assert_eq!(rows[0].dead_corner, 0);
-        assert_eq!(rows[0].index_nodes, 2024);
-        assert!(rows[0].check);
-        assert_eq!(rows[1].dead_corner, 8);
-        assert_eq!(rows[1].utilization, 0.5833333333333334, "utilization round-trips exactly");
-        assert!(!rows[1].check);
+    fn unknown_fabric_and_backend_are_rejected_with_their_row() {
+        let json = sample_rows()[0].to_json();
+        let err = |row: String| rows(&parse(&format!(r#"{{"rows": [{row}]}}"#)).expect("parses"));
+        let e = err(json.replace("pristine", "faulty")).unwrap_err();
+        assert_eq!(e, "row 0: unknown fabric `faulty`");
+        let e = err(json.replace("himap\", \"median", "bhc\", \"median")).unwrap_err();
+        assert_eq!(e, "row 0: unknown backend `bhc`");
+    }
+
+    /// Sample row `index` judged against a copy of its sample that `change` edited.
+    fn judged(index: usize, change: impl FnOnce(&mut Sample)) -> Vec<String> {
+        let row = sample_rows().swap_remove(index);
+        let mut fresh = row.sample.clone();
+        change(&mut fresh);
+        judge(&row, &fresh)
     }
 
     #[test]
-    fn missing_fields_are_named() {
-        let text = r#"{"scaling": [{"kernel": "gemm"}]}"#;
-        let err = scaling_rows(&parse(text).expect("parses")).unwrap_err();
-        assert!(err.contains("cgra"), "unhelpful error: {err}");
-        let text = r#"{"scaling": [{"kernel": 3, "cgra": "4x4"}]}"#;
-        let err = scaling_rows(&parse(text).expect("parses")).unwrap_err();
-        assert!(err.contains("`kernel` is not a string"), "unhelpful error: {err}");
+    fn an_unchanged_sample_passes() {
+        for row in sample_rows() {
+            assert_eq!(judge(&row, &row.sample), Vec::<String>::new(), "{row}");
+        }
     }
 
     #[test]
-    fn limit_combines_relative_and_absolute_slack() {
-        assert!((limit_ms(100.0, 0.25) - 127.0).abs() < 1e-9);
-        // Near-zero baselines still get the absolute floor.
-        assert!(limit_ms(0.1, 0.25) > 2.0);
+    fn a_median_over_the_limit_fails() {
+        // 2.5 ms * 1.25 + 2 ms = 5.125 ms.
+        assert!(judged(0, |s| s.median_ms = 5.125).is_empty());
+        assert_eq!(judged(0, |s| s.median_ms = 5.2), ["median 5.200 ms > limit 5.125 ms"]);
+    }
+
+    #[test]
+    fn a_whole_array_median_over_one_second_fails() {
+        // 900 ms * 1.25 + 2 ms = 1127 ms, but a 64x64 row stops at 1 s.
+        let mut row = sample_rows().swap_remove(3);
+        row.sample.median_ms = 900.0;
+        let fresh = Sample { median_ms: 1000.5, ..row.sample.clone() };
+        assert_eq!(judge(&row, &fresh), ["median 1000.500 ms > limit 1000.000 ms"]);
+    }
+
+    #[test]
+    fn a_larger_ii_fails() {
+        assert_eq!(judged(0, |s| s.ii = 9), ["II 9 > 8"]);
+        assert!(judged(0, |s| s.ii = 7).is_empty());
+    }
+
+    #[test]
+    fn a_larger_index_fails() {
+        assert_eq!(judged(0, |s| s.index_nodes = 49), ["index 49 > 48 nodes"]);
+    }
+
+    #[test]
+    fn a_smaller_utilization_fails() {
+        assert_eq!(judged(1, |s| s.utilization = 0.4375), ["utilization 0.4375 < 0.5"]);
+    }
+
+    #[test]
+    fn a_different_winner_fails() {
+        assert_eq!(judged(1, |s| s.winner = "bhc".into()), ["winner bhc != himap"]);
     }
 }

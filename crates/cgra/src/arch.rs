@@ -248,6 +248,16 @@ mod tests {
         assert_eq!(spec.pe_count(), 8);
     }
 
+    /// An explicitly installed empty fault map is the very spec `mesh`
+    /// builds, so the fault model costs nothing when unused: every layer
+    /// sees the identical input.
+    #[test]
+    fn an_empty_fault_map_is_the_pristine_spec() {
+        let spec = CgraSpec::square(8);
+        assert_eq!(spec.clone().with_faults(crate::capability::CapabilityMap::new()), spec);
+        assert_eq!(spec.fault_free(), spec);
+    }
+
     #[test]
     fn square_defaults_match_paper() {
         let spec = CgraSpec::square(4);

@@ -222,14 +222,23 @@ proptest! {
 /// The heterogeneous acceptance scenario: a multiply-free stencil maps and
 /// verifies on the capability-restricted 4x4 (multipliers only in the
 /// corners, memory banks only on the edge ring) — heterogeneity flows
-/// through admission, placement, routing and verification end to end.
+/// through admission, placement, routing and verification end to end —
+/// at an II no lower than on the homogeneous 4x4.
 #[test]
 fn stencil2d_maps_and_verifies_on_the_heterogeneous_4x4() {
     let spec = CgraSpec::square(4).with_faults(CapabilityMap::heterogeneous(4, 4));
     let kernel = suite::by_name("stencil2d").expect("stencil2d is in the named suite");
-    let mapping = HiMap::new(HiMapOptions::default())
-        .map(&kernel, &spec)
-        .expect("a mul-free stencil fits the heterogeneous fabric");
+    let himap = HiMap::new(HiMapOptions::default());
+    let mapping =
+        himap.map(&kernel, &spec).expect("a mul-free stencil fits the heterogeneous fabric");
+    let homogeneous = himap.map(&kernel, &CgraSpec::square(4)).expect("stencil2d maps on 4x4");
+    // Removing capabilities cannot enlarge the feasible set (16 vs 4 today).
+    assert!(
+        mapping.stats().iib >= homogeneous.stats().iib,
+        "heterogeneous II {} beats homogeneous II {}",
+        mapping.stats().iib,
+        homogeneous.stats().iib
+    );
     let report = verify_mapping(&mapping);
     assert!(
         !report.has_errors(),
